@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from specang import integrate_direct, integrate_split, write_trajectory_csv
-from specang.dynamics import _PAULI, LindbladModel, random_density
+from specang import PAULI, LindbladModel, integrate_direct, integrate_split, write_trajectory_csv
+from specang.dynamics import random_density
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
     parser.add_argument("--out", default="depol", help="output CSV prefix")
     args = parser.parse_args()
 
-    model = LindbladModel(2, np.zeros((2, 2)), _PAULI, (args.rate,) * 3)
+    model = LindbladModel(2, np.zeros((2, 2)), PAULI, (args.rate,) * 3)
     rho0 = random_density(2, seed=args.seed, fill=0.8)
 
     direct = integrate_direct(rho0, model, args.t_end, args.dt, record_every=10)
@@ -34,12 +34,9 @@ def main():
     write_trajectory_csv(f"{args.out}_direct.csv", direct, 2, {**header, "method": "direct"})
     write_trajectory_csv(f"{args.out}_split.csv", split, 2, {**header, "method": "split"})
 
-    radii = np.array([s.r.r[0] for s in split.states])
+    radii = split.r[:, 0]
     slope = np.polyfit(split.times, np.log(radii), 1)[0]
-    divergence = max(
-        float(np.linalg.norm(a - b))
-        for a, b in zip(direct.densities(), split.densities())
-    )
+    divergence = np.max(np.linalg.norm(direct.rho - split.rho, axis=(1, 2)))
     r_exact = radii[0] * math.exp(-4.0 * args.rate * split.times[-1])
 
     print(f"fitted radial rate : {slope:.8f} (expect {-4.0 * args.rate})")

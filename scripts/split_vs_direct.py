@@ -36,11 +36,8 @@ def main():
             rho0 = random_density(n, seed=args.seed + 1000 + k)
             direct = integrate_direct(rho0, model, args.t_end, args.dt, record_every=100)
             split = integrate_split(rho0, model, args.t_end, args.dt, record_every=100)
-            div = max(
-                float(np.linalg.norm(a - b))
-                for a, b in zip(direct.densities(), split.densities())
-            )
-            worst = max(worst, div)
+            div = np.max(np.linalg.norm(direct.rho - split.rho, axis=(1, 2)))
+            worst = max(worst, float(div))
             min_gap = min(min_gap, float(np.min(split.diagnostics["min_gap"])))
         elapsed = time.time() - t0
         print(

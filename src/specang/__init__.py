@@ -42,6 +42,7 @@ from .geometry import (
     kl_exact,
     kl_quadratic,
     purity_gap,
+    purity_spectrum,
     purity_trace_norm,
     shannon_entropy,
 )
@@ -52,11 +53,14 @@ from .flags import (
     assemble_density,
     cartan_generator,
     coset_unitary,
+    density_stack,
     eigendecompose_ordered,
     embedded_generator,
     flag_density,
+    flag_density_theta,
     flag_volume,
     full_unitary,
+    pair_indices,
     quantize,
     qutrit_unitary_closed_form,
     resolution_check,
@@ -66,6 +70,7 @@ from .flags import (
     state_space_volume,
 )
 from .dynamics import (
+    PAULI,
     LindbladModel,
     QubitAngles,
     QutritEuler,

@@ -39,7 +39,8 @@ from .geometry import (
 from .flags import (
     AngleSet,
     coset_unitary,
-    flag_density,
+    flag_density_theta,
+    pair_indices,
     qutrit_unitary_closed_form,
     resolution_check,
     sample_flags,
@@ -144,19 +145,10 @@ def _verify_identity(args):
 def _verify_measure(args):
     rng = np.random.default_rng(args.seed)
     n = args.n
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    m = len(pairs)
+    m = len(pair_indices(n))
     thetas = rng.random((args.N, m)) * math.pi
-    phis = rng.random((args.N, m)) * 2.0 * math.pi
     box = (math.pi * 2.0 * math.pi) ** m
-    vals = np.empty(args.N)
-    for b in range(args.N):
-        angles = AngleSet(
-            n,
-            dict(zip(pairs, thetas[b])),
-            dict(zip(pairs, phis[b])),
-        )
-        vals[b] = flag_density(angles)
+    vals = flag_density_theta(n, thetas)
     est = box * float(vals.mean())
     se = box * float(vals.std(ddof=1)) / math.sqrt(args.N)
     ok = abs(est - 1.0) < 3.0 * se
@@ -186,7 +178,7 @@ def _verify_volumes(args):
 
 
 def _random_angles(n, rng, with_torus=False) -> AngleSet:
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = pair_indices(n)
     theta = {k: float(rng.random() * math.pi) for k in pairs}
     phi = {k: float(rng.random() * 2.0 * math.pi) for k in pairs}
     torus = tuple(rng.random(n - 1) * 2.0 * math.pi) if with_torus else None
@@ -271,11 +263,8 @@ def cmd_evolve(args) -> int:
     if args.method == "both":
         direct, split = trajectories["direct"], trajectories["split"]
         common = min(len(direct.times), len(split.times))
-        divergence = max(
-            float(np.linalg.norm(a - b))
-            for a, b in zip(direct.densities()[:common], split.densities()[:common])
-        )
-        out["max_divergence"] = divergence
+        diff = direct.rho[:common] - split.rho[:common]
+        out["max_divergence"] = float(np.max(np.linalg.norm(diff, axis=(1, 2))))
     _emit(out)
     return 0
 

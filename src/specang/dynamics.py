@@ -18,16 +18,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericalBreakdownError, ValidationError
-from .flags import DensityMatrix, UnitaryFrame, eigendecompose_ordered
+from .flags import (
+    HERMITICITY_TOL,
+    DensityMatrix,
+    UnitaryFrame,
+    check_density,
+    check_frame,
+    density_stack,
+    eigendecompose_ordered,
+    pair_indices,
+)
 from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
-from .spectral import GapVector, jacobian_matrix, probs_from_gaps
+from .spectral import GapVector, check_gaps, jacobian_matrix, probs_from_gaps
 
-HERMITICITY_TOL = 1e-12
 MIN_GAP = 1e-8
 POSITIVITY_FLOOR = -1e-8
 TRACE_DRIFT_MAX = 1e-8
 
-_PAULI = (
+PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
@@ -77,12 +85,6 @@ class SplitState:
     U: UnitaryFrame
     t: float
 
-    def density(self) -> np.ndarray:
-        from .spectral import spectral_diagonal
-
-        U = self.U.U
-        return np.eye(self.r.n) / self.r.n + U @ spectral_diagonal(self.r) @ U.conj().T
-
 
 @dataclass(frozen=True)
 class QubitAngles:
@@ -123,10 +125,13 @@ class QutritEuler:
 
 @dataclass
 class Trajectory:
-    """Recorded states plus per-record diagnostics."""
+    """Recorded run as stacked columns over T records: times (T,), gaps
+    r (T, n-1), density matrices rho (T, n, n), per-record diagnostics
+    (arrays of length T) and the split-chart breakdown time, if any."""
 
     times: np.ndarray
-    states: list
+    r: np.ndarray
+    rho: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     breakdown_time: float | None = None
 
@@ -137,12 +142,6 @@ class Trajectory:
         err = self.diagnostics.get("trace_error")
         if err is not None and np.max(err, initial=0.0) > TRACE_DRIFT_MAX:
             raise ValidationError("trace drift exceeds tolerance along trajectory")
-
-    def densities(self) -> list:
-        out = []
-        for s in self.states:
-            out.append(s.density() if isinstance(s, SplitState) else np.asarray(s.rho))
-        return out
 
 
 def dissipator(rho, model: LindbladModel) -> np.ndarray:
@@ -193,8 +192,7 @@ def integrate_direct(
     rho = np.array(rho0.rho, dtype=complex)
     f = lambda y: lindblad_rhs(y, model)
 
-    times, states = [], []
-    diag = {"trace_error": [], "min_eig": [], "min_gap": []}
+    times, rhos, spectra, drifts = [], [], [], []
     drift = 0.0
 
     def record(t):
@@ -203,11 +201,11 @@ def integrate_direct(
             raise NumericalBreakdownError(
                 f"positivity violated at t={t:.6g}: min eigenvalue {w[0]:.3e}"
             )
+        check_density(rho, w)
         times.append(t)
-        states.append(DensityMatrix(model.n, rho))
-        diag["trace_error"].append(drift)
-        diag["min_eig"].append(float(w[0]))
-        diag["min_gap"].append(float(np.min(np.diff(w))) if model.n > 2 else float(w[-1] - w[0]))
+        rhos.append(rho)
+        spectra.append(w)
+        drifts.append(drift)
 
     record(0.0)
     for step in range(1, steps + 1):
@@ -219,7 +217,10 @@ def integrate_direct(
         if step % record_every == 0 or step == steps:
             record(step * dt)
 
-    return Trajectory(np.array(times), states, {k: np.array(v) for k, v in diag.items()})
+    w = np.array(spectra)
+    r = np.diff(w, axis=1)[:, ::-1]  # ascending spectrum -> descending gaps
+    diag = {"trace_error": np.array(drifts), "min_eig": w[:, 0], "min_gap": r.min(axis=1)}
+    return Trajectory(np.array(times), r, np.array(rhos), diag)
 
 
 def _split_rhs_arrays(r_vec, U, model: LindbladModel, M):
@@ -235,7 +236,7 @@ def _split_rhs_arrays(r_vec, U, model: LindbladModel, M):
         raise DegenerateSpectrumError(
             f"spectral gap below {MIN_GAP}; angular chart breaks down"
         )
-    rho = (U * p) @ U.conj().T
+    rho = density_stack(p, U)
     Lt = U.conj().T @ dissipator(rho, model) @ U
     d = Lt.diagonal().real
     r_dot = d[:-1] - d[1:]
@@ -295,79 +296,68 @@ def integrate_split(
     r_arr = np.array(r_vec.r)
     U = np.array(frame.U)
 
+    # RK4 steps the packed complex array (U.ravel(), r); r carries a zero
+    # imaginary part, so its arithmetic is that of a real array.
     def f(y):
-        r_dot, Omega_t = _split_rhs_arrays(y.r, y.U, model, M)
-        return _SplitTangent(r_dot, y.U @ Omega_t)
+        V = y[: n * n].reshape(n, n)
+        r_dot, Omega_t = _split_rhs_arrays(y[n * n :].real.copy(), V, model, M)
+        return np.concatenate([(V @ Omega_t).ravel(), r_dot])
 
-    times, states = [], []
-    diag = {"trace_error": [], "min_eig": [], "min_gap": []}
+    times, rs, ps, frames = [], [], [], []
 
     def record(t):
-        p = 1.0 / n + M @ r_arr
+        check_gaps(r_arr)
+        check_frame(U)
         times.append(t)
-        states.append(SplitState(GapVector(n, r_arr), UnitaryFrame(n, U), t))
-        diag["trace_error"].append(abs(float(p.sum()) - 1.0))
-        diag["min_eig"].append(float(p[-1]))
-        diag["min_gap"].append(float(np.min(r_arr)))
+        rs.append(r_arr)
+        ps.append(1.0 / n + M @ r_arr)
+        frames.append(U)
+
+    def trajectory():
+        r, p = np.array(rs), np.array(ps)
+        diag = {
+            "trace_error": np.abs(p.sum(axis=1) - 1.0),
+            "min_eig": p[:, -1],
+            "min_gap": r.min(axis=1),
+        }
+        return Trajectory(np.array(times), r, density_stack(p, np.array(frames)), diag)
 
     record(0.0)
     for step in range(1, steps + 1):
         try:
-            y = _rk4(f, _SplitTangent(r_arr, U), dt)
+            y = _rk4(f, np.concatenate([U.ravel(), r_arr]), dt)
         except DegenerateSpectrumError as exc:
             t_break = (step - 1) * dt
             if not fallback_direct:
                 raise DegenerateSpectrumError(
                     f"split integration broke down at t={t_break:.6g}: {exc}"
                 ) from exc
-            traj = Trajectory(
-                np.array(times), states, {k: np.array(v) for k, v in diag.items()}
-            )
-            return _continue_direct(traj, model, t_break, t_end, dt, record_every)
-        r_arr, U = y.r, _polar_special(y.U)
+            rho = DensityMatrix(n, density_stack(1.0 / n + M @ r_arr, U))
+            return _continue_direct(trajectory(), model, rho, t_break, t_end, dt, record_every)
+        r_arr, U = y[n * n :].real.copy(), _polar_special(y[: n * n].reshape(n, n))
         if step % record_every == 0 or step == steps:
             record(step * dt)
 
-    traj = Trajectory(np.array(times), states, {k: np.array(v) for k, v in diag.items()})
-    return traj
+    return trajectory()
 
 
-class _SplitTangent:
-    """(r, U) pair supporting the affine arithmetic RK4 needs."""
-
-    __slots__ = ("r", "U")
-
-    def __init__(self, r, U):
-        self.r = r
-        self.U = U
-
-    def __add__(self, other):
-        return _SplitTangent(self.r + other.r, self.U + other.U)
-
-    def __rmul__(self, c):
-        return _SplitTangent(c * self.r, c * self.U)
-
-    def __mul__(self, c):
-        return self.__rmul__(c)
-
-
-def _continue_direct(traj, model, t_break, t_end, dt, record_every):
-    """Resume a broken split trajectory with the direct integrator."""
-    rho = DensityMatrix(model.n, traj.states[-1].density())
+def _continue_direct(traj, model, rho, t_break, t_end, dt, record_every):
+    """Resume a broken split trajectory with the direct integrator from the
+    state rho the split flow reached at t_break."""
     rest = integrate_direct(rho, model, t_end - t_break, dt, record_every)
-    times = np.concatenate([traj.times, rest.times[1:] + t_break])
-    states = traj.states + rest.states[1:]
-    diagnostics = {
-        k: np.concatenate([traj.diagnostics[k], rest.diagnostics[k][1:]])
-        for k in traj.diagnostics
-    }
-    return Trajectory(times, states, diagnostics, breakdown_time=t_break)
+    return Trajectory(
+        np.concatenate([traj.times, rest.times[1:] + t_break]),
+        np.concatenate([traj.r, rest.r[1:]]),
+        np.concatenate([traj.rho, rest.rho[1:]]),
+        {k: np.concatenate([v, rest.diagnostics[k][1:]]) for k, v in traj.diagnostics.items()},
+        breakdown_time=t_break,
+    )
 
 
 def _require_pauli_model(model: LindbladModel):
     if model.n != 2 or len(model.jumps) != 3:
         raise ValidationError("qubit closed form needs n=2 with jumps sigma_1..3")
-    for L, sigma in zip(model.jumps, _PAULI):
+    for L, sigma in zip(model.jumps, PAULI):
         if np.linalg.norm(L - sigma) > 1e-12:
             raise ValidationError("qubit closed form needs Pauli jump operators")
 
@@ -437,11 +427,6 @@ def euler_omega(alpha, beta, gamma, alpha_dot, beta_dot, gamma_dot) -> np.ndarra
     )
 
 
-def model_dissipator(model: LindbladModel):
-    """The dissipator of a model as a standalone callable on matrices."""
-    return lambda rho: dissipator(rho, model)
-
-
 def real_qutrit_rhs(state: QutritEuler, A: np.ndarray, diss):
     """Closed-form rates (alpha_dot, beta_dot, gamma_dot, r1_dot, r2_dot) for
     the real symmetric qutrit sector.
@@ -463,7 +448,7 @@ def real_qutrit_rhs(state: QutritEuler, A: np.ndarray, diss):
 
     p = probs_from_gaps(GapVector(3, np.array([r1, r2]))).p
     U = so3_euler(state.alpha, state.beta, state.gamma)
-    rho = (U * p) @ U.T
+    rho = density_stack(p, U)
     L = np.asarray(diss(rho))
     if np.linalg.norm(np.asarray(L, dtype=complex).imag) > 1e-10 or np.linalg.norm(
         L.real - L.real.T
@@ -506,20 +491,17 @@ def secular_factorization_test(
     weights = np.arange(1, n)
     M = jacobian_matrix(n)
 
-    ratios = {key: [] for key in [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]}
+    r = []
     for _ in range(num_r_samples):
         x = 0.5 + rng.random(n - 1)
-        r = x * (0.3 + 0.6 * rng.random()) / float(weights @ x)
-        p = 1.0 / n + M @ r
-        rho = (U * p) @ U.conj().T
-        Lt = U.conj().T @ dissipator(rho, model) @ U
-        for (i, j) in ratios:
-            ratios[(i, j)].append(Lt[i - 1, j - 1] / (p[i - 1] - p[j - 1]))
+        r.append(x * (0.3 + 0.6 * rng.random()) / float(weights @ x))
+    p = 1.0 / n + np.array(r) @ M.T
+    Lt = U.conj().T @ dissipator(density_stack(p, U), model) @ U
 
-    residuals = {
-        key: float(np.max(np.abs(np.array(vals) - np.mean(vals))))
-        for key, vals in ratios.items()
-    }
+    residuals = {}
+    for (i, j) in pair_indices(n):
+        vals = Lt[:, i - 1, j - 1] / (p[:, i - 1] - p[:, j - 1])
+        residuals[(i, j)] = float(np.max(np.abs(vals - np.mean(vals))))
     return max(residuals.values()) <= tolerance, residuals
 
 
@@ -607,8 +589,9 @@ def load_density(path) -> DensityMatrix:
 def write_trajectory_csv(path, traj: Trajectory, n: int, header_fields: dict) -> None:
     """Trajectory CSV: provenance header block (# key = value lines) followed
     by columns t, r_1..r_{n-1}, purity_R, trace_error, min_gap."""
-    from .geometry import purity_trace_norm
+    from .geometry import purity_spectrum
 
+    purity = purity_spectrum(1.0 / n + traj.r @ jacobian_matrix(n).T)
     with open(path, "w", newline="") as fh:
         for key, val in header_fields.items():
             fh.write(f"# {key} = {val}\n")
@@ -616,20 +599,12 @@ def write_trajectory_csv(path, traj: Trajectory, n: int, header_fields: dict) ->
         writer.writerow(
             ["t"] + [f"r_{a}" for a in range(1, n)] + ["purity_R", "trace_error", "min_gap"]
         )
-        for idx, (t, state) in enumerate(zip(traj.times, traj.states)):
-            if isinstance(state, SplitState):
-                r = state.r.r
-                rho = state.density()
-            else:
-                rho = np.asarray(state.rho)
-                w = np.sort(np.linalg.eigvalsh(rho))[::-1]
-                r = -np.diff(w)
+        diag = traj.diagnostics
+        for t, r, pur, err, gap in zip(
+            traj.times, traj.r, purity, diag["trace_error"], diag["min_gap"]
+        ):
             writer.writerow(
                 [f"{t:.12g}"]
                 + [f"{x:.15g}" for x in r]
-                + [
-                    f"{purity_trace_norm(rho):.15g}",
-                    f"{traj.diagnostics['trace_error'][idx]:.3e}",
-                    f"{traj.diagnostics['min_gap'][idx]:.6e}",
-                ]
+                + [f"{pur:.15g}", f"{err:.3e}", f"{gap:.6e}"]
             )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .spectral import GapVector, gaps_from_probs, probs_from_gaps, spectral_diagonal
+from .spectral import GapVector, gaps_from_probs, probs_from_gaps
 
 FRAME_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -25,8 +25,18 @@ EIG_FLOOR = -1e-10
 MIN_EIG_GAP = 1e-10
 
 
-def _pair_indices(n):
+def pair_indices(n: int) -> list:
+    """The pairs (i, j), 1 <= i < j <= n, i ascending outer and j ascending
+    inner: the order of the coset product and of every per-pair stack."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def density_stack(p: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U diag(p) U^dagger on stacks: p (..., n), U (..., n, n) -> (..., n, n).
+
+    The one assembly of a density matrix from its spectrum and eigenframe.
+    """
+    return (U * p[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -40,7 +50,7 @@ class AngleSet:
     torus: tuple | None = None
 
     def __post_init__(self):
-        pairs = set(_pair_indices(self.n))
+        pairs = set(pair_indices(self.n))
         if set(self.theta) != pairs or set(self.phi) != pairs:
             raise ValidationError(
                 f"angle maps must have exactly the {len(pairs)} keys (i,j), i<j"
@@ -69,10 +79,7 @@ class UnitaryFrame:
         U = np.array(self.U, dtype=complex)
         if U.shape != (self.n, self.n):
             raise ValidationError(f"frame must be {self.n} x {self.n}")
-        if np.linalg.norm(U.conj().T @ U - np.eye(self.n)) > FRAME_TOL * 10:
-            raise ValidationError("frame is not unitary")
-        if abs(np.linalg.det(U) - 1.0) > FRAME_TOL * 10:
-            raise ValidationError("frame determinant is not 1")
+        check_frame(U)
         U.setflags(write=False)
         object.__setattr__(self, "U", U)
 
@@ -88,14 +95,28 @@ class DensityMatrix:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (self.n, self.n):
             raise ValidationError(f"density matrix must be {self.n} x {self.n}")
-        if np.linalg.norm(rho - rho.conj().T) > HERMITICITY_TOL * 10:
-            raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > HERMITICITY_TOL * 10:
-            raise ValidationError("density matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(rho)) < EIG_FLOOR:
-            raise ValidationError("density matrix has a negative eigenvalue")
+        check_density(rho, np.linalg.eigvalsh(rho))
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+
+
+def check_frame(U: np.ndarray) -> None:
+    """Raise ValidationError unless the square matrix U is special unitary."""
+    if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])) > FRAME_TOL * 10:
+        raise ValidationError("frame is not unitary")
+    if abs(np.linalg.det(U) - 1.0) > FRAME_TOL * 10:
+        raise ValidationError("frame determinant is not 1")
+
+
+def check_density(rho: np.ndarray, eigenvalues: np.ndarray) -> None:
+    """Raise ValidationError unless the square matrix rho is Hermitian,
+    unit-trace and its spectrum `eigenvalues` has no entry below EIG_FLOOR."""
+    if np.linalg.norm(rho - rho.conj().T) > HERMITICITY_TOL * 10:
+        raise ValidationError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > HERMITICITY_TOL * 10:
+        raise ValidationError("density matrix trace is not 1")
+    if np.min(eigenvalues) < EIG_FLOOR:
+        raise ValidationError("density matrix has a negative eigenvalue")
 
 
 def embedded_generator(n: int, i: int, j: int, k: int) -> np.ndarray:
@@ -152,7 +173,7 @@ def coset_unitary(angles: AngleSet) -> UnitaryFrame:
     """Ordered product of the two-level rotations, i ascending outer and j
     ascending inner: R_{1,2} R_{1,3} ... R_{n-1,n}."""
     U = np.eye(angles.n, dtype=complex)
-    for (i, j) in _pair_indices(angles.n):
+    for (i, j) in pair_indices(angles.n):
         U = U @ rotation_factor(angles.n, i, j, angles.theta[(i, j)], angles.phi[(i, j)]).U
     return UnitaryFrame(angles.n, U)
 
@@ -214,19 +235,18 @@ def assemble_density(r: GapVector, frame) -> DensityMatrix:
     """
     if isinstance(frame, AngleSet):
         frame = coset_unitary(frame)
-    U = frame.U
-    rho = np.eye(r.n) / r.n + U @ spectral_diagonal(r) @ U.conj().T
-    return DensityMatrix(r.n, rho)
+    return DensityMatrix(r.n, density_stack(probs_from_gaps(r).p, frame.U))
 
 
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive, then
-    restore det = 1 by a phase on the last column."""
-    rows = np.argmax(np.abs(U), axis=0)
-    lead = U[rows, np.arange(U.shape[1])]
-    U = U * (np.abs(lead) / lead)[None, :]
+    """Rotate each column of each frame in the stack U (..., n, n) so its
+    largest-modulus entry is real positive, then restore det = 1 by a phase
+    on the last column."""
+    rows = np.argmax(np.abs(U), axis=-2)
+    lead = np.take_along_axis(U, rows[..., None, :], axis=-2)
+    U = U * (np.abs(lead) / lead)
     det = np.linalg.det(U)
-    U[:, -1] *= det.conjugate() / abs(det)
+    U[..., :, -1] *= (det.conjugate() / np.hypot(det.real, det.imag))[..., None]
     return U
 
 
@@ -251,20 +271,25 @@ def eigendecompose_ordered(rho: DensityMatrix):
 
 
 def flag_density(angles: AngleSet) -> float:
+    """Normalized invariant density on the flag manifold at one AngleSet;
+    see flag_density_theta."""
+    theta = [angles.theta[key] for key in pair_indices(angles.n)]
+    return float(flag_density_theta(angles.n, np.array(theta)))
+
+
+def flag_density_theta(n: int, theta) -> np.ndarray:
     """Normalized invariant density on the flag manifold with respect to
-    prod dtheta_{i,j} dphi_{i,j}:
+    prod dtheta_{i,j} dphi_{i,j}, on a stack theta (..., n(n-1)/2) of angles
+    in pair_indices order:
 
     (prod_m m!/(4 pi)^m) prod_{i<j} sin(theta_ij) cos^{2(j-i-1)}(theta_ij/2).
     """
-    n = angles.n
+    theta = np.asarray(theta, dtype=float)
     pref = 1.0
     for m in range(1, n):
         pref *= math.factorial(m) / (4.0 * math.pi) ** m
-    val = pref
-    for (i, j) in _pair_indices(n):
-        th = angles.theta[(i, j)]
-        val *= math.sin(th) * math.cos(th / 2.0) ** (2 * (j - i - 1))
-    return val
+    powers = np.array([2 * (j - i - 1) for (i, j) in pair_indices(n)])
+    return pref * np.prod(np.sin(theta) * np.cos(theta / 2.0) ** powers, axis=-1)
 
 
 def sample_flags(n: int, count: int, seed: int) -> np.ndarray:
@@ -281,13 +306,7 @@ def sample_flags(n: int, count: int, seed: int) -> np.ndarray:
     Q, R = np.linalg.qr(G)
     d = np.einsum("...ii->...i", R)
     Q = Q * (d / np.abs(d))[:, None, :]
-    # column phase convention: largest-modulus entry real positive
-    rows = np.argmax(np.abs(Q), axis=1)
-    lead = np.take_along_axis(Q, rows[:, None, :], axis=1)
-    Q = Q * (np.abs(lead) / lead)
-    det = np.linalg.det(Q)
-    Q[:, :, -1] *= (det.conjugate() / np.abs(det))[:, None]
-    return Q
+    return _fix_column_phases(Q)
 
 
 def sample_flag(n: int, seed: int) -> UnitaryFrame:
@@ -320,8 +339,7 @@ def quantize(f, r: GapVector, num_samples: int, seed: int) -> np.ndarray:
     if num_samples == 0:
         return np.zeros((n, n), dtype=complex)
     weights = np.array([f(U) for U in frames], dtype=complex)
-    D = np.diag(spectral_diagonal(r))
-    rhos = np.eye(n) / n + np.einsum("bik,k,bjk->bij", frames, D, frames.conj())
+    rhos = density_stack(probs_from_gaps(r).p, frames)
     return n * np.einsum("b,bij->ij", weights, rhos) / num_samples
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NumericalBreakdownError, ValidationError
+from .flags import pair_indices
 from .spectral import (
     GapVector,
     ProbVector,
@@ -96,10 +97,9 @@ def bures_decomposition(r: GapVector) -> BuresDecomposition:
     spectral = MetricTensor(r.n, 0.25 * fisher_metric_r(r).g)
     cum = np.concatenate(([0.0], np.cumsum(r.r)))
     weights = {}
-    for i in range(1, r.n + 1):
-        for j in range(i + 1, r.n + 1):
-            gap = cum[j - 1] - cum[i - 1]
-            weights[(i, j)] = 0.5 * gap * gap / (p[i - 1] + p[j - 1])
+    for (i, j) in pair_indices(r.n):
+        gap = cum[j - 1] - cum[i - 1]
+        weights[(i, j)] = 0.5 * gap * gap / (p[i - 1] + p[j - 1])
     return BuresDecomposition(spectral, weights)
 
 
@@ -110,9 +110,14 @@ def purity_trace_norm(rho) -> float:
     Accepts a DensityMatrix or a plain Hermitian array.
     """
     mat = np.asarray(getattr(rho, "rho", rho), dtype=complex)
-    n = mat.shape[0]
-    p = np.linalg.eigvalsh(mat)
-    return float(n / (2.0 * (n - 1)) * np.sum(np.abs(p - 1.0 / n)))
+    return float(purity_spectrum(np.linalg.eigvalsh(mat)))
+
+
+def purity_spectrum(p) -> np.ndarray:
+    """Purity (n / (2(n-1))) sum_i |p_i - 1/n| of a stack of spectra p (..., n)."""
+    p = np.asarray(p, dtype=float)
+    n = p.shape[-1]
+    return n / (2.0 * (n - 1)) * np.sum(np.abs(p - 1.0 / n), axis=-1)
 
 
 def purity_gap(r: GapVector) -> float:

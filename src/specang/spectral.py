@@ -22,7 +22,6 @@ import numpy as np
 from .errors import CrossoverDegeneracyError, ValidationError
 
 VALIDATION_TOL = 1e-12
-EXACT_TOL = 1e-14
 
 # Exact (rational) volume formulas use factorials; keep them well inside the
 # range where the geometry is actually explored.
@@ -73,11 +72,16 @@ class GapVector:
         r = np.array(self.r, dtype=float)
         if r.shape != (n - 1,):
             raise ValidationError(f"expected {n - 1} gaps, got shape {r.shape}")
-        if np.any(r < -VALIDATION_TOL):
-            raise ValidationError("gaps must be non-negative")
-        if float(np.arange(1, n) @ r) > 1.0 + VALIDATION_TOL:
-            raise ValidationError("weighted gap sum exceeds 1 (outside R_{n-1})")
+        check_gaps(r)
         object.__setattr__(self, "r", _frozen(r))
+
+
+def check_gaps(r: np.ndarray) -> None:
+    """Raise ValidationError unless the gap array r lies in R_{n-1}."""
+    if np.any(r < -VALIDATION_TOL):
+        raise ValidationError("gaps must be non-negative")
+    if float(np.arange(1, r.size + 1) @ r) > 1.0 + VALIDATION_TOL:
+        raise ValidationError("weighted gap sum exceeds 1 (outside R_{n-1})")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from specang import AngleSet, GapVector
+from specang import AngleSet, GapVector, pair_indices
 
 
 def random_angles(n, rng, with_torus=False):
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = pair_indices(n)
     theta = {k: float(rng.random() * math.pi) for k in pairs}
     phi = {k: float(rng.random() * 2.0 * math.pi) for k in pairs}
     torus = tuple(rng.random(n - 1) * 2.0 * math.pi) if with_torus else None

@@ -18,9 +18,10 @@ from specang import (
     UnitaryFrame,
     cartan_matrix,
     coset_unitary,
+    dissipator,
     eigendecompose_ordered,
     fisher_metric_r,
-    flag_density,
+    flag_density_theta,
     fundamental_coweights,
     inverse_cartan,
     inverse_cartan_exact,
@@ -29,6 +30,7 @@ from specang import (
     jacobian_matrix,
     lindblad_rhs,
     ordered_simplex_volume,
+    pair_indices,
     purity_gap,
     purity_trace_norm,
     qubit_rhs,
@@ -40,17 +42,14 @@ from specang import (
     split_rhs,
     weighted_simplex_volume,
 )
-from specang import AngleSet, QubitAngles, QutritEuler
+from specang import PAULI, QubitAngles, QutritEuler
 from specang.dynamics import (
-    _PAULI,
     euler_omega,
-    model_dissipator,
     qubit_frame,
     random_density,
     random_model,
     so3_euler,
 )
-from specang.flags import _pair_indices
 from conftest import interior_gaps, random_angles
 
 
@@ -341,16 +340,10 @@ def test_criterion_08_flag_measure_normalization():
     details = []
     for n in (2, 3):
         rng = np.random.default_rng(800 + n)
-        pairs = _pair_indices(n)
-        m = len(pairs)
+        m = len(pair_indices(n))
         N = 200_000
         thetas = rng.random((N, m)) * math.pi
-        phis = rng.random((N, m)) * 2.0 * math.pi
-        vals = np.empty(N)
-        for b in range(N):
-            vals[b] = flag_density(
-                AngleSet(n, dict(zip(pairs, thetas[b])), dict(zip(pairs, phis[b])))
-            )
+        vals = flag_density_theta(n, thetas)
         box = (2.0 * math.pi**2) ** m
         est = box * float(vals.mean())
         se = box * float(vals.std(ddof=1)) / math.sqrt(N)
@@ -369,7 +362,7 @@ def test_criterion_09_gkls_equivalence():
             split = integrate_split(rho0, model, 1.0, 1e-3, record_every=100)
             div = max(
                 float(np.linalg.norm(a - b))
-                for a, b in zip(direct.densities(), split.densities())
+                for a, b in zip(direct.rho, split.rho)
             )
             worst_div = max(worst_div, div)
     worst_rhs = 0.0
@@ -409,7 +402,7 @@ def test_criterion_10_qubit_closed_form():
     worst = 0.0
     for _ in range(200):
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        model = LindbladModel(2, 0.5 * (A + A.conj().T), _PAULI, tuple(rng.random(3)))
+        model = LindbladModel(2, 0.5 * (A + A.conj().T), PAULI, tuple(rng.random(3)))
         state = QubitAngles(
             r=0.2 + 0.6 * float(rng.random()),
             theta=0.3 + 2.4 * float(rng.random()),
@@ -427,13 +420,13 @@ def test_criterion_10_qubit_closed_form():
             ),
         )
     # depolarizing decay: all rates 1 gives r(t) = r(0) exp(-4t)
-    depol = LindbladModel(2, np.zeros((2, 2)), _PAULI, (1.0, 1.0, 1.0))
+    depol = LindbladModel(2, np.zeros((2, 2)), PAULI, (1.0, 1.0, 1.0))
     rho0 = random_density(2, seed=77, fill=0.8)
     traj = integrate_split(rho0, depol, 1.0, 1e-3, record_every=10)
-    radii = np.array([s.r.r[0] for s in traj.states])
+    radii = traj.r[:, 0]
     slope = np.polyfit(traj.times, np.log(radii), 1)[0]
     # radial contraction on an angular grid with random non-negative rates
-    grid_model = LindbladModel(2, np.zeros((2, 2)), _PAULI, tuple(rng.random(3)))
+    grid_model = LindbladModel(2, np.zeros((2, 2)), PAULI, tuple(rng.random(3)))
     grid_ok = True
     for th in np.linspace(0.02, math.pi - 0.02, 50):
         for ph in np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False):
@@ -465,7 +458,7 @@ def test_criterion_11_real_qutrit():
             beta=0.3 + 2.4 * float(rng.random()),
             gamma=float(rng.random()) * 2.0 * math.pi,
         )
-        rates = real_qutrit_rhs(state, A, model_dissipator(model))
+        rates = real_qutrit_rhs(state, A, lambda rho: dissipator(rho, model))
         U = so3_euler(state.alpha, state.beta, state.gamma)
         sp = SplitState(
             GapVector(3, np.array([state.r1, state.r2])), UnitaryFrame(3, U), 0.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specang import (
+    PAULI,
     DegenerateSpectrumError,
     DensityMatrix,
     GapVector,
@@ -35,9 +36,7 @@ from specang import (
     write_trajectory_csv,
 )
 from specang.dynamics import (
-    _PAULI,
     euler_omega,
-    model_dissipator,
     qubit_frame,
     random_density,
     random_model,
@@ -50,7 +49,7 @@ from conftest import interior_gaps
 def pauli_model(h1, h2, h3, H=None):
     if H is None:
         H = np.zeros((2, 2), dtype=complex)
-    return LindbladModel(2, H, _PAULI, (h1, h2, h3))
+    return LindbladModel(2, H, PAULI, (h1, h2, h3))
 
 
 def split_point(n, seed, fill=0.75):
@@ -66,9 +65,9 @@ def test_model_validation():
     with pytest.raises(ValidationError):
         LindbladModel(2, np.array([[0.0, 1.0], [0.0, 0.0]]), (), ())  # H not Hermitian
     with pytest.raises(ValidationError):
-        LindbladModel(2, np.zeros((2, 2)), (_PAULI[0],), (-1.0,))  # negative rate
+        LindbladModel(2, np.zeros((2, 2)), (PAULI[0],), (-1.0,))  # negative rate
     with pytest.raises(ValidationError):
-        LindbladModel(2, np.zeros((2, 2)), (_PAULI[0],), (1.0, 2.0))  # count mismatch
+        LindbladModel(2, np.zeros((2, 2)), (PAULI[0],), (1.0, 2.0))  # count mismatch
 
 
 def test_generator_structure(rng):
@@ -133,9 +132,9 @@ def test_direct_depolarizing_qubit_exact():
     rho0 = DensityMatrix(2, np.array([[0.85, 0.1 + 0.2j], [0.1 - 0.2j, 0.15]]))
     traj = integrate_direct(rho0, model, t_end=0.5, dt=1e-3, record_every=100)
     dev0 = rho0.rho - np.eye(2) / 2.0
-    for t, state in zip(traj.times, traj.states):
+    for t, rho in zip(traj.times, traj.rho):
         expect = np.eye(2) / 2.0 + math.exp(-4.0 * t) * dev0
-        assert np.max(np.abs(state.rho - expect)) < 1e-10
+        assert np.max(np.abs(rho - expect)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -145,7 +144,7 @@ def test_split_matches_direct(n):
     direct = integrate_direct(rho0, model, 0.5, 1e-3, record_every=50)
     split = integrate_split(rho0, model, 0.5, 1e-3, record_every=50)
     assert np.allclose(direct.times, split.times)
-    for a, b in zip(direct.densities(), split.densities()):
+    for a, b in zip(direct.rho, split.rho):
         assert np.linalg.norm(a - b) < 1e-7
 
 
@@ -162,6 +161,48 @@ def test_split_breakdown_and_fallback():
     assert traj.times[-1] == pytest.approx(0.2)
 
 
+def test_fallback_resumes_from_live_state():
+    # amplitude damping closes the gap of diag(0.3, 0.7) at t = ln(7/5)
+    L = np.array([[0.0, 1.0], [0.0, 0.0]])
+    model = LindbladModel(2, np.zeros((2, 2)), (L,), (1.0,))
+    rho0 = DensityMatrix(2, np.diag([0.3, 0.7]))
+    for record_every in (1, 10, 100):
+        direct = integrate_direct(rho0, model, 1.0, 1e-3, record_every)
+        split = integrate_split(rho0, model, 1.0, 1e-3, record_every, fallback_direct=True)
+        assert split.breakdown_time == pytest.approx(0.336)
+        assert len(split.times) == len(direct.times)
+        assert np.linalg.norm(split.rho[-1] - direct.rho[-1]) < 1e-12
+
+
+def test_record_checks_raise_at_the_record():
+    # split: one RK4 step at an unstable dt leaves R_{n-1}; the record after
+    # it fails validation, and a run that skips that record breaks down at
+    # the next step instead
+    model = random_model(2, seed=3, jump_scale=1.0)
+    rho0 = random_density(2, seed=503, fill=0.5)
+    with pytest.raises(ValidationError, match="non-negative"):
+        integrate_split(rho0, model, 0.05, 0.05)
+    with pytest.raises(DegenerateSpectrumError, match="t=0.05"):
+        integrate_split(rho0, model, 1.0, 0.05, record_every=3)
+    model = random_model(2, seed=25, jump_scale=2.0)
+    rho0 = random_density(2, seed=525, fill=0.5)
+    with pytest.raises(ValidationError, match="exceeds 1"):
+        integrate_split(rho0, model, 0.05, 0.05)
+    # direct: RK4 just outside its stability region grows the Bloch vector of
+    # a unitary qubit; a slow growth first crosses EIG_FLOOR at record 2, a
+    # fast one crosses the positivity floor at record 1, which is checked first
+    model = LindbladModel(2, np.diag([0.5, -0.5]), (), ())
+    rho0 = DensityMatrix(2, 0.5 * np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]))
+    dt = math.sqrt(8.0 + 2.25e-9)
+    integrate_direct(rho0, model, dt, dt)
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        integrate_direct(rho0, model, 2.0 * dt, dt)
+    rho0 = DensityMatrix(2, 0.5 * np.array([[1.0, 0.999], [0.999, 1.0]]))
+    dt = math.sqrt(8.01)
+    with pytest.raises(NumericalBreakdownError, match="positivity violated at t=2.83"):
+        integrate_direct(rho0, model, dt, dt)
+
+
 def test_step_validation():
     model = random_model(2, seed=0)
     rho0 = random_density(2, seed=1)
@@ -173,11 +214,12 @@ def test_step_validation():
 
 def test_trajectory_validation():
     with pytest.raises(ValidationError):
-        Trajectory(np.array([0.0, 0.0]), [None, None])
+        Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), np.zeros((2, 2, 2)))
     with pytest.raises(ValidationError):
         Trajectory(
             np.array([0.0, 1.0]),
-            [None, None],
+            np.zeros((2, 1)),
+            np.zeros((2, 2, 2)),
             {"trace_error": np.array([0.0, 1e-3])},
         )
 
@@ -268,7 +310,7 @@ def test_real_qutrit_matches_split(rng):
     for _ in range(30):
         A, model = real_qutrit_setup(rng)
         state = random_euler_state(rng)
-        rates = real_qutrit_rhs(state, A, model_dissipator(model))
+        rates = real_qutrit_rhs(state, A, lambda rho: dissipator(rho, model))
 
         U = so3_euler(state.alpha, state.beta, state.gamma)
         r = GapVector(3, np.array([state.r1, state.r2]))
@@ -299,17 +341,17 @@ def test_euler_omega_antisymmetric_and_fd():
 def test_real_qutrit_validation(rng):
     A, model = real_qutrit_setup(rng)
     with pytest.raises(ValidationError):
-        real_qutrit_rhs(random_euler_state(rng), np.eye(3), model_dissipator(model))
+        real_qutrit_rhs(random_euler_state(rng), np.eye(3), lambda rho: dissipator(rho, model))
     complex_model = random_model(3, seed=2)
     with pytest.raises(ValidationError):
         real_qutrit_rhs(
-            random_euler_state(rng), A, model_dissipator(complex_model)
+            random_euler_state(rng), A, lambda rho: dissipator(rho, complex_model)
         )
     with pytest.raises(DegenerateSpectrumError):
         real_qutrit_rhs(
             QutritEuler(r1=1e-9, r2=0.2, alpha=0.1, beta=1.0, gamma=0.1),
             A,
-            model_dissipator(model),
+            lambda rho: dissipator(rho, model),
         )
 
 

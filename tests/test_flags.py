@@ -15,21 +15,25 @@ from specang import (
     assemble_density,
     cartan_generator,
     coset_unitary,
+    density_stack,
     eigendecompose_ordered,
     embedded_generator,
     flag_density,
+    flag_density_theta,
     flag_volume,
     full_unitary,
+    probs_from_gaps,
     quantize,
     qutrit_unitary_closed_form,
     resolution_check,
     rotation_factor,
     sample_flag,
     sample_flags,
+    spectral_diagonal,
     state_space_volume,
     weighted_simplex_volume,
 )
-from specang.flags import torus_element, _pair_indices
+from specang.flags import torus_element, pair_indices
 from conftest import interior_gaps, random_angles
 
 
@@ -38,7 +42,7 @@ from conftest import interior_gaps, random_angles
 
 def test_embedded_generators_are_pauli_algebra():
     n = 4
-    for (i, j) in _pair_indices(n):
+    for (i, j) in pair_indices(n):
         s1 = embedded_generator(n, i, j, 1)
         s2 = embedded_generator(n, i, j, 2)
         s3 = embedded_generator(n, i, j, 3)
@@ -84,7 +88,7 @@ def test_rotation_factor_matches_exponential():
 
 
 def test_angle_set_validation():
-    pairs = _pair_indices(3)
+    pairs = pair_indices(3)
     theta = {k: 0.5 for k in pairs}
     phi = {k: 0.5 for k in pairs}
     AngleSet(3, theta, phi)
@@ -99,7 +103,7 @@ def test_angle_set_validation():
 def test_coset_unitary_is_ordered_product(rng):
     angles = random_angles(4, rng)
     U = np.eye(4, dtype=complex)
-    for (i, j) in _pair_indices(4):
+    for (i, j) in pair_indices(4):
         U = U @ rotation_factor(4, i, j, angles.theta[(i, j)], angles.phi[(i, j)]).U
     assert np.allclose(coset_unitary(angles).U, U, atol=1e-14)
 
@@ -165,6 +169,18 @@ def test_assemble_accepts_angles(rng):
     assert np.allclose(direct.rho, via_angles.rho)
 
 
+def test_density_stack_matches_per_frame_assembly(rng):
+    n, count = 4, 20
+    frames = sample_flags(n, count, seed=5)
+    gaps = [interior_gaps(n, rng) for _ in range(count)]
+    p = np.array([probs_from_gaps(r).p for r in gaps])
+    stack = density_stack(p, frames)
+    assert stack.shape == (count, n, n)
+    for U, r, rho in zip(frames, gaps, stack):
+        expect = np.eye(n) / n + U @ spectral_diagonal(r) @ U.conj().T
+        assert np.max(np.abs(rho - expect)) < 1e-14
+
+
 def test_eigendecompose_degenerate_raises():
     with pytest.raises(DegenerateSpectrumError):
         eigendecompose_ordered(DensityMatrix(3, np.eye(3) / 3.0))
@@ -189,6 +205,23 @@ def test_flag_density_qubit_closed_form():
         assert flag_density(angles) == pytest.approx(
             math.sin(th) / (4.0 * math.pi), rel=1e-13
         )
+
+
+def test_flag_density_theta_matches_product_formula(rng):
+    for n in (2, 3, 4):
+        pref = 1.0
+        for m in range(1, n):
+            pref *= math.factorial(m) / (4.0 * math.pi) ** m
+        angles = [random_angles(n, rng) for _ in range(30)]
+        theta = np.array([[a.theta[key] for key in pair_indices(n)] for a in angles])
+        stack = flag_density_theta(n, theta)
+        assert stack.shape == (30,)
+        for a, val in zip(angles, stack):
+            expect = pref
+            for (i, j), th in a.theta.items():
+                expect *= math.sin(th) * math.cos(th / 2.0) ** (2 * (j - i - 1))
+            assert val == pytest.approx(expect, rel=1e-13)
+            assert flag_density(a) == val
 
 
 def test_flag_density_normalization_qubit():
