@@ -77,6 +77,7 @@ from .dynamics import (
     SplitState,
     Trajectory,
     dissipator,
+    frame_generator,
     integrate_direct,
     integrate_split,
     lindblad_rhs,

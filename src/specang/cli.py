@@ -261,9 +261,14 @@ def cmd_evolve(args) -> int:
         if traj.breakdown_time is not None:
             out["breakdown_time"] = traj.breakdown_time
     if args.method == "both":
+        # compare records taken at the same step: after a fallback the split
+        # route records on a grid shifted by the breakdown time
         direct, split = trajectories["direct"], trajectories["split"]
-        common = min(len(direct.times), len(split.times))
-        diff = direct.rho[:common] - split.rho[:common]
+        _, i, j = np.intersect1d(
+            np.rint(direct.times / args.dt), np.rint(split.times / args.dt),
+            return_indices=True,
+        )
+        diff = direct.rho[i] - split.rho[j]
         out["max_divergence"] = float(np.max(np.linalg.norm(diff, axis=(1, 2))))
     _emit(out)
     return 0

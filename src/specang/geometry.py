@@ -18,7 +18,6 @@ from .flags import pair_indices
 from .spectral import (
     GapVector,
     ProbVector,
-    crossover_index,
     inverse_cartan,
     jacobian_matrix,
     probs_from_gaps,
@@ -123,8 +122,13 @@ def purity_spectrum(p) -> np.ndarray:
 def purity_gap(r: GapVector) -> float:
     """Purity from gap coordinates via the crossover index:
     (n/(n-1)) sum_a (C^-1)_{a,k*} r_a.
+
+    k* counts the p_k above 1/n, kept in 1..n-1.  Where some p_k equals 1/n
+    (r = 0 included) the neighbouring indices give the same value, so ties,
+    at which `crossover_index` raises, need no special case here.
     """
-    k = crossover_index(r)
+    dev = probs_from_gaps(r).p - 1.0 / r.n
+    k = min(max(int(np.count_nonzero(dev > 0.0)), 1), r.n - 1)
     cinv = inverse_cartan(r.n)
     return float(r.n / (r.n - 1.0) * cinv[:, k - 1] @ r.r)
 

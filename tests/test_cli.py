@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from specang import DensityMatrix, LindbladModel
 from specang.cli import main
 from specang.dynamics import random_density, random_model, save_density, save_model
 
@@ -59,6 +60,12 @@ def test_geometry_purity(capsys):
     code, out, _ = run(capsys, "geometry", "--n", "3", "--r", "0.2,0.1", "--purity")
     assert code == 0
     assert 0.0 < json.loads(out)["purity"] <= 1.0
+
+
+def test_geometry_purity_at_maximally_mixed_state(capsys):
+    code, out, _ = run(capsys, "geometry", "--n", "3", "--r", "0,0", "--purity")
+    assert code == 0
+    assert json.loads(out)["purity"] == 0.0
 
 
 def test_geometry_fisher_symmetric(capsys):
@@ -143,6 +150,30 @@ def test_evolve_both(capsys, model_files):
         text = open(path).read()
         assert text.startswith("# ")
         assert "purity_R" in text
+
+
+@pytest.mark.parametrize("record_every", [1, 10, 100])
+def test_evolve_both_compares_matching_times_after_fallback(capsys, tmp_path, record_every):
+    # amplitude damping closes the gap of diag(0.3, 0.7) at t = 0.336; after
+    # the fallback the split records sit on a grid shifted by that time
+    L = np.array([[0.0, 1.0], [0.0, 0.0]])
+    save_model(tmp_path / "model.json", LindbladModel(2, np.zeros((2, 2)), (L,), (1.0,)))
+    save_density(tmp_path / "rho0.json", DensityMatrix(2, np.diag([0.3, 0.7])))
+    code, out, _ = run(
+        capsys,
+        "evolve",
+        "--model", str(tmp_path / "model.json"),
+        "--rho0", str(tmp_path / "rho0.json"),
+        "--method", "both",
+        "--t-end", "1",
+        "--record-every", str(record_every),
+        "--fallback",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["breakdown_time"] == pytest.approx(0.336)
+    assert doc["max_divergence"] <= 1e-12
 
 
 def test_evolve_missing_model_is_io_error(capsys, tmp_path):

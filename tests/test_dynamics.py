@@ -21,6 +21,7 @@ from specang import (
     assemble_density,
     dissipator,
     eigendecompose_ordered,
+    frame_generator,
     integrate_direct,
     integrate_split,
     lindblad_rhs,
@@ -80,6 +81,52 @@ def test_generator_structure(rng):
         assert np.linalg.norm(mat - mat.conj().T) < 1e-12
 
 
+def matrix_generator(rho, model):
+    """-i[H, rho] + dissipator in matrix form, the reference for the Liouvillian."""
+    return -1j * (model.H @ rho - rho @ model.H) + dissipator(rho, model)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_liouvillian_matches_matrix_generator(n):
+    rng = np.random.default_rng(n)
+    H = random_model(n, seed=n).H
+    L = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
+    models = (
+        random_model(n, seed=n),
+        LindbladModel(n, H, tuple(L), (0.7, 0.0, 1.3)),  # one zero rate
+        LindbladModel(n, H, (), ()),  # no jumps: -i[H, rho] alone
+    )
+    for model in models:
+        for seed in range(3):
+            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for rho in (random_density(n, seed=seed).rho, X):
+                expect = matrix_generator(rho, model)
+                assert np.max(np.abs(lindblad_rhs(rho, model) - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_generator_matches_rotated_dissipator_off_manifold(n):
+    # RK4 stages evaluate the split RHS at U + eps X, where U^dag U != 1; the
+    # frame form must still equal U^dag D(U P U^dag) U there
+    rng = np.random.default_rng(10 + n)
+    model = random_model(n, seed=n)
+    U = sample_flag(n, seed=n).U
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    V = U + 0.1 * X
+    assert np.linalg.norm(V.conj().T @ V - np.eye(n)) > 1e-2
+    p = 1.0 / n + jacobian_matrix(n) @ interior_gaps(n, rng).r
+    Ht, Lt = frame_generator(V, p, model)
+    Vd = V.conj().T
+    rho = (V * p) @ Vd
+    assert np.max(np.abs(Ht - Vd @ model.H @ V)) < 1e-12
+    assert np.max(np.abs(Lt - Vd @ dissipator(rho, model) @ V)) < 1e-12
+    # a stack of spectra gives the stack of values
+    ps = np.stack([p, p[::-1]])
+    _, Ls = frame_generator(V, ps, model)
+    for q, Lq in zip(ps, Ls):
+        assert np.max(np.abs(Lq - Vd @ dissipator((V * q) @ Vd, model) @ V)) < 1e-12
+
+
 # --- split right-hand side ------------------------------------------------------
 
 
@@ -135,6 +182,40 @@ def test_direct_depolarizing_qubit_exact():
     for t, rho in zip(traj.times, traj.rho):
         expect = np.eye(2) / 2.0 + math.exp(-4.0 * t) * dev0
         assert np.max(np.abs(rho - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_direct_matches_reference_rk4(n):
+    # four matrix-form generator evaluations per step, the same re-Hermitize
+    # and renormalize steps, against the Horner form on the Liouvillian
+    model = random_model(n, seed=20 + n)
+    rho0 = random_density(n, seed=30 + n)
+    dt, steps, every = 1e-2, 40, 8
+    traj = integrate_direct(rho0, model, steps * dt, dt, record_every=every)
+    rho = rho0.rho.astype(complex)
+    expect = [rho]
+    for step in range(1, steps + 1):
+        k1 = matrix_generator(rho, model)
+        k2 = matrix_generator(rho + 0.5 * dt * k1, model)
+        k3 = matrix_generator(rho + 0.5 * dt * k2, model)
+        k4 = matrix_generator(rho + dt * k3, model)
+        rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        if step % every == 0:
+            expect.append(rho)
+    assert len(traj.rho) == len(expect)
+    assert np.max(np.abs(traj.rho - np.array(expect))) < 1e-13
+
+
+def test_direct_trace_drift_breaks_down_at_the_step():
+    # dt far outside the RK4 stability region: the state grows until the
+    # trace drifts, long before the next record; without a per-step check
+    # the run went on to a NaN trajectory that passed every record check
+    model = random_model(2, seed=1, jump_scale=1.0)
+    rho0 = random_density(2, seed=2)
+    with pytest.raises(NumericalBreakdownError, match=r"trace drift .* at t="):
+        integrate_direct(rho0, model, 60.0, 1.5, record_every=1000)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specang import (
@@ -161,11 +161,29 @@ def test_purity_extremes():
 @settings(max_examples=30, deadline=None)
 def test_purity_routes_agree(n, data):
     r = data.draw(interior_strategy(n))
-    # the crossover index (hence the gap route) is undefined at exact ties
-    assume(np.min(np.abs(probs_from_gaps(r).p - 1.0 / n)) > 1e-9)
     seed = data.draw(st.integers(min_value=0, max_value=2**31))
     rho = assemble_density(r, sample_flag(n, seed))
     assert abs(purity_trace_norm(rho) - purity_gap(r)) < 1e-12
+
+
+def test_purity_gap_at_ties():
+    # every p_k = 1/n at r = 0; p_2 = 1/3 at r = (1/6, 1/6)
+    assert purity_gap(GapVector(3, np.zeros(2))) == 0.0
+    r = GapVector(3, np.array([1.0, 1.0]) / 6.0)
+    assert purity_gap(r) == pytest.approx(0.25, abs=1e-15)
+    assert purity_trace_norm(np.diag([0.5, 1.0 / 3.0, 1.0 / 6.0])) == pytest.approx(0.25)
+
+
+@given(dims, st.data())
+@settings(max_examples=60, deadline=None)
+def test_purity_gap_matches_trace_norm_with_ties(n, data):
+    # p = 1/n + s d with integer offsets d: zeros in d put p_k at 1/n exactly
+    d = data.draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    d = np.sort(np.append(d, -sum(d)))[::-1].astype(float)
+    s = data.draw(st.floats(min_value=0.0, max_value=0.9)) / (n * max(np.abs(d).max(), 1.0))
+    p = 1.0 / n + s * d
+    r = GapVector(n, p[:-1] - p[1:])
+    assert abs(purity_gap(r) - purity_trace_norm(np.diag(p))) < 1e-12
 
 
 def test_purity_accepts_wrapper_and_array(rng):
@@ -203,7 +221,6 @@ def test_purity_convexity(rng):
 @settings(max_examples=40)
 def test_purity_in_unit_interval(n, data):
     r = data.draw(interior_strategy(n))
-    assume(np.min(np.abs(probs_from_gaps(r).p - 1.0 / n)) > 1e-9)
     val = purity_gap(r)
     assert -1e-12 <= val <= 1.0 + 1e-12
 

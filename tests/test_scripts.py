@@ -16,6 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ("flag_montecarlo.py", ["--n", "2", "--seed", "1"]),
         ("qubit_depolarizing.py", ["--t-end", "0.05", "--out", "depol"]),
         ("split_vs_direct.py", ["--dims", "2", "3", "--models", "1", "--t-end", "0.05"]),
+        (
+            "step_costs.py",
+            ["--dims", "2", "3", "--steps", "3", "--repeats", "2", "--out", "bench.json"],
+        ),
     ],
 )
 def test_script_runs(script, args, tmp_path):
