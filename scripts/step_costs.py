@@ -1,13 +1,13 @@
 """Per-step cost of the two GKLS integrators.
 
 Times `integrate_direct` and `integrate_split` on one random model and state
-per dimension, at a fixed dt, over a fixed number of steps with records only
+per dimension, at dt = 1e-3, over a fixed number of steps with records only
 at the two ends, and prints the median and interquartile range of the cost
 in microseconds per RK4 step over the repeats.  Each timed call includes its
 own set-up (the direct route builds the Liouvillian once per call).  The
-results, with the library versions and a hash of the measured `specang`
-sources, are stored under `runs[<label>]` of the JSON output, so runs of
-two versions of the library can share one file.
+results, with the numpy, scipy and BLAS versions, are stored under
+`runs[<label>]` of the JSON output, so runs of two versions of the library
+can share one file.
 
 Usage: python3 scripts/step_costs.py --label change --out BENCH_3.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label base
@@ -20,20 +20,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import hashlib
 import json
-import platform
 import time
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-import specang
 from specang import integrate_direct, integrate_split
 from specang.dynamics import random_density, random_model
 
 INTEGRATORS = {"direct": integrate_direct, "split": integrate_split}
+DT = 1e-3
+SEED = 0
 
 
 def _blas():
@@ -44,43 +43,25 @@ def _blas():
         return "unknown"
 
 
-def _cpu_model():
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
 def provenance():
-    digest = hashlib.sha256()
-    for path in sorted(Path(specang.__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return {
-        "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": _blas(),
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "nproc": os.cpu_count(),
-        "cpu_model": _cpu_model(),
-        "specang_sha256": digest.hexdigest(),
     }
 
 
-def step_costs(n, method, dt, steps, repeats, seed):
+def step_costs(n, method, steps, repeats):
     """Microseconds per step of `repeats` timed calls, after one warm-up."""
-    model = random_model(n, seed=seed + n)
-    rho0 = random_density(n, seed=seed + 100 + n)
+    model = random_model(n, seed=SEED + n)
+    rho0 = random_density(n, seed=SEED + 100 + n)
     integrate = INTEGRATORS[method]
-    integrate(rho0, model, steps * dt, dt, record_every=steps)
+    integrate(rho0, model, steps * DT, DT, record_every=steps)
     costs = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        integrate(rho0, model, steps * dt, dt, record_every=steps)
+        integrate(rho0, model, steps * DT, DT, record_every=steps)
         costs.append((time.perf_counter() - t0) / steps * 1e6)
     return costs
 
@@ -88,10 +69,8 @@ def step_costs(n, method, dt, steps, repeats, seed):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 8, 16])
-    parser.add_argument("--dt", type=float, default=1e-3)
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--label", default="run")
     parser.add_argument("--out", default="BENCH_3.json")
     args = parser.parse_args()
@@ -99,7 +78,7 @@ def main():
     results = []
     for n in args.dims:
         for method in INTEGRATORS:
-            costs = step_costs(n, method, args.dt, args.steps, args.repeats, args.seed)
+            costs = step_costs(n, method, args.steps, args.repeats)
             q25, med, q75 = np.percentile(costs, [25, 50, 75])
             results.append(
                 {
@@ -113,13 +92,13 @@ def main():
             )
             print(
                 f"n={n:2d} {method:6s} median {med:8.1f} us/step  IQR {q75 - q25:7.1f} "
-                f"({args.repeats} repeats x {args.steps} steps, dt {args.dt:g})"
+                f"({args.repeats} repeats x {args.steps} steps, dt {DT:g})"
             )
 
     prov = provenance()
     print(
         f"numpy {prov['numpy']}, scipy {prov['scipy']}, BLAS {prov['blas']} "
-        f"({prov['blas_threads']} thread), python {prov['python']}"
+        f"({prov['blas_threads']} thread)"
     )
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -127,10 +106,10 @@ def main():
     doc.setdefault("runs", {})[args.label] = {
         "provenance": prov,
         "params": {
-            "dt": args.dt,
+            "dt": DT,
             "steps": args.steps,
             "repeats": args.repeats,
-            "seed": args.seed,
+            "seed": SEED,
         },
         "results": results,
     }
