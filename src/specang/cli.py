@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericalBreakdownError, ValidationError
+from .errors import TOL, NumericalBreakdownError, ValidationError
 from .spectral import (
     GapVector,
     ProbVector,
@@ -166,7 +166,8 @@ def _verify_volumes(args):
     ratio = weighted / ordered
     est, se = rejection_volume_estimate(n, args.N, args.seed)
     ok_ratio = ratio == n
-    ok_mc = abs(est - float(weighted)) < 3.0 * se
+    # <=: at n = 2 the sampling box is the polytope itself, so est is exact and se = 0
+    ok_mc = abs(est - float(weighted)) <= 3.0 * se
     lines = [
         f"ordered simplex volume: {ordered}",
         f"weighted simplex volume: {weighted}",
@@ -177,26 +178,22 @@ def _verify_volumes(args):
     return lines, ok_ratio and ok_mc
 
 
-def _random_angles(n, rng, with_torus=False) -> AngleSet:
+def _random_angles(n, rng) -> AngleSet:
     pairs = pair_indices(n)
     theta = {k: float(rng.random() * math.pi) for k in pairs}
     phi = {k: float(rng.random() * 2.0 * math.pi) for k in pairs}
-    torus = tuple(rng.random(n - 1) * 2.0 * math.pi) if with_torus else None
-    return AngleSet(n, theta, phi, torus)
+    return AngleSet(n, theta, phi)
 
 
 def _verify_unitarity(args):
     rng = np.random.default_rng(args.seed)
-    worst_u = worst_det = 0.0
-    for _ in range(args.trials):
-        U = coset_unitary(_random_angles(args.n, rng)).U
-        worst_u = max(worst_u, float(np.linalg.norm(U.conj().T @ U - np.eye(args.n))))
-        worst_det = max(worst_det, abs(np.linalg.det(U) - 1.0))
-    flags = sample_flags(args.n, args.trials, args.seed)
-    for U in flags:
-        worst_u = max(worst_u, float(np.linalg.norm(U.conj().T @ U - np.eye(args.n))))
-        worst_det = max(worst_det, abs(np.linalg.det(U) - 1.0))
-    ok = worst_u < 1e-12 and worst_det < 1e-12
+    n = args.n
+    cosets = [coset_unitary(_random_angles(n, rng)).U for _ in range(args.trials)]
+    U = np.concatenate([np.reshape(cosets, (-1, n, n)), sample_flags(n, args.trials, args.seed)])
+    defect = np.linalg.norm(U.conj().swapaxes(-1, -2) @ U - np.eye(n), axis=(-2, -1))
+    worst_u = float(np.max(defect, initial=0.0))
+    worst_det = float(np.max(np.abs(np.linalg.det(U) - 1.0), initial=0.0))
+    ok = worst_u < TOL and worst_det < TOL
     lines = [
         f"unitarity: max |U^dag U - 1|_F = {worst_u:.2e}, "
         f"max |det U - 1| = {worst_det:.2e} {'PASS' if ok else 'FAIL'}"
@@ -211,7 +208,7 @@ def _verify_qutrit_matrix(args):
         angles = _random_angles(3, rng)
         dev = np.abs(coset_unitary(angles).U - qutrit_unitary_closed_form(angles))
         worst = max(worst, float(dev.max()))
-    ok = worst < 1e-12
+    ok = worst < TOL
     lines = [
         f"qutrit product vs closed form: max entrywise deviation = {worst:.2e} "
         f"over {args.trials} draws {'PASS' if ok else 'FAIL'}"

@@ -17,23 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, NumericalBreakdownError, ValidationError
-from .flags import (
-    HERMITICITY_TOL,
-    DensityMatrix,
-    UnitaryFrame,
-    check_density,
-    check_frame,
-    density_stack,
-    eigendecompose_ordered,
-    pair_indices,
+from .errors import (
+    BREAKDOWN_TOL, EIG_TOL, MATRIX_TOL, TOL, DegenerateSpectrumError, NumericalBreakdownError,
+    ValidationError, check_angle, check_density, check_frame, check_gap_floor, check_gaps,
 )
+from .flags import (
+    DensityMatrix, UnitaryFrame, assemble_density, density_stack, eigendecompose_ordered,
+    pair_indices, rotation_factor, sample_flag,
+)
+from .geometry import purity_spectrum
 from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
-from .spectral import GapVector, check_gaps, jacobian_matrix, probs_from_gaps
-
-MIN_GAP = 1e-8
-POSITIVITY_FLOOR = -1e-8
-TRACE_DRIFT_MAX = 1e-8
+from .spectral import GapVector, jacobian_matrix, probs_from_gaps
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -55,17 +49,19 @@ class LindbladModel:
         H = np.array(self.H, dtype=complex)
         if H.shape != (self.n, self.n):
             raise ValidationError(f"H must be {self.n} x {self.n}")
-        if np.linalg.norm(H - H.conj().T) > HERMITICITY_TOL * 10:
-            raise ValidationError("H must be Hermitian")
         jumps = tuple(np.array(L, dtype=complex) for L in self.jumps)
         for L in jumps:
             if L.shape != (self.n, self.n):
                 raise ValidationError("jump operator dimension mismatch")
+        if not all(np.all(np.isfinite(a)) for a in (H, *jumps)):
+            raise ValidationError("H and jump operators must be finite")
+        if not np.linalg.norm(H - H.conj().T) <= MATRIX_TOL:
+            raise ValidationError("H must be Hermitian")
         rates = tuple(float(h) for h in self.rates)
         if len(rates) != len(jumps):
             raise ValidationError("need one rate per jump operator")
-        if any(h < 0.0 for h in rates):
-            raise ValidationError("rates must be non-negative")
+        if not all(0.0 <= h < math.inf for h in rates):
+            raise ValidationError("rates must be finite and non-negative")
         for a in (H, *jumps):
             a.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -97,12 +93,10 @@ class QubitAngles:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.r <= 1.0 + 1e-12:
+        if not 0.0 <= self.r <= 1.0 + TOL:
             raise ValidationError("qubit radius must lie in [0, 1]")
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise ValidationError("theta must lie in [0, pi]")
-        if not -1e-12 <= self.phi < 2.0 * math.pi:
-            raise ValidationError("phi must lie in [0, 2pi)")
+        check_angle("theta", self.theta, full_turn=False)
+        check_angle("phi", self.phi, full_turn=True)
 
 
 @dataclass(frozen=True)
@@ -119,10 +113,8 @@ class QutritEuler:
         GapVector(3, np.array([self.r1, self.r2]))
         if not 0.0 < self.beta < math.pi:
             raise ValidationError("beta must lie in (0, pi)")
-        for name in ("alpha", "gamma"):
-            v = getattr(self, name)
-            if not -1e-12 <= v < 2.0 * math.pi:
-                raise ValidationError(f"{name} must lie in [0, 2pi)")
+        check_angle("alpha", self.alpha, full_turn=True)
+        check_angle("gamma", self.gamma, full_turn=True)
 
 
 @dataclass
@@ -139,10 +131,10 @@ class Trajectory:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(self.times) <= 0.0):
+        if not np.all(np.diff(self.times) > 0.0):
             raise ValidationError("trajectory times must be strictly increasing")
         err = self.diagnostics.get("trace_error")
-        if err is not None and not np.max(err, initial=0.0) <= TRACE_DRIFT_MAX:
+        if err is not None and not np.max(err, initial=0.0) <= BREAKDOWN_TOL:
             raise ValidationError("trace drift exceeds tolerance along trajectory")
 
 
@@ -176,11 +168,11 @@ def _liouvillian(model: LindbladModel) -> np.ndarray:
 
 
 def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
-    """Full generator -i[H, rho] + dissipator, as the Liouvillian on vec(rho)."""
+    """Full generator -i[H, rho] + dissipator."""
     mat = np.asarray(getattr(rho, "rho", rho), dtype=complex)
     if mat.shape != (model.n, model.n):
         raise ValidationError("state and model dimensions disagree")
-    return (_liouvillian(model) @ mat.ravel()).reshape(mat.shape)
+    return -1j * (model.H @ mat - mat @ model.H) + dissipator(mat, model)
 
 
 def _rk4(f, y, dt):
@@ -192,8 +184,8 @@ def _rk4(f, y, dt):
 
 
 def _step_count(t_end, dt):
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ValidationError("t_end and dt must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise ValidationError("t_end and dt must be positive and finite")
     steps = int(round(t_end / dt))
     return max(steps, 1)
 
@@ -209,7 +201,7 @@ def integrate_direct(
     trace-renormalized after each step; the pre-renormalization drift and
     the spectral diagnostics are recorded.  Aborts with
     NumericalBreakdownError at the step where the trace drift exceeds
-    TRACE_DRIFT_MAX, and at a record where an eigenvalue drops below the
+    BREAKDOWN_TOL, and at a record where an eigenvalue drops below the
     positivity floor.
     """
     steps = _step_count(t_end, dt)
@@ -223,7 +215,7 @@ def integrate_direct(
 
     def record(t):
         w = np.linalg.eigvalsh(rho)
-        if w[0] < POSITIVITY_FLOOR:
+        if not w[0] >= -BREAKDOWN_TOL:
             raise NumericalBreakdownError(
                 f"positivity violated at t={t:.6g}: min eigenvalue {w[0]:.3e}"
             )
@@ -243,9 +235,9 @@ def integrate_direct(
         rho = 0.5 * (rho + rho.conj().T)
         tr = float(np.trace(rho).real)
         drift = abs(tr - 1.0)
-        if not drift <= TRACE_DRIFT_MAX:
+        if not drift <= BREAKDOWN_TOL:
             raise NumericalBreakdownError(
-                f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_MAX:.0e} at t={step * dt:.6g}"
+                f"trace drift {drift:.3e} exceeds {BREAKDOWN_TOL:.0e} at t={step * dt:.6g}"
             )
         rho = rho / tr
         if step % record_every == 0 or step == steps:
@@ -286,10 +278,7 @@ def _split_rhs_arrays(r_vec, U, model: LindbladModel, M):
     """
     n = model.n
     p = 1.0 / n + M @ r_vec
-    if np.min(r_vec) < MIN_GAP:
-        raise DegenerateSpectrumError(
-            f"spectral gap below {MIN_GAP}; angular chart breaks down"
-        )
+    check_gap_floor(r_vec, BREAKDOWN_TOL, "angular chart")
     Ht, Lt = frame_generator(U, p, model)
     d = Lt.diagonal().real
     r_dot = d[:-1] - d[1:]
@@ -410,7 +399,7 @@ def _require_pauli_model(model: LindbladModel):
     if model.n != 2 or len(model.jumps) != 3:
         raise ValidationError("qubit closed form needs n=2 with jumps sigma_1..3")
     for L, sigma in zip(model.jumps, PAULI):
-        if np.linalg.norm(L - sigma) > 1e-12:
+        if not np.linalg.norm(L - sigma) <= TOL:
             raise ValidationError("qubit closed form needs Pauli jump operators")
 
 
@@ -418,10 +407,10 @@ def qubit_rhs(state: QubitAngles, model: LindbladModel):
     """Closed-form qubit rates (phi_dot, theta_dot, r_dot) for Pauli jumps
     with rates (h1, h2, h3) and a general Hamiltonian."""
     _require_pauli_model(model)
-    if state.r <= 0.0:
+    if not state.r > 0.0:
         raise NumericalBreakdownError("qubit chart needs r > 0")
     st = math.sin(state.theta)
-    if abs(st) < 1e-8:
+    if not abs(st) >= BREAKDOWN_TOL:
         raise NumericalBreakdownError("qubit chart singular at theta in {0, pi}")
     h1, h2, h3 = model.rates
     H = model.H
@@ -449,10 +438,7 @@ def qubit_rhs(state: QubitAngles, model: LindbladModel):
 
 def qubit_frame(theta: float, phi: float) -> np.ndarray:
     """Coset unitary of the qubit chart: columns are the eigenvectors."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex
-    )
+    return rotation_factor(2, 1, 2, theta, phi).U
 
 
 def so3_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
@@ -488,23 +474,19 @@ def real_qutrit_rhs(state: QutritEuler, A: np.ndarray, diss):
     matrices (the dissipative part of the generator).
     """
     A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3) or np.linalg.norm(A + A.T) > 1e-12:
+    if A.shape != (3, 3) or not np.linalg.norm(A + A.T) <= TOL:
         raise ValidationError("A must be real antisymmetric 3 x 3")
     r1, r2 = state.r1, state.r2
-    for name, val in (("r1", r1), ("r2", r2), ("r1+r2", r1 + r2)):
-        if val < MIN_GAP:
-            raise DegenerateSpectrumError(f"spectral degeneracy: {name} too small")
+    check_gap_floor((r1, r2), BREAKDOWN_TOL, "Euler chart")
     sb = math.sin(state.beta)
-    if abs(sb) < 1e-8:
+    if not abs(sb) >= BREAKDOWN_TOL:
         raise NumericalBreakdownError("Euler chart singular at beta in {0, pi}")
 
     p = probs_from_gaps(GapVector(3, np.array([r1, r2]))).p
     U = so3_euler(state.alpha, state.beta, state.gamma)
     rho = density_stack(p, U)
-    L = np.asarray(diss(rho))
-    if np.linalg.norm(np.asarray(L, dtype=complex).imag) > 1e-10 or np.linalg.norm(
-        L.real - L.real.T
-    ) > 1e-10:
+    L = np.asarray(diss(rho), dtype=complex)
+    if not np.max(np.linalg.norm([L.imag, L.real - L.real.T], axis=(1, 2))) <= EIG_TOL:
         raise ValidationError("dissipator must preserve real symmetric matrices")
     Lt = U.T @ L.real @ U
     d = Lt.diagonal()
@@ -588,8 +570,6 @@ def random_interior_gaps(n: int, rng, fill: float = 0.75) -> GapVector:
 
 def random_density(n: int, seed: int, fill: float = 0.75) -> DensityMatrix:
     """Nondegenerate random state: interior gaps + invariantly sampled frame."""
-    from .flags import sample_flag, assemble_density
-
     rng = np.random.default_rng(seed)
     r = random_interior_gaps(n, rng, fill)
     return assemble_density(r, sample_flag(n, seed + 1))
@@ -641,8 +621,6 @@ def load_density(path) -> DensityMatrix:
 def write_trajectory_csv(path, traj: Trajectory, n: int, header_fields: dict) -> None:
     """Trajectory CSV: provenance header block (# key = value lines) followed
     by columns t, r_1..r_{n-1}, purity_R, trace_error, min_gap."""
-    from .geometry import purity_spectrum
-
     purity = purity_spectrum(1.0 / n + traj.r @ jacobian_matrix(n).T)
     with open(path, "w", newline="") as fh:
         for key, val in header_fields.items():

@@ -1,4 +1,12 @@
-"""Shared exception types."""
+"""The failure policy: exception types, tolerances and the checks using them.
+
+Every guard is written `if not <what must hold>`, so a NaN in its input
+fails it.  No other module defines a tolerance.
+"""
+
+import math
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -16,3 +24,72 @@ class DegenerateSpectrumError(NumericalBreakdownError):
 class CrossoverDegeneracyError(NumericalBreakdownError):
     """Some eigenvalue sits at the uniform value 1/n, so the crossover
     index (and with it the piecewise-linear purity) is ill-defined."""
+
+
+# Round-off slack of exact identities: probability order and sum, faces of
+# R_{n-1}, angle ranges, known operators, zeros in the metrics, verify reports.
+TOL = 1e-12
+# Unitarity and determinant of a frame; Hermiticity and trace of a matrix.
+MATRIX_TOL = 1e-11
+# Symmetry of a metric tensor.
+SYMMETRY_TOL = 1e-13
+# Eigenvalue floor of a density matrix, the smallest eigenvalue gap at which
+# a frame is fixed, and the real symmetric output of a dissipator.
+EIG_TOL = 1e-10
+# Breakdown along a flow: smallest gap of the split and Euler charts, the
+# positivity floor and trace drift of the direct route, the qubit and Euler
+# chart sines.  Above EIG_TOL so that a state whose smallest gap lies between
+# the two has a frame, and the split route hands it to the direct one at t = 0.
+BREAKDOWN_TOL = 1e-8
+
+
+def check_probs(p: np.ndarray) -> None:
+    """Raise ValidationError unless p is descending, non-negative and sums to 1."""
+    if not np.all(np.diff(p) <= TOL):
+        raise ValidationError("probabilities must be in descending order")
+    if not p[-1] >= -TOL:
+        raise ValidationError("probabilities must be non-negative")
+    if not abs(float(p.sum()) - 1.0) <= TOL:
+        raise ValidationError("probabilities must sum to 1")
+
+
+def check_gaps(r: np.ndarray) -> None:
+    """Raise ValidationError unless the gap array r lies in R_{n-1}."""
+    if not np.all(r >= -TOL):
+        raise ValidationError("gaps must be non-negative")
+    if not float(np.arange(1, r.size + 1) @ r) <= 1.0 + TOL:
+        raise ValidationError("weighted gap sum exceeds 1 (outside R_{n-1})")
+
+
+def check_gap_floor(gaps, floor: float, chart: str) -> None:
+    """Raise DegenerateSpectrumError unless every gap is at least `floor`,
+    below which the named chart breaks down."""
+    if not np.min(gaps) >= floor:
+        raise DegenerateSpectrumError(f"spectral gap below {floor}; {chart} breaks down")
+
+
+def check_angle(name: str, value: float, full_turn: bool) -> None:
+    """Raise ValidationError unless the angle lies in [0, 2pi) (full_turn)
+    or in [0, pi], with slack TOL at the closed ends."""
+    ok = -TOL <= value < 2.0 * math.pi if full_turn else -TOL <= value <= math.pi + TOL
+    if not ok:
+        raise ValidationError(f"{name} = {value} outside [0, {'2pi)' if full_turn else 'pi]'}")
+
+
+def check_frame(U: np.ndarray) -> None:
+    """Raise ValidationError unless the square matrix U is special unitary."""
+    if not np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])) <= MATRIX_TOL:
+        raise ValidationError("frame is not unitary")
+    if not abs(np.linalg.det(U) - 1.0) <= MATRIX_TOL:
+        raise ValidationError("frame determinant is not 1")
+
+
+def check_density(rho: np.ndarray, eigenvalues: np.ndarray) -> None:
+    """Raise ValidationError unless the square matrix rho is Hermitian,
+    unit-trace and its spectrum `eigenvalues` has no entry below -EIG_TOL."""
+    if not np.linalg.norm(rho - rho.conj().T) <= MATRIX_TOL:
+        raise ValidationError("density matrix is not Hermitian")
+    if not abs(np.trace(rho).real - 1.0) <= MATRIX_TOL:
+        raise ValidationError("density matrix trace is not 1")
+    if not np.min(eigenvalues) >= -EIG_TOL:
+        raise ValidationError("density matrix has a negative eigenvalue")

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ValidationError
-from .spectral import GapVector, gaps_from_probs, probs_from_gaps
-
-FRAME_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
-EIG_FLOOR = -1e-10
-MIN_EIG_GAP = 1e-10
+from .errors import (
+    EIG_TOL, ValidationError, check_angle, check_density, check_frame, check_gap_floor,
+)
+from .spectral import (
+    GapVector, ProbVector, gaps_from_probs, probs_from_gaps, weighted_simplex_volume,
+)
 
 
 def pair_indices(n: int) -> list:
@@ -55,12 +54,9 @@ class AngleSet:
             raise ValidationError(
                 f"angle maps must have exactly the {len(pairs)} keys (i,j), i<j"
             )
-        for key, th in self.theta.items():
-            if not -1e-12 <= th <= math.pi + 1e-12:
-                raise ValidationError(f"theta{key} = {th} outside [0, pi]")
-        for key, ph in self.phi.items():
-            if not -1e-12 <= ph < 2.0 * math.pi:
-                raise ValidationError(f"phi{key} = {ph} outside [0, 2pi)")
+        for key in pair_indices(self.n):
+            check_angle(f"theta{key}", self.theta[key], full_turn=False)
+            check_angle(f"phi{key}", self.phi[key], full_turn=True)
         if self.torus is not None:
             torus = tuple(float(x) for x in self.torus)
             if len(torus) != self.n - 1:
@@ -98,25 +94,6 @@ class DensityMatrix:
         check_density(rho, np.linalg.eigvalsh(rho))
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-
-
-def check_frame(U: np.ndarray) -> None:
-    """Raise ValidationError unless the square matrix U is special unitary."""
-    if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])) > FRAME_TOL * 10:
-        raise ValidationError("frame is not unitary")
-    if abs(np.linalg.det(U) - 1.0) > FRAME_TOL * 10:
-        raise ValidationError("frame determinant is not 1")
-
-
-def check_density(rho: np.ndarray, eigenvalues: np.ndarray) -> None:
-    """Raise ValidationError unless the square matrix rho is Hermitian,
-    unit-trace and its spectrum `eigenvalues` has no entry below EIG_FLOOR."""
-    if np.linalg.norm(rho - rho.conj().T) > HERMITICITY_TOL * 10:
-        raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > HERMITICITY_TOL * 10:
-        raise ValidationError("density matrix trace is not 1")
-    if np.min(eigenvalues) < EIG_FLOOR:
-        raise ValidationError("density matrix has a negative eigenvalue")
 
 
 def embedded_generator(n: int, i: int, j: int, k: int) -> np.ndarray:
@@ -259,13 +236,8 @@ def eigendecompose_ordered(rho: DensityMatrix):
     """
     w, V = np.linalg.eigh(rho.rho)
     w, V = w[::-1], V[:, ::-1]
-    if np.min(-np.diff(w)) < MIN_EIG_GAP:
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap below {MIN_EIG_GAP}; frame is not well-defined"
-        )
+    check_gap_floor(-np.diff(w), EIG_TOL, "eigenframe")
     w = np.clip(w, 0.0, None)
-    from .spectral import ProbVector
-
     r = gaps_from_probs(ProbVector(rho.n, w / w.sum()))
     return r, UnitaryFrame(rho.n, _fix_column_phases(V))
 
@@ -354,6 +326,4 @@ def flag_volume(n: int) -> float:
 def state_space_volume(n: int) -> float:
     """Volume of the nondegenerate state space: the product of the weighted
     simplex volume and the flag volume."""
-    from .spectral import weighted_simplex_volume
-
     return float(weighted_simplex_volume(n)) * flag_volume(n)

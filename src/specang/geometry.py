@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, NumericalBreakdownError, ValidationError
+from .errors import (
+    SYMMETRY_TOL, TOL, NumericalBreakdownError, ValidationError, check_gap_floor,
+)
 from .flags import pair_indices
 from .spectral import (
     GapVector,
@@ -22,9 +24,6 @@ from .spectral import (
     jacobian_matrix,
     probs_from_gaps,
 )
-
-SYMMETRY_TOL = 1e-13
-SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class MetricTensor:
         m = self.n - 1
         if g.shape != (m, m):
             raise ValidationError(f"metric must be {m} x {m}, got {g.shape}")
-        if np.max(np.abs(g - g.T), initial=0.0) > SYMMETRY_TOL:
+        if not np.max(np.abs(g - g.T), initial=0.0) <= SYMMETRY_TOL:
             raise ValidationError("metric components must be symmetric")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)
@@ -58,17 +57,15 @@ def fisher_metric_r(r: GapVector) -> MetricTensor:
     g_ab = sum_k M_ka M_kb / p_k.
     """
     p = probs_from_gaps(r).p
-    if np.min(p) < SINGULAR_TOL:
-        raise NumericalBreakdownError(
-            "Fisher metric singular: an eigenvalue vanishes"
-        )
+    if not np.min(p) >= TOL:
+        raise NumericalBreakdownError("Fisher metric singular: an eigenvalue vanishes")
     M = jacobian_matrix(r.n)
     return MetricTensor(r.n, M.T @ (M / p[:, None]))
 
 
 def kl_exact(p: ProbVector) -> float:
     """Relative entropy to the uniform distribution, sum_k p_k ln(n p_k)."""
-    if np.min(p.p) < SINGULAR_TOL:
+    if not np.min(p.p) >= TOL:
         raise NumericalBreakdownError("relative entropy undefined at zero probability")
     return float(np.sum(p.p * np.log(p.n * p.p)))
 
@@ -88,10 +85,7 @@ def bures_decomposition(r: GapVector) -> BuresDecomposition:
     Requires a nondegenerate spectrum: vanishing gaps collapse the
     corresponding angular modes and degenerate the coordinate chart.
     """
-    if np.min(r.r) < SINGULAR_TOL:
-        raise DegenerateSpectrumError(
-            "Bures angular chart degenerates at vanishing gaps"
-        )
+    check_gap_floor(r.r, TOL, "Bures angular chart")
     p = probs_from_gaps(r).p
     spectral = MetricTensor(r.n, 0.25 * fisher_metric_r(r).g)
     cum = np.concatenate(([0.0], np.cumsum(r.r)))

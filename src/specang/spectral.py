@@ -19,9 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CrossoverDegeneracyError, ValidationError
-
-VALIDATION_TOL = 1e-12
+from .errors import TOL, CrossoverDegeneracyError, ValidationError, check_gaps, check_probs
 
 # Exact (rational) volume formulas use factorials; keep them well inside the
 # range where the geometry is actually explored.
@@ -51,12 +49,7 @@ class ProbVector:
         p = np.array(self.p, dtype=float)
         if p.shape != (n,):
             raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
-        if np.any(np.diff(p) > VALIDATION_TOL):
-            raise ValidationError("probabilities must be in descending order")
-        if p[-1] < -VALIDATION_TOL:
-            raise ValidationError("probabilities must be non-negative")
-        if abs(float(p.sum()) - 1.0) > VALIDATION_TOL:
-            raise ValidationError("probabilities must sum to 1")
+        check_probs(p)
         object.__setattr__(self, "p", _frozen(p))
 
 
@@ -74,14 +67,6 @@ class GapVector:
             raise ValidationError(f"expected {n - 1} gaps, got shape {r.shape}")
         check_gaps(r)
         object.__setattr__(self, "r", _frozen(r))
-
-
-def check_gaps(r: np.ndarray) -> None:
-    """Raise ValidationError unless the gap array r lies in R_{n-1}."""
-    if np.any(r < -VALIDATION_TOL):
-        raise ValidationError("gaps must be non-negative")
-    if float(np.arange(1, r.size + 1) @ r) > 1.0 + VALIDATION_TOL:
-        raise ValidationError("weighted gap sum exceeds 1 (outside R_{n-1})")
 
 
 @dataclass(frozen=True)
@@ -174,9 +159,7 @@ def in_polytope(r, n: int) -> bool:
     r = np.asarray(r, dtype=float)
     if r.shape != (n - 1,):
         raise ValidationError(f"expected {n - 1} gaps, got shape {r.shape}")
-    if np.any(r < -VALIDATION_TOL):
-        return False
-    return float(np.arange(1, n) @ r) <= 1.0 + VALIDATION_TOL
+    return bool(np.all(r >= -TOL)) and float(np.arange(1, n) @ r) <= 1.0 + TOL
 
 
 def polytope_vertices(n: int):
@@ -214,7 +197,7 @@ def crossover_index(r: GapVector) -> int:
     """
     p = probs_from_gaps(r).p
     dev = p - 1.0 / r.n
-    if np.any(np.abs(dev) < VALIDATION_TOL):
+    if not np.all(np.abs(dev) >= TOL):
         raise CrossoverDegeneracyError(
             "an eigenvalue coincides with 1/n; crossover index undefined"
         )

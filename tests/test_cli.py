@@ -53,6 +53,22 @@ def test_convert_rejects_bad_vector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "--n", "3", "--r", "nan,0.1"),
+        ("convert", "--n", "3", "--p", "nan,0.5,0.5"),
+        ("geometry", "--n", "3", "--r", "nan,0.1", "--purity"),
+    ],
+    ids=["convert-r", "convert-p", "geometry"],
+)
+def test_nan_input_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 # --- geometry ---------------------------------------------------------------
 
 
@@ -96,6 +112,13 @@ def test_verify_volumes(capsys):
     code, out, _ = run(
         capsys, "verify", "volumes", "--n", "4", "--N", "50000", "--seed", "1"
     )
+    assert code == 0
+    assert "RESULT: PASS" in out
+
+
+def test_verify_volumes_exact_at_n2(capsys):
+    # at n = 2 the sampling box is the polytope: the estimate is exact, se = 0
+    code, out, _ = run(capsys, "verify", "volumes", "--n", "2", "--N", "1000")
     assert code == 0
     assert "RESULT: PASS" in out
 
@@ -174,6 +197,25 @@ def test_evolve_both_compares_matching_times_after_fallback(capsys, tmp_path, re
     doc = json.loads(out)
     assert doc["breakdown_time"] == pytest.approx(0.336)
     assert doc["max_divergence"] <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["direct", "split"])
+def test_evolve_nan_rate_is_rejected(capsys, model_files, method):
+    path = model_files / "model.json"
+    doc = json.loads(path.read_text())
+    doc["rates"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(path),
+        "--rho0", str(model_files / "rho0.json"),
+        "--method", method,
+        "--out", str(model_files / "run"),
+    )
+    assert code == 2
+    assert "rates must be finite" in err
+    assert not list(model_files.glob("run_*.csv"))
 
 
 def test_evolve_missing_model_is_io_error(capsys, tmp_path):

@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("flag_montecarlo.py", ["--n", "2", "--seed", "1"]),
         ("qubit_depolarizing.py", ["--t-end", "0.05", "--out", "depol"]),
         ("split_vs_direct.py", ["--dims", "2", "3", "--models", "1", "--t-end", "0.05"]),
         (
