@@ -66,6 +66,21 @@ def _floats(text: str) -> np.ndarray:
         raise ValidationError(f"could not parse float list {text!r}") from exc
 
 
+def _at_least(minimum: int):
+    """argparse type for a count: an integer >= minimum, else exit code 2."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _provenance(args, **extra) -> dict:
     doc = {"version": __version__, "subcommand": args.command}
     for key in ("n", "seed", "N", "dt", "t_end"):
@@ -325,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["identity", "measure", "volumes", "unitarity", "qutrit-matrix"],
     )
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--N", type=int, default=100000)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--N", type=_at_least(1), default=100000)
+    p.add_argument("--trials", type=_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--tol", type=float, default=0.05)
     p.set_defaults(func=cmd_verify)
@@ -337,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["direct", "split", "both"], default="both")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    p.add_argument("--record-every", dest="record_every", type=int, default=10)
+    p.add_argument("--record-every", dest="record_every", type=_at_least(1), default=10)
     p.add_argument("--fallback", action="store_true",
                    help="fall back to direct integration on spectral degeneracy")
     p.add_argument("--out", required=True, help="output path prefix")
@@ -345,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("sample", help="sample invariantly distributed frames")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--N", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)

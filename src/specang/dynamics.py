@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,12 +68,15 @@ class LindbladModel:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "rates", rates)
-        # operator stack [H, K, sqrt(h_k) L_k] with K = sum_k h_k L_k^dag L_k,
-        # shared by the dissipator, the Liouvillian and the frame generator
+        # K = sum_k h_k L_k^dag L_k and the stack A_k = sqrt(h_k) L_k, shared
+        # by the dissipator and the superoperators
         K = sum((h * (L.conj().T @ L) for h, L in zip(rates, jumps)), np.zeros_like(H))
-        ops = np.stack([H, K, *(math.sqrt(h) * L for h, L in zip(rates, jumps))])
-        ops.setflags(write=False)
-        object.__setattr__(self, "_ops", ops)
+        A = np.array([math.sqrt(h) * L for h, L in zip(rates, jumps)], dtype=complex)
+        A = A.reshape(len(jumps), self.n, self.n)
+        for a in (K, A):
+            a.setflags(write=False)
+        object.__setattr__(self, "_K", K)
+        object.__setattr__(self, "_A", A)
 
 
 @dataclass(frozen=True)
@@ -139,25 +143,26 @@ class Trajectory:
 
 
 def dissipator(rho, model: LindbladModel) -> np.ndarray:
-    """Dissipative part sum_k h_k (L rho L^dag - {rho, L^dag L}/2)."""
+    """Dissipative part sum_k h_k (L rho L^dag - {rho, L^dag L}/2), on one
+    matrix or a stack (..., n, n)."""
     rho = np.asarray(getattr(rho, "rho", rho), dtype=complex)
-    K, A = model._ops[1], model._ops[2:]
-    jump = np.sum(A @ rho @ A.conj().swapaxes(-1, -2), axis=0)
+    K, A = model._K, model._A
+    jump = np.sum(A @ rho[..., None, :, :] @ A.conj().swapaxes(-1, -2), axis=-3)
     return jump - 0.5 * (K @ rho + rho @ K)
 
 
-def _liouvillian(model: LindbladModel) -> np.ndarray:
-    """The n^2 x n^2 GKLS superoperator on row-major vec(rho).
+def _liouvillian(G: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 superoperator of X -> G X + X G^dag + sum_k A_k X A_k^dag
+    on row-major vec(X).
 
-    With vec(A X B) = (A kron B^T) vec(X) and G = -iH - K/2 the generator
-    G rho + rho G^dag + sum_k A_k rho A_k^dag (A_k = sqrt(h_k) L_k) is
-    kron(G, 1) + kron(1, conj(G)) + sum_k kron(A_k, conj(A_k)).  Built in
-    place with no n^4 temporary: the jump sum is written straight into the
-    (i, a, j, b) block view, then the G blocks are added to it.
+    With vec(A X B) = (A kron B^T) vec(X) it is
+    kron(G, 1) + kron(1, conj(G)) + sum_k kron(A_k, conj(A_k)).  With
+    A_k = sqrt(h_k) L_k, G = -iH - K/2 gives the GKLS generator and G = -K/2
+    its dissipator alone.  Built in place with no n^4 temporary: the jump sum
+    is written straight into the (i, a, j, b) block view, then the G blocks
+    are added to it.
     """
-    n = model.n
-    H, K, A = model._ops[0], model._ops[1], model._ops[2:]
-    G = -1j * H - 0.5 * K
+    n = G.shape[0]
     out = np.empty((n * n, n * n), dtype=complex)
     blocks = out.reshape(n, n, n, n)
     np.einsum("kij,kab->iajb", A, A.conj(), out=blocks)
@@ -183,11 +188,16 @@ def _rk4(f, y, dt):
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_count(t_end, dt):
+def _step_count(t_end, dt, record_every):
+    """Number of RK4 steps of a run, after checking its parameters."""
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValidationError("t_end and dt must be positive and finite")
-    steps = int(round(t_end / dt))
-    return max(steps, 1)
+    ratio = t_end / dt
+    if not ratio < math.inf:
+        raise ValidationError(f"t_end / dt = {t_end:g} / {dt:g} overflows the step count")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
+    return max(int(round(ratio)), 1)
 
 
 def integrate_direct(
@@ -204,9 +214,9 @@ def integrate_direct(
     BREAKDOWN_TOL, and at a record where an eigenvalue drops below the
     positivity floor.
     """
-    steps = _step_count(t_end, dt)
+    steps = _step_count(t_end, dt, record_every)
     n = model.n
-    A = _liouvillian(model)
+    A = _liouvillian(-1j * model.H - 0.5 * model._K, model._A)
     A *= dt
     rho = np.array(rho0.rho, dtype=complex)
 
@@ -253,40 +263,27 @@ def frame_generator(U, p, model: LindbladModel):
     """Hamiltonian and dissipator seen in the frame U at spectrum p.
 
     Returns (U^dag H U, U^dag D(U diag(p) U^dag) U), where p may be a stack
-    (..., n).  The dissipator is formed from the frame operators
-    Ht, Kt, At_k = U^dag [H, K, sqrt(h_k) L_k] U and G = U^dag U as
-    sum_k At_k P At_k^dag - (G P Kt + Kt P G)/2 with P = diag(p), so it
-    never assembles rho; G P Kt is taken as (Kt P G)^dag, both factors being
-    Hermitian.  G is the identity on the unitary manifold; keeping it extends
-    the formula exactly to the non-unitary RK4 stages.
+    (..., n).  U need not be unitary: the RK4 stages of the split integrator
+    evaluate the frame images at U + O(dt).
     """
     Ud = np.conj(U).T
-    ops = Ud @ model._ops @ U
-    Ht, Kt, At = ops[0], ops[1], ops[2:]
-    p = np.asarray(p)
-    jump = np.sum((At * p[..., None, None, :]) @ At.conj().swapaxes(-1, -2), axis=-3)
-    X = (Kt * p[..., None, :]) @ (Ud @ U)
-    return Ht, jump - 0.5 * (X + X.conj().swapaxes(-1, -2))
+    return Ud @ model.H @ U, Ud @ dissipator(density_stack(p, U), model) @ U
 
 
-def _split_rhs_arrays(r_vec, U, model: LindbladModel, M):
-    """Raw split right-hand side on plain arrays.
+def _frame_rates(p, Ht, Lt):
+    """Gap rates and moving-frame generator from the frame images Ht of H and
+    Lt of the dissipator at spectrum p.
 
-    Returns (r_dot, Omega_tilde) where Omega_tilde = U^dag dU/dt has zero
-    diagonal (torus gauge) and off-diagonal entries
-    -i Htilde_ij - (Ltilde_diss)_ij / (p_i - p_j).
+    Returns (r_dot, Omega_tilde): r_dot holds the adjacent differences of the
+    diagonal of Lt; Omega_tilde = U^dag dU/dt has zero diagonal (torus gauge)
+    and off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
     """
-    n = model.n
-    p = 1.0 / n + M @ r_vec
-    check_gap_floor(r_vec, BREAKDOWN_TOL, "angular chart")
-    Ht, Lt = frame_generator(U, p, model)
     d = Lt.diagonal().real
-    r_dot = d[:-1] - d[1:]
-    denom = p[:, None] - p[None, :]
+    denom = p[:, None] - p
     np.fill_diagonal(denom, 1.0)
     Omega_t = -1j * Ht - Lt / denom
     np.fill_diagonal(Omega_t, 0.0)
-    return r_dot, Omega_t
+    return d[:-1] - d[1:], Omega_t
 
 
 def split_rhs(state: SplitState, model: LindbladModel):
@@ -297,11 +294,13 @@ def split_rhs(state: SplitState, model: LindbladModel):
     returned in the fixed basis, anti-Hermitian, with the torus gauge pinned
     by a zero diagonal in the moving frame.
     """
-    if model.n != state.r.n:
+    n = model.n
+    if n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
-    M = jacobian_matrix(model.n)
-    U = state.U.U
-    r_dot, Omega_t = _split_rhs_arrays(state.r.r, U, model, M)
+    U, r = state.U.U, state.r.r
+    p = 1.0 / n + jacobian_matrix(n) @ r
+    check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
+    r_dot, Omega_t = _frame_rates(p, *frame_generator(U, p, model))
     return r_dot, U @ Omega_t @ U.conj().T
 
 
@@ -330,18 +329,30 @@ def integrate_split(
     `fallback_direct` is set, the remainder of the interval is integrated
     directly instead and the trajectory carries the breakdown time.
     """
-    steps = _step_count(t_end, dt)
+    steps = _step_count(t_end, dt, record_every)
     n = model.n
     M = jacobian_matrix(n)
     r_vec, frame = eigendecompose_ordered(rho0)
     r_arr = np.array(r_vec.r)
     U = np.array(frame.U)
+    # dissipator superoperator; H enters the frame rates only through its
+    # frame image, so r' does not depend on H
+    LD = _liouvillian(-0.5 * model._K, model._A)
+    HD = np.empty((2, n, n), dtype=complex)
+    HD[0] = model.H
 
     # RK4 steps the packed complex array (U.ravel(), r); r carries a zero
-    # imaginary part, so its arithmetic is that of a real array.
+    # imaginary part, so its arithmetic is that of a real array.  A stage at
+    # (V, r) rotates [H, D(V diag(p) V^dag)] into the frame V in one product,
+    # which equals the rotated dissipator for any V, unitary or not.
     def f(y):
         V = y[: n * n].reshape(n, n)
-        r_dot, Omega_t = _split_rhs_arrays(y[n * n :].real.copy(), V, model, M)
+        r = y[n * n :].real
+        p = 1.0 / n + M @ r
+        check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
+        HD[1] = (LD @ density_stack(p, V).ravel()).reshape(n, n)
+        Ht, Lt = V.conj().T @ HD @ V
+        r_dot, Omega_t = _frame_rates(p, Ht, Lt)
         return np.concatenate([(V @ Omega_t).ravel(), r_dot])
 
     times, rs, ps, frames = [], [], [], []

@@ -64,7 +64,7 @@ def check_gaps(r: np.ndarray) -> None:
 def check_gap_floor(gaps, floor: float, chart: str) -> None:
     """Raise DegenerateSpectrumError unless every gap is at least `floor`,
     below which the named chart breaks down."""
-    if not np.min(gaps) >= floor:
+    if not np.asarray(gaps).min() >= floor:
         raise DegenerateSpectrumError(f"spectral gap below {floor}; {chart} breaks down")
 
 

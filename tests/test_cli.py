@@ -264,6 +264,35 @@ def test_seed_from_environment(capsys, tmp_path, monkeypatch):
     assert json.loads(out.read_text().splitlines()[0])["seed"] == 33
 
 
+def test_sample_zero_frames_writes_header_only(capsys, tmp_path):
+    out = tmp_path / "none.jsonl"
+    code, _, _ = run(capsys, "sample", "--n", "3", "--N", "0", "--out", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["N"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evolve", "--model", "m.json", "--rho0", "r.json", "--record-every", "0", "--out", "x"),
+        ("sample", "--n", "2", "--N", "-5", "--out", "x"),
+        ("sample", "--n", "0", "--N", "5", "--out", "x"),
+        ("verify", "measure", "--N", "0"),
+        ("verify", "volumes", "--N", "0"),
+        ("verify", "unitarity", "--trials", "-1"),
+    ],
+    ids=["evolve-record-every", "sample-N", "sample-n", "verify-measure-N",
+         "verify-volumes-N", "verify-unitarity-trials"],
+)
+def test_count_below_its_bound_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be an integer >=" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -81,10 +81,25 @@ def test_generator_structure(rng):
         assert np.linalg.norm(mat - mat.conj().T) < 1e-12
 
 
+def frame_operator_form(U, p, model):
+    """Reference split frame images from the rotated operators: with
+    Ht, Kt, At_k = U^dag [H, K, sqrt(h_k) L_k] U, G = U^dag U and P = diag(p),
+    (Ht, sum_k At_k P At_k^dag - (G P Kt + Kt P G)/2)."""
+    n = model.n
+    Ud = U.conj().T
+    K = sum((h * L.conj().T @ L for h, L in zip(model.rates, model.jumps)), np.zeros((n, n)))
+    Kt, G, P = Ud @ K @ U, Ud @ U, np.diag(p)
+    jump = np.zeros((n, n), dtype=complex)
+    for h, L in zip(model.rates, model.jumps):
+        At = Ud @ (math.sqrt(h) * L) @ U
+        jump += At @ P @ At.conj().T
+    return Ud @ model.H @ U, jump - 0.5 * (G @ P @ Kt + Kt @ P @ G)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_frame_generator_matches_rotated_dissipator_off_manifold(n):
     # RK4 stages evaluate the split RHS at U + eps X, where U^dag U != 1; the
-    # frame form must still equal U^dag D(U P U^dag) U there
+    # frame images must still equal the rotated-operator form there
     rng = np.random.default_rng(10 + n)
     model = random_model(n, seed=n)
     U = sample_flag(n, seed=n).U
@@ -93,15 +108,24 @@ def test_frame_generator_matches_rotated_dissipator_off_manifold(n):
     assert np.linalg.norm(V.conj().T @ V - np.eye(n)) > 1e-2
     p = 1.0 / n + jacobian_matrix(n) @ interior_gaps(n, rng).r
     Ht, Lt = frame_generator(V, p, model)
-    Vd = V.conj().T
-    rho = (V * p) @ Vd
-    assert np.max(np.abs(Ht - Vd @ model.H @ V)) < 1e-12
-    assert np.max(np.abs(Lt - Vd @ dissipator(rho, model) @ V)) < 1e-12
+    Ht_ref, Lt_ref = frame_operator_form(V, p, model)
+    assert np.max(np.abs(Ht - Ht_ref)) < 1e-12
+    assert np.max(np.abs(Lt - Lt_ref)) < 1e-12
     # a stack of spectra gives the stack of values
     ps = np.stack([p, p[::-1]])
     _, Ls = frame_generator(V, ps, model)
     for q, Lq in zip(ps, Ls):
-        assert np.max(np.abs(Lq - Vd @ dissipator((V * q) @ Vd, model) @ V)) < 1e-12
+        assert np.max(np.abs(Lq - frame_operator_form(V, q, model)[1])) < 1e-12
+
+
+def test_dissipator_on_stacks():
+    model = random_model(3, seed=4)
+    rhos = np.stack([random_density(3, seed=s).rho for s in range(6)]).reshape(2, 3, 3, 3)
+    D = dissipator(rhos, model)
+    assert D.shape == rhos.shape
+    for rho, d in zip(rhos.reshape(-1, 3, 3), D.reshape(-1, 3, 3)):
+        assert np.max(np.abs(d - dissipator(rho, model))) < 1e-15
+    assert np.array_equal(dissipator(rhos, LindbladModel(3, model.H, (), ())), np.zeros_like(D))
 
 
 # --- split right-hand side ------------------------------------------------------
@@ -193,6 +217,63 @@ def test_direct_matches_reference_rk4(n):
         assert np.max(np.abs(traj.rho - np.array(expect))) < 1e-13
 
 
+def polar_special(U):
+    """Polar factor of U with det pushed back to 1 on the last column."""
+    X, _, Yh = np.linalg.svd(U)
+    Q = X @ Yh
+    det = np.linalg.det(Q)
+    Q[:, -1] *= det.conjugate() / abs(det)
+    return Q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_split_matches_reference_rk4(n):
+    # RK4 on (U, r) with the rotated-operator form of the split RHS and the
+    # same polar correction, against the dissipator-superoperator stages
+    rng = np.random.default_rng(n)
+    H = random_model(n, seed=n).H
+    L = [0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for _ in range(3)]
+    models = (
+        random_model(n, seed=20 + n),
+        LindbladModel(n, H, tuple(L), (0.7, 0.0, 1.3)),  # one zero rate
+        LindbladModel(n, H, (), ()),  # no jumps: a rigid rotation of the frame
+    )
+    rho0 = random_density(n, seed=30 + n)
+    r0, frame = eigendecompose_ordered(rho0)
+    M = jacobian_matrix(n)
+    off = ~np.eye(n, dtype=bool)
+    dt, steps, every = 1e-2, 40, 8
+
+    def rhs(U, r):
+        p = 1.0 / n + M @ r
+        Ht, Lt = frame_operator_form(U, p, model)
+        Omega_t = np.zeros((n, n), dtype=complex)
+        Omega_t[off] = (-1j * Ht - Lt / (p[:, None] - p[None, :] + np.eye(n)))[off]
+        d = Lt.diagonal().real
+        return U @ Omega_t, d[:-1] - d[1:]
+
+    for model in models:
+        traj = integrate_split(rho0, model, steps * dt, dt, record_every=every)
+        U, r = frame.U, r0.r
+        expect_r, expect_rho = [r], [(U * (1.0 / n + M @ r)) @ U.conj().T]
+        for step in range(1, steps + 1):
+            k1 = rhs(U, r)
+            k2 = rhs(U + 0.5 * dt * k1[0], r + 0.5 * dt * k1[1])
+            k3 = rhs(U + 0.5 * dt * k2[0], r + 0.5 * dt * k2[1])
+            k4 = rhs(U + dt * k3[0], r + dt * k3[1])
+            U, r = (
+                y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                for y, a, b, c, d in zip((U, r), k1, k2, k3, k4)
+            )
+            U = polar_special(U)
+            if step % every == 0:
+                expect_r.append(r)
+                expect_rho.append((U * (1.0 / n + M @ r)) @ U.conj().T)
+        assert len(traj.times) == len(expect_r)
+        assert np.max(np.abs(traj.r - np.array(expect_r))) < 1e-13
+        assert np.max(np.abs(traj.rho - np.array(expect_rho))) < 1e-13
+
+
 def test_direct_trace_drift_breaks_down_at_the_step():
     # dt far outside the RK4 stability region: the state grows until the
     # trace drifts, long before the next record; without a per-step check
@@ -276,6 +357,20 @@ def test_step_validation():
         integrate_direct(rho0, model, t_end=-1.0, dt=1e-3)
     with pytest.raises(ValidationError):
         integrate_direct(rho0, model, t_end=1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])
+def test_step_count_overflow_is_a_validation_error(integrate):
+    # t_end / dt overflows to inf although both are finite
+    with pytest.raises(ValidationError, match="overflows the step count"):
+        integrate(random_density(2, seed=1), random_model(2, seed=0), 1e300, 1e-10)
+
+
+@pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])
+@pytest.mark.parametrize("record_every", [0, -3, 2.5])
+def test_record_every_must_be_a_positive_integer(integrate, record_every):
+    with pytest.raises(ValidationError, match="record_every"):
+        integrate(random_density(2, seed=1), random_model(2, seed=0), 0.01, 1e-3, record_every)
 
 
 def test_trajectory_validation():
