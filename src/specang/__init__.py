@@ -77,7 +77,6 @@ from .dynamics import (
     SplitState,
     Trajectory,
     dissipator,
-    frame_generator,
     integrate_direct,
     integrate_split,
     lindblad_rhs,

@@ -158,6 +158,8 @@ def _verify_identity(args):
 
 
 def _verify_measure(args):
+    if not args.N >= 2:  # the standard error needs two samples
+        raise ValidationError("measure needs N >= 2")
     rng = np.random.default_rng(args.seed)
     n = args.n
     m = len(pair_indices(n))

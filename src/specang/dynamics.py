@@ -23,8 +23,8 @@ from .errors import (
     ValidationError, check_angle, check_density, check_frame, check_gap_floor, check_gaps,
 )
 from .flags import (
-    DensityMatrix, UnitaryFrame, assemble_density, density_stack, eigendecompose_ordered,
-    pair_indices, rotation_factor, sample_flag,
+    DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
+    eigendecompose_ordered, pair_indices, rotation_factor, sample_flag,
 )
 from .geometry import purity_spectrum
 from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
@@ -259,31 +259,26 @@ def integrate_direct(
     return Trajectory(np.array(times), r, np.array(rhos), diag)
 
 
-def frame_generator(U, p, model: LindbladModel):
-    """Hamiltonian and dissipator seen in the frame U at spectrum p.
+def _split_stage(V, r, M, HD):
+    """The split flow (V Omega_tilde, r_dot) at frame V and gaps r.
 
-    Returns (U^dag H U, U^dag D(U diag(p) U^dag) U), where p may be a stack
-    (..., n).  U need not be unitary: the RK4 stages of the split integrator
-    evaluate the frame images at U + O(dt).
+    M is the gap Jacobian; HD maps rho to the (2, n, n) stack [H, D(rho)],
+    rotated into the frame in one product, Ht, Lt = V^dag [H, D] V at
+    rho = V diag(p) V^dag, p = 1/n + M r.  V need not be unitary: RK4
+    stages sit at U + O(dt).  r_dot holds adjacent differences of diag Lt;
+    Omega_tilde = V^dag dV/dt has zero diagonal (torus gauge) and
+    off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
     """
-    Ud = np.conj(U).T
-    return Ud @ model.H @ U, Ud @ dissipator(density_stack(p, U), model) @ U
-
-
-def _frame_rates(p, Ht, Lt):
-    """Gap rates and moving-frame generator from the frame images Ht of H and
-    Lt of the dissipator at spectrum p.
-
-    Returns (r_dot, Omega_tilde): r_dot holds the adjacent differences of the
-    diagonal of Lt; Omega_tilde = U^dag dU/dt has zero diagonal (torus gauge)
-    and off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
-    """
+    n = V.shape[-1]
+    p = 1.0 / n + M @ r
+    check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
+    Ht, Lt = V.conj().T @ HD(density_stack(p, V)) @ V
     d = Lt.diagonal().real
     denom = p[:, None] - p
-    np.fill_diagonal(denom, 1.0)
+    denom.flat[:: n + 1] = 1.0
     Omega_t = -1j * Ht - Lt / denom
-    np.fill_diagonal(Omega_t, 0.0)
-    return d[:-1] - d[1:], Omega_t
+    Omega_t.flat[:: n + 1] = 0.0
+    return V @ Omega_t, d[:-1] - d[1:]
 
 
 def split_rhs(state: SplitState, model: LindbladModel):
@@ -297,20 +292,17 @@ def split_rhs(state: SplitState, model: LindbladModel):
     n = model.n
     if n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
-    U, r = state.U.U, state.r.r
-    p = 1.0 / n + jacobian_matrix(n) @ r
-    check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
-    r_dot, Omega_t = _frame_rates(p, *frame_generator(U, p, model))
-    return r_dot, U @ Omega_t @ U.conj().T
+    U = state.U.U
+    U_Omega, r_dot = _split_stage(
+        U, state.r.r, jacobian_matrix(n), lambda rho: np.stack([model.H, dissipator(rho, model)])
+    )
+    return r_dot, U_Omega @ U.conj().T
 
 
 def _polar_special(U):
     """Nearest unitary (polar factor), det pushed back to 1 on the last column."""
     X, _, Yh = np.linalg.svd(U)
-    Q = X @ Yh
-    det = np.linalg.det(Q)
-    Q[:, -1] *= det.conjugate() / abs(det)
-    return Q
+    return _unit_determinant(X @ Yh)
 
 
 def integrate_split(
@@ -340,20 +332,17 @@ def integrate_split(
     LD = _liouvillian(-0.5 * model._K, model._A)
     HD = np.empty((2, n, n), dtype=complex)
     HD[0] = model.H
+    D = HD[1].reshape(n * n)  # a view: the matvec below writes into HD
+
+    def H_and_D(rho):
+        np.matmul(LD, rho.ravel(), out=D)
+        return HD
 
     # RK4 steps the packed complex array (U.ravel(), r); r carries a zero
-    # imaginary part, so its arithmetic is that of a real array.  A stage at
-    # (V, r) rotates [H, D(V diag(p) V^dag)] into the frame V in one product,
-    # which equals the rotated dissipator for any V, unitary or not.
+    # imaginary part, so its arithmetic is that of a real array
     def f(y):
-        V = y[: n * n].reshape(n, n)
-        r = y[n * n :].real
-        p = 1.0 / n + M @ r
-        check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
-        HD[1] = (LD @ density_stack(p, V).ravel()).reshape(n, n)
-        Ht, Lt = V.conj().T @ HD @ V
-        r_dot, Omega_t = _frame_rates(p, Ht, Lt)
-        return np.concatenate([(V @ Omega_t).ravel(), r_dot])
+        V_Omega, r_dot = _split_stage(y[: n * n].reshape(n, n), y[n * n :].real, M, H_and_D)
+        return np.concatenate([V_Omega.ravel(), r_dot])
 
     times, rs, ps, frames = [], [], [], []
 
@@ -541,7 +530,7 @@ def secular_factorization_test(
         x = 0.5 + rng.random(n - 1)
         r.append(x * (0.3 + 0.6 * rng.random()) / float(weights @ x))
     p = 1.0 / n + np.array(r) @ M.T
-    _, Lt = frame_generator(U, p, model)
+    Lt = U.conj().T @ dissipator(density_stack(p, U), model) @ U
 
     residuals = {}
     for (i, j) in pair_indices(n):

@@ -126,6 +126,19 @@ def cartan_generator(n: int, ell: int) -> np.ndarray:
     return np.diag(d / math.sqrt(ell * (ell + 1)))
 
 
+def _rotation_block(n: int, i: int, j: int, theta: float, phi: float) -> np.ndarray:
+    """The matrix of rotation_factor for 1 <= i < j <= n, unvalidated."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    U = np.eye(n, dtype=complex)
+    i -= 1
+    j -= 1
+    U[i, i] = c
+    U[j, j] = c
+    U[i, j] = -s * np.exp(-1j * phi)
+    U[j, i] = s * np.exp(1j * phi)
+    return U
+
+
 def rotation_factor(n: int, i: int, j: int, theta: float, phi: float) -> UnitaryFrame:
     """Embedded two-level rotation in the (i,j)-plane.
 
@@ -135,15 +148,7 @@ def rotation_factor(n: int, i: int, j: int, theta: float, phi: float) -> Unitary
     """
     if not 1 <= i < j <= n:
         raise ValidationError(f"need 1 <= i < j <= n, got ({i},{j}) for n={n}")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    U = np.eye(n, dtype=complex)
-    i -= 1
-    j -= 1
-    U[i, i] = c
-    U[j, j] = c
-    U[i, j] = -s * np.exp(-1j * phi)
-    U[j, i] = s * np.exp(1j * phi)
-    return UnitaryFrame(n, U)
+    return UnitaryFrame(n, _rotation_block(n, i, j, theta, phi))
 
 
 def coset_unitary(angles: AngleSet) -> UnitaryFrame:
@@ -151,7 +156,7 @@ def coset_unitary(angles: AngleSet) -> UnitaryFrame:
     ascending inner: R_{1,2} R_{1,3} ... R_{n-1,n}."""
     U = np.eye(angles.n, dtype=complex)
     for (i, j) in pair_indices(angles.n):
-        U = U @ rotation_factor(angles.n, i, j, angles.theta[(i, j)], angles.phi[(i, j)]).U
+        U = U @ _rotation_block(angles.n, i, j, angles.theta[(i, j)], angles.phi[(i, j)])
     return UnitaryFrame(angles.n, U)
 
 
@@ -215,16 +220,20 @@ def assemble_density(r: GapVector, frame) -> DensityMatrix:
     return DensityMatrix(r.n, density_stack(probs_from_gaps(r).p, frame.U))
 
 
+def _unit_determinant(U: np.ndarray) -> np.ndarray:
+    """Scale the last column of each unitary in U (..., n, n) by conj(det)/|det|, in place."""
+    det = np.linalg.det(U)
+    U[..., :, -1] *= (det.conjugate() / np.hypot(det.real, det.imag))[..., None]
+    return U
+
+
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
     """Rotate each column of each frame in the stack U (..., n, n) so its
     largest-modulus entry is real positive, then restore det = 1 by a phase
     on the last column."""
     rows = np.argmax(np.abs(U), axis=-2)
     lead = np.take_along_axis(U, rows[..., None, :], axis=-2)
-    U = U * (np.abs(lead) / lead)
-    det = np.linalg.det(U)
-    U[..., :, -1] *= (det.conjugate() / np.hypot(det.real, det.imag))[..., None]
-    return U
+    return _unit_determinant(U * (np.abs(lead) / lead))
 
 
 def eigendecompose_ordered(rho: DensityMatrix):

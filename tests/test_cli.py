@@ -137,6 +137,14 @@ def test_verify_measure(capsys):
     assert "RESULT: PASS" in out
 
 
+def test_verify_measure_single_sample_exits_2(capsys):
+    # one sample has no standard error: an input error, not a failed check
+    code, out, err = run(capsys, "verify", "measure", "--n", "2", "--N", "1")
+    assert code == 2
+    assert "measure needs N >= 2" in err
+    assert "RESULT" not in out
+
+
 def test_verify_unitarity_and_qutrit(capsys):
     code, out, _ = run(capsys, "verify", "unitarity", "--n", "3", "--trials", "50")
     assert code == 0
