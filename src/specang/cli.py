@@ -38,6 +38,7 @@ from .geometry import (
 )
 from .flags import (
     AngleSet,
+    _column_averages,
     coset_unitary,
     flag_density_theta,
     pair_indices,
@@ -257,32 +258,21 @@ def cmd_evolve(args) -> int:
         "seed": args.seed,
     }
     out = _provenance(args, model=args.model, rho0=args.rho0, files=[])
-    trajectories = {}
-    if args.method in ("direct", "both"):
-        traj = integrate_direct(rho0, model, args.t_end, args.dt, args.record_every)
-        path = f"{args.out}_direct.csv"
-        write_trajectory_csv(path, traj, model.n, {**header, "method": "direct"})
-        trajectories["direct"] = traj
+    rhos = []
+    for method, integrate, extra in (
+        ("direct", integrate_direct, ()), ("split", integrate_split, (args.fallback,))
+    ):
+        if args.method not in (method, "both"):
+            continue
+        traj = integrate(rho0, model, args.t_end, args.dt, args.record_every, *extra)
+        path = f"{args.out}_{method}.csv"
+        write_trajectory_csv(path, traj, model.n, {**header, "method": method})
         out["files"].append(path)
-    if args.method in ("split", "both"):
-        traj = integrate_split(
-            rho0, model, args.t_end, args.dt, args.record_every, args.fallback
-        )
-        path = f"{args.out}_split.csv"
-        write_trajectory_csv(path, traj, model.n, {**header, "method": "split"})
-        trajectories["split"] = traj
-        out["files"].append(path)
+        rhos.append(traj.rho)
         if traj.breakdown_time is not None:
             out["breakdown_time"] = traj.breakdown_time
-    if args.method == "both":
-        # compare records taken at the same step: after a fallback the split
-        # route records on a grid shifted by the breakdown time
-        direct, split = trajectories["direct"], trajectories["split"]
-        _, i, j = np.intersect1d(
-            np.rint(direct.times / args.dt), np.rint(split.times / args.dt),
-            return_indices=True,
-        )
-        diff = direct.rho[i] - split.rho[j]
+    if args.method == "both":  # both routes record on the same grid
+        diff = rhos[0] - rhos[1]
         out["max_divergence"] = float(np.max(np.linalg.norm(diff, axis=(1, 2))))
     _emit(out)
     return 0
@@ -300,10 +290,11 @@ def cmd_sample(args) -> int:
         header["ks_statistic"] = float(ks.statistic)
         header["ks_pvalue"] = float(ks.pvalue)
     elif args.N > 0:
-        avg = args.n * np.einsum("bik,bjk->ij", frames, frames.conj()) / (
-            args.N * args.n
-        )
-        header["resolution_error"] = float(np.linalg.norm(avg - np.eye(args.n)))
+        # column i averages n u_i u_i^dag to 1 only under the invariant measure;
+        # their mean, mean_b U U^dag, is 1 for any unitary frames
+        dev = _column_averages(frames) - np.eye(args.n)
+        header["resolution_error"] = float(np.linalg.norm(dev.mean(axis=0)))
+        header["column_resolution_error"] = float(np.linalg.norm(dev, axis=(1, 2)).max())
     with open(args.out, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for U in frames:
@@ -341,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         choices=["identity", "measure", "volumes", "unitarity", "qutrit-matrix"],
     )
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_at_least(2), default=3)
     p.add_argument("--N", type=_at_least(1), default=100000)
     p.add_argument("--trials", type=_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=_default_seed())

@@ -214,11 +214,17 @@ def integrate_direct(
     BREAKDOWN_TOL, and at a record where an eigenvalue drops below the
     positivity floor.
     """
-    steps = _step_count(t_end, dt, record_every)
+    return _direct_run(rho0.rho, model, dt, 0, _step_count(t_end, dt, record_every), record_every)
+
+
+def _direct_run(rho, model, dt, first, steps, record_every):
+    """Steps first+1 .. steps of integrate_direct from the state rho at step
+    `first`.  Records at `first` and then on the run's grid: every step with
+    step % record_every == 0, and the last, at time step * dt."""
     n = model.n
     A = _liouvillian(-1j * model.H - 0.5 * model._K, model._A)
     A *= dt
-    rho = np.array(rho0.rho, dtype=complex)
+    rho = np.array(rho, dtype=complex)
 
     times, rhos, spectra, drifts = [], [], [], []
     drift = 0.0
@@ -235,8 +241,8 @@ def integrate_direct(
         spectra.append(w)
         drifts.append(drift)
 
-    record(0.0)
-    for step in range(1, steps + 1):
+    record(first * dt)
+    for step in range(first + 1, steps + 1):
         v = rho.ravel()
         x = v
         for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
@@ -318,8 +324,9 @@ def integrate_split(
     polar correction after every step.
 
     On spectral degeneracy the integration stops with the breakdown time; if
-    `fallback_direct` is set, the remainder of the interval is integrated
-    directly instead and the trajectory carries the breakdown time.
+    `fallback_direct` is set, the direct route continues from the split state
+    on the run's own record grid and the trajectory carries the breakdown
+    time.
     """
     steps = _step_count(t_end, dt, record_every)
     n = model.n
@@ -373,26 +380,21 @@ def integrate_split(
                 raise DegenerateSpectrumError(
                     f"split integration broke down at t={t_break:.6g}: {exc}"
                 ) from exc
-            rho = DensityMatrix(n, density_stack(1.0 / n + M @ r_arr, U))
-            return _continue_direct(trajectory(), model, rho, t_break, t_end, dt, record_every)
+            # the direct run continues on this run's grid; its first record,
+            # dropped below, re-checks the hand-over state
+            head = trajectory()
+            rho = density_stack(1.0 / n + M @ r_arr, U)
+            rest = _direct_run(rho, model, dt, step - 1, steps, record_every)
+            cols = [np.concatenate([getattr(head, c), getattr(rest, c)[1:]])
+                    for c in ("times", "r", "rho")]
+            diag = {k: np.concatenate([v, rest.diagnostics[k][1:]])
+                    for k, v in head.diagnostics.items()}
+            return Trajectory(*cols, diag, breakdown_time=t_break)
         r_arr, U = y[n * n :].real.copy(), _polar_special(y[: n * n].reshape(n, n))
         if step % record_every == 0 or step == steps:
             record(step * dt)
 
     return trajectory()
-
-
-def _continue_direct(traj, model, rho, t_break, t_end, dt, record_every):
-    """Resume a broken split trajectory with the direct integrator from the
-    state rho the split flow reached at t_break."""
-    rest = integrate_direct(rho, model, t_end - t_break, dt, record_every)
-    return Trajectory(
-        np.concatenate([traj.times, rest.times[1:] + t_break]),
-        np.concatenate([traj.r, rest.r[1:]]),
-        np.concatenate([traj.rho, rest.rho[1:]]),
-        {k: np.concatenate([v, rest.diagnostics[k][1:]]) for k, v in traj.diagnostics.items()},
-        breakdown_time=t_break,
-    )
 
 
 def _require_pauli_model(model: LindbladModel):

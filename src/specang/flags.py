@@ -303,10 +303,15 @@ def resolution_check(n: int, i: int, num_samples: int, seed: int):
     """
     if not 1 <= i <= n:
         raise ValidationError(f"column index must be in 1..{n}")
-    frames = sample_flags(n, num_samples, seed)
-    cols = frames[:, :, i - 1]
-    avg = n * np.einsum("bi,bj->ij", cols, cols.conj()) / num_samples
+    avg = _column_averages(sample_flags(n, num_samples, seed)[:, :, i - 1 : i])[0]
     return avg, float(np.linalg.norm(avg - np.eye(n)))
+
+
+def _column_averages(frames: np.ndarray) -> np.ndarray:
+    """n * mean_b u_i u_i^dag for each column u_i of a (B, n, k) frame stack:
+    a (k, n, n) stack from one batched product."""
+    cols = frames.transpose(2, 1, 0)
+    return frames.shape[1] * (cols @ cols.conj().swapaxes(-1, -2)) / frames.shape[0]
 
 
 def quantize(f, r: GapVector, num_samples: int, seed: int) -> np.ndarray:

@@ -185,8 +185,9 @@ def test_evolve_both(capsys, model_files):
 
 @pytest.mark.parametrize("record_every", [1, 10, 100])
 def test_evolve_both_compares_matching_times_after_fallback(capsys, tmp_path, record_every):
-    # amplitude damping closes the gap of diag(0.3, 0.7) at t = 0.336; after
-    # the fallback the split records sit on a grid shifted by that time
+    # amplitude damping closes the gap of diag(0.3, 0.7) at t = 0.336; the
+    # direct route continues the split run on its own grid, so both CSVs
+    # hold the same times and every record is compared
     L = np.array([[0.0, 1.0], [0.0, 0.0]])
     save_model(tmp_path / "model.json", LindbladModel(2, np.zeros((2, 2)), (L,), (1.0,)))
     save_density(tmp_path / "rho0.json", DensityMatrix(2, np.diag([0.3, 0.7])))
@@ -205,6 +206,12 @@ def test_evolve_both_compares_matching_times_after_fallback(capsys, tmp_path, re
     doc = json.loads(out)
     assert doc["breakdown_time"] == pytest.approx(0.336)
     assert doc["max_divergence"] <= 1e-12
+    direct, split = (
+        [row.split(",")[0] for row in (tmp_path / f"run_{m}.csv").read_text().splitlines()
+         if not row.startswith("#")]
+        for m in ("direct", "split")
+    )
+    assert split == direct
 
 
 @pytest.mark.parametrize("method", ["direct", "split"])
@@ -256,6 +263,17 @@ def test_sample_qubit_ks(capsys, tmp_path):
     assert np.linalg.norm(mat.conj().T @ mat - np.eye(2)) < 1e-12
 
 
+def test_sample_resolution_statistics(capsys, tmp_path):
+    # each column averages n u_i u_i^dag to 1 up to sampling noise; the mean
+    # over columns is mean_b U U^dag, which is 1 for any unitary frames
+    out = tmp_path / "frames.jsonl"
+    code, _, _ = run(capsys, "sample", "--n", "3", "--N", "2000", "--seed", "4", "--out", str(out))
+    assert code == 0
+    header = json.loads(out.read_text().splitlines()[0])
+    assert 0.0 < header["column_resolution_error"] < 0.3
+    assert header["resolution_error"] < 1e-9
+
+
 def test_sample_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     run(capsys, "sample", "--n", "3", "--N", "20", "--seed", "9", "--out", str(a))
@@ -290,9 +308,13 @@ def test_sample_zero_frames_writes_header_only(capsys, tmp_path):
         ("verify", "measure", "--N", "0"),
         ("verify", "volumes", "--N", "0"),
         ("verify", "unitarity", "--trials", "-1"),
+        ("verify", "measure", "--n", "1", "--N", "100"),
+        ("verify", "unitarity", "--n", "0", "--trials", "2"),
+        ("verify", "identity", "--n", "0"),
     ],
     ids=["evolve-record-every", "sample-N", "sample-n", "verify-measure-N",
-         "verify-volumes-N", "verify-unitarity-trials"],
+         "verify-volumes-N", "verify-unitarity-trials", "verify-measure-n",
+         "verify-unitarity-n", "verify-identity-n"],
 )
 def test_count_below_its_bound_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specang import (
     PAULI,
@@ -288,17 +290,36 @@ def test_split_breakdown_and_fallback():
     assert traj.times[-1] == pytest.approx(0.2)
 
 
-def test_fallback_resumes_from_live_state():
+def _amplitude_damped_qubit():
     # amplitude damping closes the gap of diag(0.3, 0.7) at t = ln(7/5)
     L = np.array([[0.0, 1.0], [0.0, 0.0]])
     model = LindbladModel(2, np.zeros((2, 2)), (L,), (1.0,))
-    rho0 = DensityMatrix(2, np.diag([0.3, 0.7]))
+    return model, DensityMatrix(2, np.diag([0.3, 0.7]))
+
+
+def test_fallback_resumes_from_live_state():
+    model, rho0 = _amplitude_damped_qubit()
     for record_every in (1, 10, 100):
         direct = integrate_direct(rho0, model, 1.0, 1e-3, record_every)
         split = integrate_split(rho0, model, 1.0, 1e-3, record_every, fallback_direct=True)
         assert split.breakdown_time == pytest.approx(0.336)
         assert len(split.times) == len(direct.times)
-        assert np.linalg.norm(split.rho[-1] - direct.rho[-1]) < 1e-12
+        assert np.array_equal(split.times, direct.times)
+        assert np.max(np.linalg.norm(split.rho - direct.rho, axis=(1, 2))) < 1e-12
+
+
+@given(record_every=st.integers(1, 120), steps=st.integers(400, 1000))
+@example(record_every=7, steps=1000)
+@example(record_every=336, steps=1000)  # 7 and 336 put the breakdown on the grid
+@settings(max_examples=20, deadline=None)
+def test_fallback_records_on_the_run_grid(record_every, steps):
+    model, rho0 = _amplitude_damped_qubit()
+    t_end = steps / 1000
+    direct = integrate_direct(rho0, model, t_end, 1e-3, record_every)
+    split = integrate_split(rho0, model, t_end, 1e-3, record_every, fallback_direct=True)
+    assert split.breakdown_time == pytest.approx(0.336)
+    assert np.array_equal(split.times, direct.times)
+    assert len(np.unique(split.times)) == len(split.times)
 
 
 def test_record_checks_raise_at_the_record():
