@@ -52,6 +52,7 @@ from .flags import (
     UnitaryFrame,
     assemble_density,
     cartan_generator,
+    coset_unitaries,
     coset_unitary,
     density_stack,
     eigendecompose_ordered,
@@ -62,6 +63,7 @@ from .flags import (
     full_unitary,
     pair_indices,
     quantize,
+    qutrit_unitaries_closed_form,
     qutrit_unitary_closed_form,
     resolution_check,
     rotation_factor,

@@ -9,6 +9,7 @@ the package version, the seed, and the parameters of the run.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,12 +38,11 @@ from .geometry import (
     shannon_entropy,
 )
 from .flags import (
-    AngleSet,
     _column_averages,
-    coset_unitary,
+    coset_unitaries,
     flag_density_theta,
     pair_indices,
-    qutrit_unitary_closed_form,
+    qutrit_unitaries_closed_form,
     resolution_check,
     sample_flags,
 )
@@ -54,10 +54,6 @@ from .dynamics import (
     load_model,
     write_trajectory_csv,
 )
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("SPECANG_SEED", "0"))
 
 
 def _floats(text: str) -> np.ndarray:
@@ -80,6 +76,17 @@ def _at_least(minimum: int):
         return value
 
     return count
+
+
+def _positive(text: str) -> float:
+    """argparse type for a tolerance: a finite float > 0, else exit code 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite float > 0, got {value}")
+    return value
 
 
 def _provenance(args, **extra) -> dict:
@@ -196,18 +203,16 @@ def _verify_volumes(args):
     return lines, ok_ratio and ok_mc
 
 
-def _random_angles(n, rng) -> AngleSet:
-    pairs = pair_indices(n)
-    theta = {k: float(rng.random() * math.pi) for k in pairs}
-    phi = {k: float(rng.random() * 2.0 * math.pi) for k in pairs}
-    return AngleSet(n, theta, phi)
+def _angle_draws(n, trials, seed):
+    """(theta, phi) stacks (trials, m): per trial m draws for theta, then m for phi."""
+    x = np.random.default_rng(seed).random((trials, 2, len(pair_indices(n))))
+    return x[:, 0] * math.pi, x[:, 1] * (2.0 * math.pi)
 
 
 def _verify_unitarity(args):
-    rng = np.random.default_rng(args.seed)
     n = args.n
-    cosets = [coset_unitary(_random_angles(n, rng)).U for _ in range(args.trials)]
-    U = np.concatenate([np.reshape(cosets, (-1, n, n)), sample_flags(n, args.trials, args.seed)])
+    cosets = coset_unitaries(n, *_angle_draws(n, args.trials, args.seed))
+    U = np.concatenate([cosets, sample_flags(n, args.trials, args.seed)])
     defect = np.linalg.norm(U.conj().swapaxes(-1, -2) @ U - np.eye(n), axis=(-2, -1))
     worst_u = float(np.max(defect, initial=0.0))
     worst_det = float(np.max(np.abs(np.linalg.det(U) - 1.0), initial=0.0))
@@ -220,12 +225,9 @@ def _verify_unitarity(args):
 
 
 def _verify_qutrit_matrix(args):
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        angles = _random_angles(3, rng)
-        dev = np.abs(coset_unitary(angles).U - qutrit_unitary_closed_form(angles))
-        worst = max(worst, float(dev.max()))
+    theta, phi = _angle_draws(3, args.trials, args.seed)
+    dev = np.abs(coset_unitaries(3, theta, phi) - qutrit_unitaries_closed_form(theta, phi))
+    worst = float(np.max(dev, initial=0.0))
     ok = worst < TOL
     lines = [
         f"qutrit product vs closed form: max entrywise deviation = {worst:.2e} "
@@ -315,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", help="comma-separated probabilities")
     p.add_argument("--r", help="comma-separated gaps")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("geometry", help="metric/purity/entropy quantities at r")
     p.add_argument("--n", type=int, required=True)
@@ -325,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument(
             f"--{which}", dest="which", action="store_const", const=which
         )
-    p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("verify", help="numerical verification reports")
     p.add_argument(
@@ -335,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(2), default=3)
     p.add_argument("--N", type=_at_least(1), default=100000)
     p.add_argument("--trials", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tol", type=float, default=0.05)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=_positive, default=0.05)
 
     p = sub.add_parser("evolve", help="integrate a GKLS model")
     p.add_argument("--model", required=True)
@@ -349,23 +348,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", action="store_true",
                    help="fall back to direct integration on spectral degeneracy")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.set_defaults(func=cmd_evolve)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("sample", help="sample invariantly distributed frames")
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--N", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process, reused by every main()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # read on every call, not at parser build
+        args.seed = int(os.environ.get("SPECANG_SEED", "0"))
+    # handlers are looked up per call, so the cached parser holds none of them
+    handler = {"convert": cmd_convert, "geometry": cmd_geometry, "verify": cmd_verify,
+               "evolve": cmd_evolve, "sample": cmd_sample}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

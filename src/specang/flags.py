@@ -126,19 +126,6 @@ def cartan_generator(n: int, ell: int) -> np.ndarray:
     return np.diag(d / math.sqrt(ell * (ell + 1)))
 
 
-def _rotation_block(n: int, i: int, j: int, theta: float, phi: float) -> np.ndarray:
-    """The matrix of rotation_factor for 1 <= i < j <= n, unvalidated."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    U = np.eye(n, dtype=complex)
-    i -= 1
-    j -= 1
-    U[i, i] = c
-    U[j, j] = c
-    U[i, j] = -s * np.exp(-1j * phi)
-    U[j, i] = s * np.exp(1j * phi)
-    return U
-
-
 def rotation_factor(n: int, i: int, j: int, theta: float, phi: float) -> UnitaryFrame:
     """Embedded two-level rotation in the (i,j)-plane.
 
@@ -148,16 +135,40 @@ def rotation_factor(n: int, i: int, j: int, theta: float, phi: float) -> Unitary
     """
     if not 1 <= i < j <= n:
         raise ValidationError(f"need 1 <= i < j <= n, got ({i},{j}) for n={n}")
-    return UnitaryFrame(n, _rotation_block(n, i, j, theta, phi))
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    U = np.eye(n, dtype=complex)
+    i -= 1
+    j -= 1
+    U[i, i] = c
+    U[j, j] = c
+    U[i, j] = -s * np.exp(-1j * phi)
+    U[j, i] = s * np.exp(1j * phi)
+    return UnitaryFrame(n, U)
+
+
+def _angle_arrays(angles: AngleSet):
+    """(theta, phi) of an AngleSet as a (2, m) array in pair_indices order."""
+    return np.array([[angles.theta[k], angles.phi[k]] for k in pair_indices(angles.n)]).T
+
+
+def coset_unitaries(n: int, theta, phi) -> np.ndarray:
+    """Ordered product of the two-level rotations, i ascending outer and j
+    ascending inner, R_{1,2} R_{1,3} ... R_{n-1,n}, on stacks theta and phi
+    (..., n(n-1)/2) in pair_indices order: a (..., n, n) stack.  Each factor
+    R_{i,j} mixes only columns i and j, so it is one two-column update.
+    """
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    c, se = np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)
+    U = np.broadcast_to(np.eye(n, dtype=complex), theta.shape[:-1] + (n, n)).copy()
+    for k, (i, j) in enumerate(pair_indices(n)):
+        ui, uj, ck, sek = U[..., i - 1], U[..., j - 1], c[..., k, None], se[..., k, None]
+        U[..., i - 1], U[..., j - 1] = ck * ui + sek * uj, ck * uj - sek.conj() * ui
+    return U
 
 
 def coset_unitary(angles: AngleSet) -> UnitaryFrame:
-    """Ordered product of the two-level rotations, i ascending outer and j
-    ascending inner: R_{1,2} R_{1,3} ... R_{n-1,n}."""
-    U = np.eye(angles.n, dtype=complex)
-    for (i, j) in pair_indices(angles.n):
-        U = U @ _rotation_block(angles.n, i, j, angles.theta[(i, j)], angles.phi[(i, j)])
-    return UnitaryFrame(angles.n, U)
+    """The coset product at one AngleSet; see coset_unitaries."""
+    return UnitaryFrame(angles.n, coset_unitaries(angles.n, *_angle_arrays(angles)))
 
 
 def torus_element(n: int, phases) -> np.ndarray:
@@ -181,32 +192,28 @@ def full_unitary(angles: AngleSet) -> UnitaryFrame:
 
 
 def qutrit_unitary_closed_form(angles: AngleSet) -> np.ndarray:
-    """Explicit 3 x 3 coset matrix in terms of the six angles (closed form of
-    the ordered product R_{1,2} R_{1,3} R_{2,3})."""
+    """The qutrit closed form at one AngleSet; see qutrit_unitaries_closed_form."""
     if angles.n != 3:
         raise ValidationError("closed form is specific to n = 3")
-    c = {k: math.cos(v / 2.0) for k, v in angles.theta.items()}
-    s = {k: math.sin(v / 2.0) for k, v in angles.theta.items()}
-    e = {k: np.exp(1j * v) for k, v in angles.phi.items()}
-    c12, c13, c23 = c[(1, 2)], c[(1, 3)], c[(2, 3)]
-    s12, s13, s23 = s[(1, 2)], s[(1, 3)], s[(2, 3)]
-    e12, e13, e23 = e[(1, 2)], e[(1, 3)], e[(2, 3)]
-    return np.array(
-        [
-            [
-                c12 * c13,
-                -s12 * c23 / e12 - c12 * s13 * s23 * e23 / e13,
-                s12 * s23 / (e12 * e23) - c12 * s13 * c23 / e13,
-            ],
-            [
-                e12 * s12 * c13,
-                c12 * c23 - e12 * e23 / e13 * s12 * s13 * s23,
-                -c12 * s23 / e23 - e12 / e13 * s12 * s13 * c23,
-            ],
-            [e13 * s13, e23 * c13 * s23, c13 * c23],
-        ],
-        dtype=complex,
-    )
+    return qutrit_unitaries_closed_form(*_angle_arrays(angles))
+
+
+def qutrit_unitaries_closed_form(theta, phi) -> np.ndarray:
+    """Explicit 3 x 3 coset matrices in terms of the six angles (closed form of
+    the ordered product R_{1,2} R_{1,3} R_{2,3}), on stacks theta and phi
+    (..., 3) in pair_indices order: a (..., 3, 3) stack."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    c12, c13, c23 = np.moveaxis(np.cos(theta / 2.0), -1, 0)
+    s12, s13, s23 = np.moveaxis(np.sin(theta / 2.0), -1, 0)
+    e12, e13, e23 = np.moveaxis(np.exp(1j * phi), -1, 0)
+    rows = [
+        [c12 * c13, -s12 * c23 / e12 - c12 * s13 * s23 * e23 / e13,
+         s12 * s23 / (e12 * e23) - c12 * s13 * c23 / e13],
+        [e12 * s12 * c13, c12 * c23 - e12 * e23 / e13 * s12 * s13 * s23,
+         -c12 * s23 / e23 - e12 / e13 * s12 * s13 * c23],
+        [e13 * s13, e23 * c13 * s23, c13 * c23],
+    ]
+    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
 
 def assemble_density(r: GapVector, frame) -> DensityMatrix:
@@ -254,8 +261,7 @@ def eigendecompose_ordered(rho: DensityMatrix):
 def flag_density(angles: AngleSet) -> float:
     """Normalized invariant density on the flag manifold at one AngleSet;
     see flag_density_theta."""
-    theta = [angles.theta[key] for key in pair_indices(angles.n)]
-    return float(flag_density_theta(angles.n, np.array(theta)))
+    return float(flag_density_theta(angles.n, _angle_arrays(angles)[0]))
 
 
 def flag_density_theta(n: int, theta) -> np.ndarray:
@@ -280,8 +286,8 @@ def sample_flags(n: int, count: int, seed: int) -> np.ndarray:
     diagonal), which is invariant by construction; each frame then gets the
     deterministic phase section of eigendecompose_ordered.
     """
-    if count == 0:
-        return np.zeros((0, n, n), dtype=complex)
+    if not count >= 0:
+        raise ValidationError(f"count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     Q, R = np.linalg.qr(G)
@@ -303,6 +309,8 @@ def resolution_check(n: int, i: int, num_samples: int, seed: int):
     """
     if not 1 <= i <= n:
         raise ValidationError(f"column index must be in 1..{n}")
+    if not num_samples >= 1:
+        raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
     avg = _column_averages(sample_flags(n, num_samples, seed)[:, :, i - 1 : i])[0]
     return avg, float(np.linalg.norm(avg - np.eye(n)))
 

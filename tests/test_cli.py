@@ -152,6 +152,13 @@ def test_verify_unitarity_and_qutrit(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("which", ["unitarity", "qutrit-matrix"])
+def test_verify_zero_trials_passes(capsys, which):
+    code, out, _ = run(capsys, "verify", which, "--trials", "0")
+    assert code == 0
+    assert "RESULT: PASS" in out
+
+
 # --- evolve -----------------------------------------------------------------
 
 
@@ -283,11 +290,45 @@ def test_sample_deterministic(capsys, tmp_path):
 
 def test_seed_from_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SPECANG_SEED", "33")
-    # parser defaults are bound at build time, so rebuild via main()
+    # main() resolves an omitted --seed from the environment on every call
     out = tmp_path / "env.jsonl"
     code, _, _ = run(capsys, "sample", "--n", "2", "--N", "5", "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text().splitlines()[0])["seed"] == 33
+
+
+def test_seed_from_environment_set_after_a_first_call(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process; the seed is still read per call
+    monkeypatch.delenv("SPECANG_SEED", raising=False)
+    out = tmp_path / "env.jsonl"
+
+    def seed():
+        code, _, _ = run(capsys, "sample", "--n", "2", "--N", "1", "--out", str(out))
+        assert code == 0
+        return json.loads(out.read_text().splitlines()[0])["seed"]
+
+    assert seed() == 0
+    monkeypatch.setenv("SPECANG_SEED", "41")
+    assert seed() == 41
+    monkeypatch.delenv("SPECANG_SEED")
+    assert seed() == 0
+
+
+def test_repeated_main_calls_get_fresh_defaults(capsys):
+    code, out, _ = run(capsys, "verify", "measure", "--n", "4", "--N", "200")
+    assert code == 0 and "n=4" in out
+    code, out, _ = run(capsys, "verify", "measure", "--N", "200")
+    assert code == 0 and "n=3" in out
+
+
+def test_valid_call_after_argparse_rejection(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "measure", "--n", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "convert", "--n", "3", "--p", "0.5,0.3,0.2")
+    assert code == 0
+    assert json.loads(out)["r"] == pytest.approx([0.2, 0.1])
 
 
 def test_sample_zero_frames_writes_header_only(capsys, tmp_path):
@@ -321,6 +362,16 @@ def test_count_below_its_bound_exits_2(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "must be an integer >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc"])
+def test_tol_must_be_positive_and_finite_exits_2(capsys, tol):
+    # nan or a bound <= 0 would fail every check and inf pass every one
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "identity", "--n", "3", "--N", "100", f"--tol={tol}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be a finite float > 0" in err or "invalid float" in err
 
 
 def test_version_flag(capsys):

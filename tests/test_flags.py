@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from specang import (
@@ -14,6 +16,7 @@ from specang import (
     ValidationError,
     assemble_density,
     cartan_generator,
+    coset_unitaries,
     coset_unitary,
     density_stack,
     eigendecompose_ordered,
@@ -24,6 +27,7 @@ from specang import (
     full_unitary,
     probs_from_gaps,
     quantize,
+    qutrit_unitaries_closed_form,
     qutrit_unitary_closed_form,
     resolution_check,
     rotation_factor,
@@ -106,6 +110,48 @@ def test_coset_unitary_is_ordered_product(rng):
     for (i, j) in pair_indices(4):
         U = U @ rotation_factor(4, i, j, angles.theta[(i, j)], angles.phi[(i, j)]).U
     assert np.allclose(coset_unitary(angles).U, U, atol=1e-14)
+
+
+def _angle_stacks(n, shape, seed):
+    """theta in [0, pi], phi in [0, 2pi) stacks of shape (*shape, n(n-1)/2)."""
+    rng = np.random.default_rng(seed)
+    m = len(pair_indices(n))
+    return rng.random((*shape, m)) * math.pi, rng.random((*shape, m)) * 2.0 * math.pi
+
+
+def _angle_set(n, theta, phi):
+    pairs = pair_indices(n)
+    return AngleSet(n, dict(zip(pairs, map(float, theta))), dict(zip(pairs, map(float, phi))))
+
+
+@given(
+    n=st.integers(2, 6),
+    shape=st.sampled_from([(), (1,), (4,), (2, 3), (0,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_coset_unitaries_match_the_rotation_product(n, shape, seed):
+    theta, phi = _angle_stacks(n, shape, seed)
+    stack = coset_unitaries(n, theta, phi)
+    assert stack.shape == (*shape, n, n)
+    for idx in np.ndindex(*shape):
+        product = np.eye(n, dtype=complex)
+        for k, (i, j) in enumerate(pair_indices(n)):
+            product = product @ rotation_factor(n, i, j, theta[idx][k], phi[idx][k]).U
+        assert np.allclose(stack[idx], product, rtol=0, atol=1e-14)
+        angles = _angle_set(n, theta[idx], phi[idx])
+        assert np.allclose(stack[idx], coset_unitary(angles).U, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3), (0,)])
+def test_qutrit_unitaries_closed_form_match_the_product(shape):
+    theta, phi = _angle_stacks(3, shape, seed=7)
+    closed = qutrit_unitaries_closed_form(theta, phi)
+    assert closed.shape == (*shape, 3, 3)
+    assert np.allclose(closed, coset_unitaries(3, theta, phi), rtol=0, atol=1e-14)
+    for idx in np.ndindex(*shape):
+        angles = _angle_set(3, theta[idx], phi[idx])
+        assert np.allclose(closed[idx], qutrit_unitary_closed_form(angles), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -269,6 +315,11 @@ def test_sample_flags_empty():
     assert sample_flags(3, 0, seed=0).shape == (0, 3, 3)
 
 
+def test_sample_flags_negative_count():
+    with pytest.raises(ValidationError, match="count must be >= 0"):
+        sample_flags(3, -1, seed=0)
+
+
 def test_sample_flag_single():
     U = sample_flag(4, seed=9)
     assert np.allclose(U.U, sample_flags(4, 1, seed=9)[0])
@@ -296,11 +347,23 @@ def test_resolution_check_bad_column():
         resolution_check(3, 4, 10, seed=0)
 
 
+@pytest.mark.parametrize("num_samples", [0, -1])
+def test_resolution_check_needs_a_sample(num_samples):
+    # an average over zero samples is NaN, not an estimate
+    with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+        resolution_check(3, 1, num_samples, seed=0)
+
+
 def test_quantize_constant_function(rng):
     # f = 1 quantizes to n * <rho> which averages to the identity
     r = interior_gaps(3, rng)
     op = quantize(lambda U: 1.0, r, 40_000, seed=3)
     assert np.linalg.norm(op - np.eye(3)) < 0.05
+
+
+def test_quantize_negative_sample_count(rng):
+    with pytest.raises(ValidationError, match="count must be >= 0"):
+        quantize(lambda U: 1.0, interior_gaps(3, rng), -1, seed=0)
 
 
 def test_quantize_linear_in_f(rng):
