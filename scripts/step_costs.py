@@ -1,16 +1,25 @@
-"""Per-step cost of the two GKLS integrators.
+"""Per-step cost of the two GKLS integrators and per-call cost of sampling.
 
-Times `integrate_direct` and `integrate_split` on one random model and state
-per dimension, at dt = 1e-3, over a fixed number of steps with records only
-at the two ends, and prints the median and interquartile range of the cost
-in microseconds per RK4 step over the repeats.  Each timed call includes its
-own set-up (the direct route builds the Liouvillian once per call).  The
-results, with the numpy, scipy and BLAS versions, are stored under
-`runs[<label>]` of the JSON output, so runs of two versions of the library
-can share one file.
+The step table (`--table steps`) times `integrate_direct` and
+`integrate_split` on one random model and state per dimension, at
+dt = 1e-3, over a fixed number of steps with records only at the two ends,
+and prints the median and interquartile range of the cost in microseconds
+per RK4 step over the repeats.  Each timed call includes its own set-up (the
+direct route builds the Liouvillian once per call).
+
+The sampling table (`--table sampling`) prints the same statistics in
+microseconds per call of `sample_flags(n, count)` for every dimension and
+count in 1, 1000 and 4000, of `resolution_check(n, n, 4000)`, and of
+`rejection_volume_estimate(4, 750000)`: the Monte-Carlo calls behind
+`sample`, `verify identity` and `verify volumes`.
+
+The results, with the numpy, scipy and BLAS versions, are stored under
+`runs[<label>]` of the JSON output (`results` for steps, `sampling` for
+sampling), so runs of two versions of the library can share one file.
 
 Usage: python3 scripts/step_costs.py --label change --out BENCH_3.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label base
+       python3 scripts/step_costs.py --table sampling --label change --out BENCH_9.json
 """
 
 import os
@@ -27,12 +36,16 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from specang import integrate_direct, integrate_split
+from specang import (
+    integrate_direct, integrate_split, rejection_volume_estimate, resolution_check, sample_flags,
+)
 from specang.dynamics import random_density, random_model
 
 INTEGRATORS = {"direct": integrate_direct, "split": integrate_split}
 DT = 1e-3
 SEED = 0
+COUNTS = (1, 1000, 4000)  # one frame (random_density), `sample`, `verify identity`
+VOLUME_CALL = (4, 750_000)  # the (n, num_samples) of `verify volumes` in the benchmark
 
 
 def _blas():
@@ -52,18 +65,59 @@ def provenance():
     }
 
 
-def step_costs(n, method, steps, repeats):
-    """Microseconds per step of `repeats` timed calls, after one warm-up."""
-    model = random_model(n, seed=SEED + n)
-    rho0 = random_density(n, seed=SEED + 100 + n)
-    integrate = INTEGRATORS[method]
-    integrate(rho0, model, steps * DT, DT, record_every=steps)
+def timings(call, repeats):
+    """Microseconds of each of `repeats` timed calls of call(), after one warm-up."""
+    call()
     costs = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        integrate(rho0, model, steps * DT, DT, record_every=steps)
-        costs.append((time.perf_counter() - t0) / steps * 1e6)
+        call()
+        costs.append((time.perf_counter() - t0) * 1e6)
     return costs
+
+
+def summary(costs, unit):
+    """Median, quartiles and interquartile range of costs, keyed by unit."""
+    q25, med, q75 = np.percentile(costs, [25, 50, 75])
+    return {f"{unit}_median": med, f"{unit}_q25": q25, f"{unit}_q75": q75,
+            f"{unit}_iqr": q75 - q25}
+
+
+def step_table(dims, steps, repeats):
+    results = []
+    for n in dims:
+        model = random_model(n, seed=SEED + n)
+        rho0 = random_density(n, seed=SEED + 100 + n)
+        for method, integrate in INTEGRATORS.items():
+            costs = timings(lambda: integrate(rho0, model, steps * DT, DT, record_every=steps),
+                            repeats)
+            stats = summary(np.array(costs) / steps, "us_per_step")
+            results.append({"n": n, "method": method, **stats})
+            print(
+                f"n={n:2d} {method:6s} median {stats['us_per_step_median']:8.1f} us/step  "
+                f"IQR {stats['us_per_step_iqr']:7.1f} "
+                f"({repeats} repeats x {steps} steps, dt {DT:g})"
+            )
+    return results
+
+
+def sampling_table(dims, repeats):
+    calls = [("sample_flags", {"n": n, "count": count},
+              lambda n=n, count=count: sample_flags(n, count, SEED))
+             for n in dims for count in COUNTS]
+    calls += [("resolution_check", {"n": n, "i": n, "num_samples": COUNTS[-1]},
+               lambda n=n: resolution_check(n, n, COUNTS[-1], SEED)) for n in dims]
+    volume_n, volume_samples = VOLUME_CALL
+    calls.append(("rejection_volume_estimate", {"n": volume_n, "num_samples": volume_samples},
+                  lambda: rejection_volume_estimate(volume_n, volume_samples, SEED)))
+    results = []
+    for name, params, call in calls:
+        stats = summary(timings(call, repeats), "us_per_call")
+        results.append({"call": name, **params, **stats})
+        args = ", ".join(f"{key}={value}" for key, value in params.items())
+        print(f"{name}({args}) median {stats['us_per_call_median']:10.1f} us/call  "
+              f"IQR {stats['us_per_call_iqr']:8.1f} ({repeats} repeats)")
+    return results
 
 
 def main():
@@ -71,29 +125,16 @@ def main():
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 8, 16])
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--table", nargs="+", choices=["steps", "sampling"], default=["steps"])
     parser.add_argument("--label", default="run")
     parser.add_argument("--out", default="BENCH_3.json")
     args = parser.parse_args()
 
-    results = []
-    for n in args.dims:
-        for method in INTEGRATORS:
-            costs = step_costs(n, method, args.steps, args.repeats)
-            q25, med, q75 = np.percentile(costs, [25, 50, 75])
-            results.append(
-                {
-                    "n": n,
-                    "method": method,
-                    "us_per_step_median": med,
-                    "us_per_step_q25": q25,
-                    "us_per_step_q75": q75,
-                    "us_per_step_iqr": q75 - q25,
-                }
-            )
-            print(
-                f"n={n:2d} {method:6s} median {med:8.1f} us/step  IQR {q75 - q25:7.1f} "
-                f"({args.repeats} repeats x {args.steps} steps, dt {DT:g})"
-            )
+    run = {}
+    if "steps" in args.table:
+        run["results"] = step_table(args.dims, args.steps, args.repeats)
+    if "sampling" in args.table:
+        run["sampling"] = sampling_table(args.dims, args.repeats)
 
     prov = provenance()
     print(
@@ -102,7 +143,11 @@ def main():
     )
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc.setdefault("description", "microseconds per RK4 step, see scripts/step_costs.py")
+    doc.setdefault(
+        "description",
+        "microseconds per RK4 step (results) or per sampling call (sampling), "
+        "see scripts/step_costs.py",
+    )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": prov,
         "params": {
@@ -110,8 +155,9 @@ def main():
             "steps": args.steps,
             "repeats": args.repeats,
             "seed": SEED,
+            "counts": COUNTS,
         },
-        "results": results,
+        **run,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote runs[{args.label!r}] to {out}")

@@ -362,14 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # one parser per process, reused by every main()
 
 
+def _env_seed() -> int:
+    try:
+        return int(os.environ.get("SPECANG_SEED", "0"))
+    except ValueError as exc:
+        raise ValidationError(f"SPECANG_SEED must be an integer: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:  # read on every call, not at parser build
-        args.seed = int(os.environ.get("SPECANG_SEED", "0"))
     # handlers are looked up per call, so the cached parser holds none of them
     handler = {"convert": cmd_convert, "geometry": cmd_geometry, "verify": cmd_verify,
                "evolve": cmd_evolve, "sample": cmd_sample}[args.command]
     try:
+        if getattr(args, "seed", 0) is None:  # read on every call, not at parser build
+            args.seed = _env_seed()
         return handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -279,21 +279,30 @@ def flag_density_theta(n: int, theta) -> np.ndarray:
     return pref * np.prod(np.sin(theta) * np.cos(theta / 2.0) ** powers, axis=-1)
 
 
+def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
+    """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n
+    matrices as a (k, count, n) stack: batched classical Gram-Schmidt, run twice."""
+    G = np.random.default_rng(seed).standard_normal((2, count, n, n))  # real, imaginary
+    Q = np.ascontiguousarray((G[0] + 1j * G[1]).transpose(2, 0, 1)[:k])
+    for j, v in enumerate(Q):  # twice v -= (v P^dag) P, P the columns before v
+        P = Q[:j].transpose(1, 0, 2)
+        for _ in range(2 if j else 0):
+            v -= ((v[:, None] @ P.conj().swapaxes(1, 2)) @ P)[:, 0]
+        v /= np.sqrt(np.einsum("bi,bi->b", v.view(float), v.view(float)))[:, None]
+    return Q
+
+
 def sample_flags(n: int, count: int, seed: int) -> np.ndarray:
     """Stack of `count` frames distributed by the invariant flag measure.
 
     A complex Gaussian matrix is orthonormalized (QR with positive R
-    diagonal), which is invariant by construction; each frame then gets the
-    deterministic phase section of eigendecompose_ordered.
+    diagonal, by Gram-Schmidt), which is invariant by construction; each
+    frame then gets the deterministic phase section of eigendecompose_ordered.
     """
     if not count >= 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    Q, R = np.linalg.qr(G)
-    d = np.einsum("...ii->...i", R)
-    Q = Q * (d / np.abs(d))[:, None, :]
-    return _fix_column_phases(Q)
+    Q = _ginibre_columns(n, count, seed, n)
+    return _fix_column_phases(np.ascontiguousarray(Q.transpose(1, 2, 0)))
 
 
 def sample_flag(n: int, seed: int) -> UnitaryFrame:
@@ -302,16 +311,16 @@ def sample_flag(n: int, seed: int) -> UnitaryFrame:
 
 
 def resolution_check(n: int, i: int, num_samples: int, seed: int):
-    """Monte-Carlo average of n |u_i><u_i| over sampled frames.
-
-    Returns (average matrix, Frobenius distance to the identity); the error
-    is expected to scale like 1/sqrt(num_samples).
+    """Monte-Carlo average of n |u_i><u_i| over sample_flags(n, num_samples,
+    seed), from columns 1..i alone and without the phase section, which leaves
+    |u_i><u_i| unchanged.  Returns (average matrix, Frobenius distance to the
+    identity); the error is expected to scale like 1/sqrt(num_samples).
     """
     if not 1 <= i <= n:
         raise ValidationError(f"column index must be in 1..{n}")
     if not num_samples >= 1:
         raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
-    avg = _column_averages(sample_flags(n, num_samples, seed)[:, :, i - 1 : i])[0]
+    avg = _column_averages(_ginibre_columns(n, num_samples, seed, i)[-1][:, :, None])[0]
     return avg, float(np.linalg.norm(avg - np.eye(n)))
 
 

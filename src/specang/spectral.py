@@ -206,14 +206,13 @@ def crossover_index(r: GapVector) -> int:
 
 def rejection_volume_estimate(n: int, num_samples: int, seed: int):
     """Monte-Carlo estimate of Vol(R_{n-1}) by rejection from the bounding box
-    [0,1] x [0,1/2] x ... x [0,1/(n-1)].  Returns (estimate, standard_error).
-    """
+    [0,1] x ... x [0,1/(n-1)]: its point x_a = u_a / a, u uniform, lies in
+    R_{n-1} when sum_a a x_a = sum_a u_a <= 1.  Returns (estimate, standard_error)."""
     n = _check_dim(n)
-    rng = np.random.default_rng(seed)
-    a = np.arange(1, n, dtype=float)
-    box_volume = float(np.prod(1.0 / a))
-    x = rng.random((num_samples, n - 1)) / a
-    accept = (x @ a) <= 1.0
+    if not num_samples >= 1:
+        raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
+    box_volume = float(np.prod(1.0 / np.arange(1, n, dtype=float)))
+    accept = np.random.default_rng(seed).random((num_samples, n - 1)) @ np.ones(n - 1) <= 1.0
     frac = float(np.mean(accept))
     est = box_volume * frac
     se = box_volume * math.sqrt(max(frac * (1.0 - frac), 0.0) / num_samples)

@@ -314,6 +314,30 @@ def test_seed_from_environment_set_after_a_first_call(capsys, tmp_path, monkeypa
     assert seed() == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "evolve", "sample"])
+def test_non_integer_seed_from_environment_exits_2(capsys, tmp_path, monkeypatch,
+                                                    model_files, command):
+    monkeypatch.setenv("SPECANG_SEED", "abc")
+    argv = {
+        "verify": ["verify", "volumes", "--n", "4", "--N", "100"],
+        "evolve": ["evolve", "--model", str(model_files / "model.json"),
+                   "--rho0", str(model_files / "rho0.json"), "--t-end", "0.01",
+                   "--out", str(tmp_path / "traj")],
+        "sample": ["sample", "--n", "2", "--N", "5", "--out", str(tmp_path / "s.jsonl")],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: SPECANG_SEED must be an integer") and "'abc'" in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_convert_ignores_the_seed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SPECANG_SEED", "abc")
+    code, out, _ = run(capsys, "convert", "--n", "3", "--p", "0.5,0.3,0.2")
+    assert code == 0
+    assert json.loads(out)["r"] == pytest.approx([0.2, 0.1])
+
+
 def test_repeated_main_calls_get_fresh_defaults(capsys):
     code, out, _ = run(capsys, "verify", "measure", "--n", "4", "--N", "200")
     assert code == 0 and "n=4" in out

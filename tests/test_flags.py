@@ -325,6 +325,38 @@ def test_sample_flag_single():
     assert np.allclose(U.U, sample_flags(4, 1, seed=9)[0])
 
 
+def _reference_flags(n, count, seed):
+    """sample_flags by LAPACK: the same Gaussian draws, np.linalg.qr, a
+    positive R diagonal, then the phase section written out per column."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (d / np.abs(d))[:, None, :]
+    for U in Q:
+        for col in U.T:  # views: the largest-modulus entry of each column real positive
+            lead = col[np.argmax(np.abs(col))]
+            col *= abs(lead) / lead
+        det = np.linalg.det(U)
+        U[:, -1] *= np.conj(det) / abs(det)
+    return Q
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.sampled_from([0, 1, 7, 200]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_sample_flags_match_the_lapack_qr_reference(n, count, seed):
+    frames = sample_flags(n, count, seed)
+    assert frames.shape == (count, n, n)
+    assert np.abs(frames - _reference_flags(n, count, seed)).max(initial=0.0) <= 1e-13
+    defect = frames.conj().swapaxes(-1, -2) @ frames - np.eye(n)
+    assert np.linalg.norm(defect, axis=(-2, -1)).max(initial=0.0) <= 1e-13
+    assert np.abs(np.linalg.det(frames) - 1.0).max(initial=0.0) <= 1e-13
+
+
 def test_qubit_overlap_uniform():
     # invariance check: |<e1|u1>|^2 is uniform on [0,1] for n = 2
     frames = sample_flags(2, 20_000, seed=21)
@@ -340,6 +372,16 @@ def test_resolution_check(n):
     avg, err = resolution_check(n, 1, 20_000, seed=2)
     assert err < 0.05
     assert np.allclose(avg, avg.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, i", [(2, 1), (2, 2), (3, 2), (4, 4), (5, 3)])
+def test_resolution_check_is_the_column_average_of_sample_flags(n, i):
+    # the check skips the phase section, which leaves |u_i><u_i| unchanged
+    u = sample_flags(n, 500, seed=11)[:, :, i - 1]
+    want = n * np.einsum("bj,bk->jk", u, u.conj()) / len(u)
+    avg, err = resolution_check(n, i, 500, seed=11)
+    assert np.abs(avg - want).max() <= 1e-13
+    assert err == pytest.approx(np.linalg.norm(want - np.eye(n)), abs=1e-13)
 
 
 def test_resolution_check_bad_column():

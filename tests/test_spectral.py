@@ -232,6 +232,24 @@ def test_rejection_estimate_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rejection_estimate_matches_the_box_point_formula(n):
+    # accepting sum_a u_a <= 1 is the test sum_a a x_a <= 1 on x_a = u_a / a
+    a = np.arange(1, n, dtype=float)
+    box = float(np.prod(1.0 / a))
+    for seed in range(20):
+        x = np.random.default_rng(seed).random((20_000, n - 1)) / a
+        frac = float(np.mean(x @ a <= 1.0))
+        want = (box * frac, box * math.sqrt(frac * (1.0 - frac) / 20_000))
+        assert rejection_volume_estimate(n, 20_000, seed) == want
+
+
+@pytest.mark.parametrize("num_samples", [0, -3])
+def test_rejection_estimate_needs_a_sample(num_samples):
+    with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+        rejection_volume_estimate(4, num_samples, seed=0)
+
+
 # --- crossover index -------------------------------------------------------
 
 
