@@ -1,25 +1,24 @@
 """Per-step cost of the two GKLS integrators and per-call cost of sampling.
 
-The step table (`--table steps`) times `integrate_direct` and
-`integrate_split` on one random model and state per dimension, at
-dt = 1e-3, over a fixed number of steps with records only at the two ends,
-and prints the median and interquartile range of the cost in microseconds
-per RK4 step over the repeats.  Each timed call includes its own set-up (the
-direct route builds the Liouvillian once per call).
+Every run prints and stores two tables.  The step table times
+`integrate_direct` and `integrate_split` on one random model and state per
+dimension, at dt = 1e-3, over a fixed number of steps with records only at
+the two ends, and gives the median and interquartile range of the cost in
+microseconds per RK4 step over the repeats.  Each timed call includes its
+own set-up (the direct route builds the Liouvillian once per call).
 
-The sampling table (`--table sampling`) prints the same statistics in
-microseconds per call of `sample_flags(n, count)` for every dimension and
-count in 1, 1000 and 4000, of `resolution_check(n, n, 4000)`, and of
-`rejection_volume_estimate(4, 750000)`: the Monte-Carlo calls behind
-`sample`, `verify identity` and `verify volumes`.
+The sampling table gives the same statistics in microseconds per call of
+`sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
+of `resolution_check(n, n, 4000)`, and of `rejection_volume_estimate(4,
+750000)`: the Monte-Carlo calls behind `sample`, `verify identity` and
+`verify volumes`.
 
 The results, with the numpy, scipy and BLAS versions, are stored under
 `runs[<label>]` of the JSON output (`results` for steps, `sampling` for
 sampling), so runs of two versions of the library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_3.json
+Usage: python3 scripts/step_costs.py --label change --out BENCH_9.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label base
-       python3 scripts/step_costs.py --table sampling --label change --out BENCH_9.json
 """
 
 import os
@@ -125,16 +124,12 @@ def main():
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 8, 16])
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--table", nargs="+", choices=["steps", "sampling"], default=["steps"])
     parser.add_argument("--label", default="run")
     parser.add_argument("--out", default="BENCH_3.json")
     args = parser.parse_args()
 
-    run = {}
-    if "steps" in args.table:
-        run["results"] = step_table(args.dims, args.steps, args.repeats)
-    if "sampling" in args.table:
-        run["sampling"] = sampling_table(args.dims, args.repeats)
+    results = step_table(args.dims, args.steps, args.repeats)
+    sampling = sampling_table(args.dims, args.repeats)
 
     prov = provenance()
     print(
@@ -145,7 +140,7 @@ def main():
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault(
         "description",
-        "microseconds per RK4 step (results) or per sampling call (sampling), "
+        "microseconds per RK4 step (results) and per sampling call (sampling), "
         "see scripts/step_costs.py",
     )
     doc.setdefault("runs", {})[args.label] = {
@@ -157,7 +152,8 @@ def main():
             "seed": SEED,
             "counts": COUNTS,
         },
-        **run,
+        "results": results,
+        "sampling": sampling,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote runs[{args.label!r}] to {out}")

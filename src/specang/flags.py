@@ -283,11 +283,12 @@ def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
     """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n
     matrices as a (k, count, n) stack: batched classical Gram-Schmidt, run twice."""
     G = np.random.default_rng(seed).standard_normal((2, count, n, n))  # real, imaginary
-    Q = np.ascontiguousarray((G[0] + 1j * G[1]).transpose(2, 0, 1)[:k])
+    Q = np.ascontiguousarray((G[0, ..., :k] + 1j * G[1, ..., :k]).transpose(2, 0, 1))
     for j, v in enumerate(Q):  # twice v -= (v P^dag) P, P the columns before v
-        P = Q[:j].transpose(1, 0, 2)
-        for _ in range(2 if j else 0):
-            v -= ((v[:, None] @ P.conj().swapaxes(1, 2)) @ P)[:, 0]
+        if j:
+            w, P, Ph = v[:, None], Q[:j].transpose(1, 0, 2), Q[:j].conj().transpose(1, 2, 0)
+            w -= (w @ Ph) @ P
+            w -= (w @ Ph) @ P
         v /= np.sqrt(np.einsum("bi,bi->b", v.view(float), v.view(float)))[:, None]
     return Q
 
@@ -301,8 +302,7 @@ def sample_flags(n: int, count: int, seed: int) -> np.ndarray:
     """
     if not count >= 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    Q = _ginibre_columns(n, count, seed, n)
-    return _fix_column_phases(np.ascontiguousarray(Q.transpose(1, 2, 0)))
+    return _fix_column_phases(_ginibre_columns(n, count, seed, n).transpose(1, 2, 0).copy())
 
 
 def sample_flag(n: int, seed: int) -> UnitaryFrame:

@@ -17,8 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("split_vs_direct.py", ["--dims", "2", "3", "--models", "1", "--t-end", "0.05"]),
         (
             "step_costs.py",
-            ["--dims", "2", "3", "--steps", "3", "--repeats", "2", "--table", "steps",
-             "sampling", "--out", "bench.json"],
+            ["--dims", "2", "3", "--steps", "3", "--repeats", "2", "--out", "bench.json"],
         ),
     ],
 )
