@@ -17,8 +17,9 @@ The results, with the numpy, scipy and BLAS versions, are stored under
 `runs[<label>]` of the JSON output (`results` for steps, `sampling` for
 sampling), so runs of two versions of the library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_9.json
-       PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label base
+Usage: python3 scripts/step_costs.py --label change --out BENCH_10.json
+       PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
+           --out BENCH_10.json
 """
 
 import os
@@ -125,7 +126,7 @@ def main():
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--label", default="run")
-    parser.add_argument("--out", default="BENCH_3.json")
+    parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
     results = step_table(args.dims, args.steps, args.repeats)

@@ -180,14 +180,6 @@ def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     return -1j * (model.H @ mat - mat @ model.H) + dissipator(mat, model)
 
 
-def _rk4(f, y, dt):
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _step_count(t_end, dt, record_every):
     """Number of RK4 steps of a run, after checking its parameters."""
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
@@ -214,55 +206,7 @@ def integrate_direct(
     BREAKDOWN_TOL, and at a record where an eigenvalue drops below the
     positivity floor.
     """
-    return _direct_run(rho0.rho, model, dt, 0, _step_count(t_end, dt, record_every), record_every)
-
-
-def _direct_run(rho, model, dt, first, steps, record_every):
-    """Steps first+1 .. steps of integrate_direct from the state rho at step
-    `first`.  Records at `first` and then on the run's grid: every step with
-    step % record_every == 0, and the last, at time step * dt."""
-    n = model.n
-    A = _liouvillian(-1j * model.H - 0.5 * model._K, model._A)
-    A *= dt
-    rho = np.array(rho, dtype=complex)
-
-    times, rhos, spectra, drifts = [], [], [], []
-    drift = 0.0
-
-    def record(t):
-        w = np.linalg.eigvalsh(rho)
-        if not w[0] >= -BREAKDOWN_TOL:
-            raise NumericalBreakdownError(
-                f"positivity violated at t={t:.6g}: min eigenvalue {w[0]:.3e}"
-            )
-        check_density(rho, w)
-        times.append(t)
-        rhos.append(rho)
-        spectra.append(w)
-        drifts.append(drift)
-
-    record(first * dt)
-    for step in range(first + 1, steps + 1):
-        v = rho.ravel()
-        x = v
-        for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
-            x = v + c * (A @ x)
-        rho = x.reshape(n, n)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = float(np.trace(rho).real)
-        drift = abs(tr - 1.0)
-        if not drift <= BREAKDOWN_TOL:
-            raise NumericalBreakdownError(
-                f"trace drift {drift:.3e} exceeds {BREAKDOWN_TOL:.0e} at t={step * dt:.6g}"
-            )
-        rho = rho / tr
-        if step % record_every == 0 or step == steps:
-            record(step * dt)
-
-    w = np.array(spectra)
-    r = np.diff(w, axis=1)[:, ::-1]  # ascending spectrum -> descending gaps
-    diag = {"trace_error": np.array(drifts), "min_eig": w[:, 0], "min_gap": r.min(axis=1)}
-    return Trajectory(np.array(times), r, np.array(rhos), diag)
+    return _run(rho0, model, t_end, dt, record_every, split=False)
 
 
 def _split_stage(V, r, M, HD):
@@ -328,73 +272,115 @@ def integrate_split(
     on the run's own record grid and the trajectory carries the breakdown
     time.
     """
+    return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
+
+
+def _checked_spectrum(rho, t):
+    """Ascending spectrum of rho, after the direct route's record checks:
+    the positivity floor (NumericalBreakdownError), then check_density."""
+    w = np.linalg.eigvalsh(rho)
+    if not w[0] >= -BREAKDOWN_TOL:
+        raise NumericalBreakdownError(
+            f"positivity violated at t={t:.6g}: min eigenvalue {w[0]:.3e}"
+        )
+    check_density(rho, w)
+    return w
+
+
+def _split_step(U, r, dt, M, HD):
+    """One RK4 step of the pair (U, r) under _split_stage, then the polar
+    correction of U."""
+    U1, r1 = _split_stage(U, r, M, HD)
+    U2, r2 = _split_stage(U + 0.5 * dt * U1, r + 0.5 * dt * r1, M, HD)
+    U3, r3 = _split_stage(U + 0.5 * dt * U2, r + 0.5 * dt * r2, M, HD)
+    U4, r4 = _split_stage(U + dt * U3, r + dt * r3, M, HD)
+    return (_polar_special(U + dt / 6.0 * (U1 + 2.0 * U2 + 2.0 * U3 + U4)),
+            r + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
+
+
+def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
+    """The step loop of both integrators.
+
+    It starts on the split route if `split` is set and on the direct route
+    otherwise, and records at step 0, at every step with
+    step % record_every == 0 and at the last, at time step * dt.  A split
+    breakdown raises unless `fallback_direct` is set.  Then the live state
+    becomes rho = U diag(p) U^dag, passes the direct route's record checks at
+    the breakdown time, and the loop takes the direct step from the failed
+    step on, into the same records.
+    """
     steps = _step_count(t_end, dt, record_every)
     n = model.n
+    if rho0.n != n:
+        raise ValidationError("state and model dimensions disagree")
     M = jacobian_matrix(n)
-    r_vec, frame = eigendecompose_ordered(rho0)
-    r_arr = np.array(r_vec.r)
-    U = np.array(frame.U)
-    # dissipator superoperator; H enters the frame rates only through its
-    # frame image, so r' does not depend on H
-    LD = _liouvillian(-0.5 * model._K, model._A)
-    HD = np.empty((2, n, n), dtype=complex)
-    HD[0] = model.H
-    D = HD[1].reshape(n * n)  # a view: the matvec below writes into HD
+    rho, A, t_break = np.asarray(rho0.rho, dtype=complex), None, None
+    if split:
+        r_vec, frame = eigendecompose_ordered(rho0)
+        r, U = np.array(r_vec.r), np.array(frame.U)
+        # dissipator superoperator; H enters the frame rates only through its
+        # frame image, so r' does not depend on H
+        LD = _liouvillian(-0.5 * model._K, model._A)
+        HD = np.empty((2, n, n), dtype=complex)
+        HD[0] = model.H
+        D = HD[1].reshape(n * n)  # a view: the matvec below writes into HD
 
-    def H_and_D(rho):
-        np.matmul(LD, rho.ravel(), out=D)
-        return HD
+        def H_and_D(state):
+            np.matmul(LD, state.ravel(), out=D)
+            return HD
 
-    # RK4 steps the packed complex array (U.ravel(), r); r carries a zero
-    # imaginary part, so its arithmetic is that of a real array
-    def f(y):
-        V_Omega, r_dot = _split_stage(y[: n * n].reshape(n, n), y[n * n :].real, M, H_and_D)
-        return np.concatenate([V_Omega.ravel(), r_dot])
-
-    times, rs, ps, frames = [], [], [], []
-
-    def record(t):
-        check_gaps(r_arr)
-        check_frame(U)
-        times.append(t)
-        rs.append(r_arr)
-        ps.append(1.0 / n + M @ r_arr)
-        frames.append(U)
-
-    def trajectory():
-        r, p = np.array(rs), np.array(ps)
-        diag = {
-            "trace_error": np.abs(p.sum(axis=1) - 1.0),
-            "min_eig": p[:, -1],
-            "min_gap": r.min(axis=1),
-        }
-        return Trajectory(np.array(times), r, density_stack(p, np.array(frames)), diag)
-
-    record(0.0)
-    for step in range(1, steps + 1):
-        try:
-            y = _rk4(f, np.concatenate([U.ravel(), r_arr]), dt)
-        except DegenerateSpectrumError as exc:
-            t_break = (step - 1) * dt
-            if not fallback_direct:
-                raise DegenerateSpectrumError(
-                    f"split integration broke down at t={t_break:.6g}: {exc}"
-                ) from exc
-            # the direct run continues on this run's grid; its first record,
-            # dropped below, re-checks the hand-over state
-            head = trajectory()
-            rho = density_stack(1.0 / n + M @ r_arr, U)
-            rest = _direct_run(rho, model, dt, step - 1, steps, record_every)
-            cols = [np.concatenate([getattr(head, c), getattr(rest, c)[1:]])
-                    for c in ("times", "r", "rho")]
-            diag = {k: np.concatenate([v, rest.diagnostics[k][1:]])
-                    for k, v in head.diagnostics.items()}
-            return Trajectory(*cols, diag, breakdown_time=t_break)
-        r_arr, U = y[n * n :].real.copy(), _polar_special(y[: n * n].reshape(n, n))
+    times, rs, rhos, errors, mins = [], [], [], [], []
+    drift = 0.0
+    for step in range(steps + 1):
+        if step and split:
+            try:
+                U, r = _split_step(U, r, dt, M, H_and_D)
+            except DegenerateSpectrumError as exc:
+                t_break = (step - 1) * dt
+                if not fallback_direct:
+                    raise DegenerateSpectrumError(
+                        f"split integration broke down at t={t_break:.6g}: {exc}"
+                    ) from exc
+                split = False
+                rho = density_stack(1.0 / n + M @ r, U)
+                _checked_spectrum(rho, t_break)  # the hand-over state is checked as a record
+        if step and not split:
+            if A is None:
+                A = _liouvillian(-1j * model.H - 0.5 * model._K, model._A)
+                A *= dt
+            v = rho.ravel()
+            x = v
+            for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
+                x = v + c * (A @ x)
+            rho = x.reshape(n, n)
+            rho = 0.5 * (rho + rho.conj().T)
+            tr = float(np.trace(rho).real)
+            drift = abs(tr - 1.0)
+            if not drift <= BREAKDOWN_TOL:
+                raise NumericalBreakdownError(
+                    f"trace drift {drift:.3e} exceeds {BREAKDOWN_TOL:.0e} at t={step * dt:.6g}"
+                )
+            rho = rho / tr
         if step % record_every == 0 or step == steps:
-            record(step * dt)
+            if split:
+                check_gaps(r)
+                check_frame(U)
+                p = 1.0 / n + M @ r
+                rs.append(r)
+                rhos.append(density_stack(p, U))
+                errors.append(abs(p.sum() - 1.0))
+                mins.append(p[-1])
+            else:
+                w = _checked_spectrum(rho, step * dt)
+                rs.append(w[:0:-1] - w[-2::-1])  # ascending spectrum -> descending gaps
+                rhos.append(rho)
+                errors.append(drift)
+                mins.append(w[0])
+            times.append(step * dt)
 
-    return trajectory()
+    gaps = np.array(rs)
+    diag = {"trace_error": np.array(errors), "min_eig": np.array(mins), "min_gap": gaps.min(axis=1)}
+    return Trajectory(np.array(times), gaps, np.array(rhos), diag, breakdown_time=t_break)
 
 
 def _require_pauli_model(model: LindbladModel):
@@ -615,9 +601,10 @@ def save_density(path, rho: DensityMatrix) -> None:
 def load_density(path) -> DensityMatrix:
     doc = load_json(path)
     try:
-        return DensityMatrix(int(doc["n"]), matrix_from_pairs(doc["rho"]))
-    except (KeyError, TypeError) as exc:
+        n, rho = int(doc["n"]), matrix_from_pairs(doc["rho"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state document: {exc}") from exc
+    return DensityMatrix(n, rho)
 
 
 def write_trajectory_csv(path, traj: Trajectory, n: int, header_fields: dict) -> None:

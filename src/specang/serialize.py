@@ -39,5 +39,9 @@ def dump_json(path, document) -> None:
 
 
 def load_json(path):
+    """Parsed JSON document at path; unreadable text or JSON is a ValidationError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValidationError(f"malformed JSON in {path}: {exc}") from exc

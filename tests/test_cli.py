@@ -240,6 +240,46 @@ def test_evolve_nan_rate_is_rejected(capsys, model_files, method):
     assert not list(model_files.glob("run_*.csv"))
 
 
+@pytest.mark.parametrize("method", ["direct", "split"])
+@pytest.mark.parametrize("n_model, n_state", [(2, 3), (3, 2)])
+def test_evolve_dimension_mismatch_exits_2(capsys, tmp_path, method, n_model, n_state):
+    save_model(tmp_path / "model.json", random_model(n_model, seed=3))
+    save_density(tmp_path / "rho0.json", random_density(n_state, seed=4))
+    code, _, err = run(
+        capsys,
+        "evolve",
+        "--model", str(tmp_path / "model.json"),
+        "--rho0", str(tmp_path / "rho0.json"),
+        "--method", method,
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "state and model dimensions disagree" in err
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("model.json", b"{not json"),
+        ("rho0.json", b"{not json"),
+        ("rho0.json", b'{"n": "x", "rho": [[[1.0, 0.0]]]}'),
+        ("rho0.json", b"\xff\xfe{}"),
+    ],
+    ids=["model-not-json", "state-not-json", "state-n-not-an-int", "state-not-utf8"],
+)
+def test_evolve_malformed_input_file_exits_2(capsys, model_files, name, content):
+    (model_files / name).write_bytes(content)
+    code, _, err = run(
+        capsys,
+        "evolve",
+        "--model", str(model_files / "model.json"),
+        "--rho0", str(model_files / "rho0.json"),
+        "--out", str(model_files / "run"),
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_evolve_missing_model_is_io_error(capsys, tmp_path):
     code, _, err = run(
         capsys,

@@ -306,6 +306,14 @@ def test_fallback_resumes_from_live_state():
         assert len(split.times) == len(direct.times)
         assert np.array_equal(split.times, direct.times)
         assert np.max(np.linalg.norm(split.rho - direct.rho, axis=(1, 2))) < 1e-12
+        diag = split.diagnostics
+        for key in ("trace_error", "min_eig", "min_gap"):
+            assert len(diag[key]) == len(split.times)
+        assert np.array_equal(diag["min_gap"], split.r.min(axis=1))
+        after = split.times > split.breakdown_time
+        assert after.any()
+        delta = diag["min_eig"][after] - direct.diagnostics["min_eig"][after]
+        assert np.max(np.abs(delta)) < 1e-12
 
 
 @given(record_every=st.integers(1, 120), steps=st.integers(400, 1000))
@@ -372,6 +380,13 @@ def test_step_count_overflow_is_a_validation_error(integrate):
 def test_record_every_must_be_a_positive_integer(integrate, record_every):
     with pytest.raises(ValidationError, match="record_every"):
         integrate(random_density(2, seed=1), random_model(2, seed=0), 0.01, 1e-3, record_every)
+
+
+@pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])
+@pytest.mark.parametrize("n_state, n_model", [(3, 2), (2, 3)])
+def test_state_and_model_dimensions_must_agree(integrate, n_state, n_model):
+    with pytest.raises(ValidationError, match="state and model dimensions disagree"):
+        integrate(random_density(n_state, seed=1), random_model(n_model, seed=0), 0.01, 1e-3)
 
 
 def test_trajectory_validation():
