@@ -22,6 +22,7 @@ from .spectral import (
     crossover_index,
     fundamental_coweights,
     gaps_from_probs,
+    gaps_stack,
     in_polytope,
     inverse_cartan,
     inverse_cartan_exact,
@@ -29,6 +30,7 @@ from .spectral import (
     ordered_simplex_volume,
     polytope_vertices,
     probs_from_gaps,
+    probs_stack,
     rejection_volume_estimate,
     sorted_probs,
     spectral_diagonal,

@@ -28,7 +28,7 @@ from .flags import (
 )
 from .geometry import purity_spectrum
 from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
-from .spectral import GapVector, jacobian_matrix, probs_from_gaps
+from .spectral import GapVector, gaps_stack, probs_stack
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -63,8 +63,6 @@ class LindbladModel:
             raise ValidationError("need one rate per jump operator")
         if not all(0.0 <= h < math.inf for h in rates):
             raise ValidationError("rates must be finite and non-negative")
-        for a in (H, *jumps):
-            a.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "rates", rates)
@@ -73,7 +71,7 @@ class LindbladModel:
         K = sum((h * (L.conj().T @ L) for h, L in zip(rates, jumps)), np.zeros_like(H))
         A = np.array([math.sqrt(h) * L for h, L in zip(rates, jumps)], dtype=complex)
         A = A.reshape(len(jumps), self.n, self.n)
-        for a in (K, A):
+        for a in (H, *jumps, K, A):
             a.setflags(write=False)
         object.__setattr__(self, "_K", K)
         object.__setattr__(self, "_A", A)
@@ -184,12 +182,14 @@ def _step_count(t_end, dt, record_every):
     """Number of RK4 steps of a run, after checking its parameters."""
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValidationError("t_end and dt must be positive and finite")
+    if not dt <= t_end:
+        raise ValidationError(f"dt = {dt:g} exceeds t_end = {t_end:g}")
     ratio = t_end / dt
     if not ratio < math.inf:
         raise ValidationError(f"t_end / dt = {t_end:g} / {dt:g} overflows the step count")
     if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
         raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
-    return max(int(round(ratio)), 1)
+    return int(round(ratio))
 
 
 def integrate_direct(
@@ -209,18 +209,18 @@ def integrate_direct(
     return _run(rho0, model, t_end, dt, record_every, split=False)
 
 
-def _split_stage(V, r, M, HD):
+def _split_stage(V, r, HD):
     """The split flow (V Omega_tilde, r_dot) at frame V and gaps r.
 
-    M is the gap Jacobian; HD maps rho to the (2, n, n) stack [H, D(rho)],
-    rotated into the frame in one product, Ht, Lt = V^dag [H, D] V at
-    rho = V diag(p) V^dag, p = 1/n + M r.  V need not be unitary: RK4
-    stages sit at U + O(dt).  r_dot holds adjacent differences of diag Lt;
+    HD maps rho to the (2, n, n) stack [H, D(rho)], rotated into the frame
+    in one product, Ht, Lt = V^dag [H, D] V at rho = V diag(p) V^dag,
+    p = probs_stack(r).  V need not be unitary: RK4 stages sit at
+    U + O(dt).  r_dot holds adjacent differences of diag Lt;
     Omega_tilde = V^dag dV/dt has zero diagonal (torus gauge) and
     off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
     """
     n = V.shape[-1]
-    p = 1.0 / n + M @ r
+    p = probs_stack(r)
     check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
     Ht, Lt = V.conj().T @ HD(density_stack(p, V)) @ V
     d = Lt.diagonal().real
@@ -228,7 +228,7 @@ def _split_stage(V, r, M, HD):
     denom.flat[:: n + 1] = 1.0
     Omega_t = -1j * Ht - Lt / denom
     Omega_t.flat[:: n + 1] = 0.0
-    return V @ Omega_t, d[:-1] - d[1:]
+    return V @ Omega_t, gaps_stack(d)
 
 
 def split_rhs(state: SplitState, model: LindbladModel):
@@ -239,12 +239,11 @@ def split_rhs(state: SplitState, model: LindbladModel):
     returned in the fixed basis, anti-Hermitian, with the torus gauge pinned
     by a zero diagonal in the moving frame.
     """
-    n = model.n
-    if n != state.r.n:
+    if model.n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
     U = state.U.U
     U_Omega, r_dot = _split_stage(
-        U, state.r.r, jacobian_matrix(n), lambda rho: np.stack([model.H, dissipator(rho, model)])
+        U, state.r.r, lambda rho: np.stack([model.H, dissipator(rho, model)])
     )
     return r_dot, U_Omega @ U.conj().T
 
@@ -287,13 +286,13 @@ def _checked_spectrum(rho, t):
     return w
 
 
-def _split_step(U, r, dt, M, HD):
+def _split_step(U, r, dt, HD):
     """One RK4 step of the pair (U, r) under _split_stage, then the polar
     correction of U."""
-    U1, r1 = _split_stage(U, r, M, HD)
-    U2, r2 = _split_stage(U + 0.5 * dt * U1, r + 0.5 * dt * r1, M, HD)
-    U3, r3 = _split_stage(U + 0.5 * dt * U2, r + 0.5 * dt * r2, M, HD)
-    U4, r4 = _split_stage(U + dt * U3, r + dt * r3, M, HD)
+    U1, r1 = _split_stage(U, r, HD)
+    U2, r2 = _split_stage(U + 0.5 * dt * U1, r + 0.5 * dt * r1, HD)
+    U3, r3 = _split_stage(U + 0.5 * dt * U2, r + 0.5 * dt * r2, HD)
+    U4, r4 = _split_stage(U + dt * U3, r + dt * r3, HD)
     return (_polar_special(U + dt / 6.0 * (U1 + 2.0 * U2 + 2.0 * U3 + U4)),
             r + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
 
@@ -313,7 +312,6 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     n = model.n
     if rho0.n != n:
         raise ValidationError("state and model dimensions disagree")
-    M = jacobian_matrix(n)
     rho, A, t_break = np.asarray(rho0.rho, dtype=complex), None, None
     if split:
         r_vec, frame = eigendecompose_ordered(rho0)
@@ -334,7 +332,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     for step in range(steps + 1):
         if step and split:
             try:
-                U, r = _split_step(U, r, dt, M, H_and_D)
+                U, r = _split_step(U, r, dt, H_and_D)
             except DegenerateSpectrumError as exc:
                 t_break = (step - 1) * dt
                 if not fallback_direct:
@@ -342,7 +340,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                         f"split integration broke down at t={t_break:.6g}: {exc}"
                     ) from exc
                 split = False
-                rho = density_stack(1.0 / n + M @ r, U)
+                rho = density_stack(probs_stack(r), U)
                 _checked_spectrum(rho, t_break)  # the hand-over state is checked as a record
         if step and not split:
             if A is None:
@@ -365,14 +363,14 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
             if split:
                 check_gaps(r)
                 check_frame(U)
-                p = 1.0 / n + M @ r
+                p = probs_stack(r)
                 rs.append(r)
                 rhos.append(density_stack(p, U))
                 errors.append(abs(p.sum() - 1.0))
                 mins.append(p[-1])
             else:
                 w = _checked_spectrum(rho, step * dt)
-                rs.append(w[:0:-1] - w[-2::-1])  # ascending spectrum -> descending gaps
+                rs.append(gaps_stack(w[::-1]))
                 rhos.append(rho)
                 errors.append(drift)
                 mins.append(w[0])
@@ -383,18 +381,14 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     return Trajectory(np.array(times), gaps, np.array(rhos), diag, breakdown_time=t_break)
 
 
-def _require_pauli_model(model: LindbladModel):
+def qubit_rhs(state: QubitAngles, model: LindbladModel):
+    """Closed-form qubit rates (phi_dot, theta_dot, r_dot) for Pauli jumps
+    with rates (h1, h2, h3) and a general Hamiltonian."""
     if model.n != 2 or len(model.jumps) != 3:
         raise ValidationError("qubit closed form needs n=2 with jumps sigma_1..3")
     for L, sigma in zip(model.jumps, PAULI):
         if not np.linalg.norm(L - sigma) <= TOL:
             raise ValidationError("qubit closed form needs Pauli jump operators")
-
-
-def qubit_rhs(state: QubitAngles, model: LindbladModel):
-    """Closed-form qubit rates (phi_dot, theta_dot, r_dot) for Pauli jumps
-    with rates (h1, h2, h3) and a general Hamiltonian."""
-    _require_pauli_model(model)
     if not state.r > 0.0:
         raise NumericalBreakdownError("qubit chart needs r > 0")
     st = math.sin(state.theta)
@@ -470,15 +464,14 @@ def real_qutrit_rhs(state: QutritEuler, A: np.ndarray, diss):
     if not abs(sb) >= BREAKDOWN_TOL:
         raise NumericalBreakdownError("Euler chart singular at beta in {0, pi}")
 
-    p = probs_from_gaps(GapVector(3, np.array([r1, r2]))).p
+    p = probs_stack(np.array([r1, r2]))
     U = so3_euler(state.alpha, state.beta, state.gamma)
     rho = density_stack(p, U)
     L = np.asarray(diss(rho), dtype=complex)
     if not np.max(np.linalg.norm([L.imag, L.real - L.real.T], axis=(1, 2))) <= EIG_TOL:
         raise ValidationError("dissipator must preserve real symmetric matrices")
     Lt = U.T @ L.real @ U
-    d = Lt.diagonal()
-    r1_dot, r2_dot = d[0] - d[1], d[1] - d[2]
+    r1_dot, r2_dot = gaps_stack(Lt.diagonal())
 
     At = U.T @ A @ U
     om12 = At[0, 1] - Lt[0, 1] / r1
@@ -510,20 +503,15 @@ def secular_factorization_test(
     n = model.n
     U = state.U.U
     rng = np.random.default_rng(seed)
-    weights = np.arange(1, n)
-    M = jacobian_matrix(n)
-
-    r = []
-    for _ in range(num_r_samples):
-        x = 0.5 + rng.random(n - 1)
-        r.append(x * (0.3 + 0.6 * rng.random()) / float(weights @ x))
-    p = 1.0 / n + np.array(r) @ M.T
+    r = [random_interior_gaps(n, rng, 0.3 + 0.6 * rng.random()).r for _ in range(num_r_samples)]
+    p = probs_stack(np.array(r))
     Lt = U.conj().T @ dissipator(density_stack(p, U), model) @ U
 
-    residuals = {}
-    for (i, j) in pair_indices(n):
-        vals = Lt[:, i - 1, j - 1] / (p[:, i - 1] - p[:, j - 1])
-        residuals[(i, j)] = float(np.max(np.abs(vals - np.mean(vals))))
+    pairs = pair_indices(n)
+    i, j = np.array(pairs).T - 1
+    vals = Lt[:, i, j] / (p[:, i] - p[:, j])
+    spread = np.max(np.abs(vals - np.mean(vals, axis=0)), axis=0)
+    residuals = dict(zip(pairs, spread.tolist()))
     return max(residuals.values()) <= tolerance, residuals
 
 
@@ -566,32 +554,33 @@ def random_density(n: int, seed: int, fill: float = 0.75) -> DensityMatrix:
 # --- model / trajectory IO -------------------------------------------------
 
 
-def model_to_document(model: LindbladModel) -> dict:
-    return {
+def _document_dimension(doc: dict) -> int:
+    """The dimension "n" of a model or state document, which must be a JSON integer."""
+    n = doc["n"]
+    if type(n) is not int:  # not a float, and not a bool
+        raise ValidationError(f"dimension must be a JSON integer, got {n!r}")
+    return n
+
+
+def save_model(path, model: LindbladModel) -> None:
+    dump_json(path, {
         "n": model.n,
         "H": matrix_to_pairs(model.H),
         "jumps": [matrix_to_pairs(L) for L in model.jumps],
         "rates": list(model.rates),
-    }
+    })
 
 
-def model_from_document(doc: dict) -> LindbladModel:
+def load_model(path) -> LindbladModel:
+    doc = load_json(path)
     try:
-        n = int(doc["n"])
+        n = _document_dimension(doc)
         H = matrix_from_pairs(doc["H"])
         jumps = tuple(matrix_from_pairs(L) for L in doc["jumps"])
         rates = tuple(float(h) for h in doc["rates"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model document: {exc}") from exc
     return LindbladModel(n, H, jumps, rates)
-
-
-def save_model(path, model: LindbladModel) -> None:
-    dump_json(path, model_to_document(model))
-
-
-def load_model(path) -> LindbladModel:
-    return model_from_document(load_json(path))
 
 
 def save_density(path, rho: DensityMatrix) -> None:
@@ -601,7 +590,7 @@ def save_density(path, rho: DensityMatrix) -> None:
 def load_density(path) -> DensityMatrix:
     doc = load_json(path)
     try:
-        n, rho = int(doc["n"]), matrix_from_pairs(doc["rho"])
+        n, rho = _document_dimension(doc), matrix_from_pairs(doc["rho"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state document: {exc}") from exc
     return DensityMatrix(n, rho)
@@ -610,7 +599,7 @@ def load_density(path) -> DensityMatrix:
 def write_trajectory_csv(path, traj: Trajectory, n: int, header_fields: dict) -> None:
     """Trajectory CSV: provenance header block (# key = value lines) followed
     by columns t, r_1..r_{n-1}, purity_R, trace_error, min_gap."""
-    purity = purity_spectrum(1.0 / n + traj.r @ jacobian_matrix(n).T)
+    purity = purity_spectrum(probs_stack(traj.r))
     with open(path, "w", newline="") as fh:
         for key, val in header_fields.items():
             fh.write(f"# {key} = {val}\n")

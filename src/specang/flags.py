@@ -20,7 +20,7 @@ from .errors import (
     EIG_TOL, ValidationError, check_angle, check_density, check_frame, check_gap_floor,
 )
 from .spectral import (
-    GapVector, ProbVector, gaps_from_probs, probs_from_gaps, weighted_simplex_volume,
+    GapVector, ProbVector, gaps_from_probs, gaps_stack, probs_from_gaps, weighted_simplex_volume,
 )
 
 
@@ -252,7 +252,7 @@ def eigendecompose_ordered(rho: DensityMatrix):
     """
     w, V = np.linalg.eigh(rho.rho)
     w, V = w[::-1], V[:, ::-1]
-    check_gap_floor(-np.diff(w), EIG_TOL, "eigenframe")
+    check_gap_floor(gaps_stack(w), EIG_TOL, "eigenframe")
     w = np.clip(w, 0.0, None)
     r = gaps_from_probs(ProbVector(rho.n, w / w.sum()))
     return r, UnitaryFrame(rho.n, _fix_column_phases(V))

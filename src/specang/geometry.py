@@ -22,7 +22,7 @@ from .spectral import (
     ProbVector,
     inverse_cartan,
     jacobian_matrix,
-    probs_from_gaps,
+    probs_stack,
 )
 
 
@@ -56,7 +56,7 @@ def fisher_metric_r(r: GapVector) -> MetricTensor:
     """Fisher-Rao metric pulled back to gap coordinates:
     g_ab = sum_k M_ka M_kb / p_k.
     """
-    p = probs_from_gaps(r).p
+    p = probs_stack(r.r)
     if not np.min(p) >= TOL:
         raise NumericalBreakdownError("Fisher metric singular: an eigenvalue vanishes")
     M = jacobian_matrix(r.n)
@@ -86,14 +86,13 @@ def bures_decomposition(r: GapVector) -> BuresDecomposition:
     corresponding angular modes and degenerate the coordinate chart.
     """
     check_gap_floor(r.r, TOL, "Bures angular chart")
-    p = probs_from_gaps(r).p
+    p = probs_stack(r.r)
     spectral = MetricTensor(r.n, 0.25 * fisher_metric_r(r).g)
     cum = np.concatenate(([0.0], np.cumsum(r.r)))
-    weights = {}
-    for (i, j) in pair_indices(r.n):
-        gap = cum[j - 1] - cum[i - 1]
-        weights[(i, j)] = 0.5 * gap * gap / (p[i - 1] + p[j - 1])
-    return BuresDecomposition(spectral, weights)
+    pairs = pair_indices(r.n)
+    i, j = np.array(pairs).T - 1
+    gap = cum[j] - cum[i]
+    return BuresDecomposition(spectral, dict(zip(pairs, 0.5 * gap * gap / (p[i] + p[j]))))
 
 
 def purity_trace_norm(rho) -> float:
@@ -121,7 +120,7 @@ def purity_gap(r: GapVector) -> float:
     (r = 0 included) the neighbouring indices give the same value, so ties,
     at which `crossover_index` raises, need no special case here.
     """
-    dev = probs_from_gaps(r).p - 1.0 / r.n
+    dev = probs_stack(r.r) - 1.0 / r.n
     k = min(max(int(np.count_nonzero(dev > 0.0)), 1), r.n - 1)
     cinv = inverse_cartan(r.n)
     return float(r.n / (r.n - 1.0) * cinv[:, k - 1] @ r.r)

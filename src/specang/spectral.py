@@ -13,6 +13,7 @@ is a pure function of its inputs; values are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,9 +85,14 @@ class CoweightBasis:
         object.__setattr__(self, "omega", omega)
 
 
+def gaps_stack(p: np.ndarray) -> np.ndarray:
+    """Successive gaps r_a = p_a - p_{a+1} of a stack of spectra: (..., n) -> (..., n-1)."""
+    return p[..., :-1] - p[..., 1:]
+
+
 def gaps_from_probs(p: ProbVector) -> GapVector:
-    """Successive gaps r_a = p_a - p_{a+1} of an ordered probability vector."""
-    return GapVector(p.n, -np.diff(p.p))
+    """Successive gaps of an ordered probability vector; see gaps_stack."""
+    return GapVector(p.n, gaps_stack(p.p))
 
 
 def sorted_probs(values, n=None) -> ProbVector:
@@ -101,18 +107,26 @@ def sorted_probs(values, n=None) -> ProbVector:
     return ProbVector(n, np.sort(v)[::-1])
 
 
+@functools.cache
 def jacobian_matrix(n: int) -> np.ndarray:
-    """The n x (n-1) matrix M with p = 1/n + M r; column a is diag(omega_a)."""
+    """The n x (n-1) matrix M with p = 1/n + M r; column a is diag(omega_a).
+    Built once per n, read-only."""
     n = _check_dim(n)
     a = np.arange(1, n, dtype=float)
     k = np.arange(1, n + 1, dtype=float)
-    return np.where(k[:, None] <= a[None, :], 1.0 - a / n, -a / n)
+    return _frozen(np.where(k[:, None] <= a[None, :], 1.0 - a / n, -a / n))
+
+
+def probs_stack(r: np.ndarray) -> np.ndarray:
+    """Probabilities p = 1/n + M r of a stack of gap vectors: (..., n-1) -> (..., n).
+    One matrix-vector product per row, so a row equals the single-vector result."""
+    n = r.shape[-1] + 1
+    return 1.0 / n + (jacobian_matrix(n) @ r[..., None])[..., 0]
 
 
 def probs_from_gaps(r: GapVector) -> ProbVector:
-    """Recover the ordered probabilities from a gap vector."""
-    p = 1.0 / r.n + jacobian_matrix(r.n) @ r.r
-    return ProbVector(r.n, p)
+    """Recover the ordered probabilities from a gap vector; see probs_stack."""
+    return ProbVector(r.n, probs_stack(r.r))
 
 
 def fundamental_coweights(n: int) -> CoweightBasis:
@@ -130,16 +144,16 @@ def cartan_matrix(n: int) -> np.ndarray:
     return C
 
 
+@functools.cache
 def inverse_cartan(n: int) -> np.ndarray:
-    """Inverse A_{n-1} Cartan matrix: entries min(a,j)(n - max(a,j))/n."""
-    n = _check_dim(n)
-    idx = np.arange(1, n, dtype=float)
-    a, j = np.meshgrid(idx, idx, indexing="ij")
-    return np.minimum(a, j) * (n - np.maximum(a, j)) / n
+    """Inverse A_{n-1} Cartan matrix, inverse_cartan_exact rounded to floats.
+    Built once per n, read-only."""
+    return _frozen(np.array(inverse_cartan_exact(n), dtype=float))
 
 
 def inverse_cartan_exact(n: int):
-    """Inverse Cartan matrix as exact Fractions (nested lists)."""
+    """Inverse Cartan matrix as exact Fractions (nested lists): entries
+    min(a,j)(n - max(a,j))/n."""
     n = _check_dim(n)
     return [
         [Fraction(min(a, j) * (n - max(a, j)), n) for j in range(1, n)]
@@ -149,8 +163,7 @@ def inverse_cartan_exact(n: int):
 
 def spectral_diagonal(r: GapVector) -> np.ndarray:
     """Traceless diagonal D(r) = sum_a r_a omega_a = diag(p_k - 1/n)."""
-    p = probs_from_gaps(r)
-    return np.diag(p.p - 1.0 / r.n)
+    return np.diag(probs_stack(r.r) - 1.0 / r.n)
 
 
 def in_polytope(r, n: int) -> bool:
@@ -165,12 +178,8 @@ def in_polytope(r, n: int) -> bool:
 def polytope_vertices(n: int):
     """The n vertices of R_{n-1}: the origin and e_a / a for a = 1..n-1."""
     n = _check_dim(n)
-    vertices = [GapVector(n, np.zeros(n - 1))]
-    for a in range(1, n):
-        v = np.zeros(n - 1)
-        v[a - 1] = 1.0 / a
-        vertices.append(GapVector(n, v))
-    return vertices
+    rows = np.vstack([np.zeros(n - 1), np.diag(1.0 / np.arange(1, n))])
+    return [GapVector(n, v) for v in rows]
 
 
 def ordered_simplex_volume(n: int) -> Fraction:
@@ -195,8 +204,7 @@ def crossover_index(r: GapVector) -> int:
     Raises CrossoverDegeneracyError if some p_k is within tolerance of 1/n,
     where the index (a measure-zero configuration) is ill-defined.
     """
-    p = probs_from_gaps(r).p
-    dev = p - 1.0 / r.n
+    dev = probs_stack(r.r) - 1.0 / r.n
     if not np.all(np.abs(dev) >= TOL):
         raise CrossoverDegeneracyError(
             "an eigenvalue coincides with 1/n; crossover index undefined"

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from specang import DensityMatrix, LindbladModel
+from specang import DensityMatrix, LindbladModel, __version__
 from specang.cli import main
 from specang.dynamics import random_density, random_model, save_density, save_model
 
@@ -103,6 +103,101 @@ def test_geometry_singular_exit_code(capsys):
     code, _, err = run(capsys, "geometry", "--n", "2", "--r", "1.0", "--fisher")
     assert code == 3
     assert "breakdown" in err
+
+
+# --- printed numbers --------------------------------------------------------
+
+# stdout of `geometry` and `convert` at one fixed gap vector for n = 3 and
+# n = 5, compared as text: a change in the last bit (or the sign of a zero)
+# of any printed number fails here
+GOLDEN_R = {3: "0.31,0.17", 5: "0.21,0.13,0.08,0.04"}
+GOLDEN_P = {
+    3: "0.5966666666666667,0.2866666666666667,0.11666666666666664",
+    5: "0.48600000000000004,0.276,0.14600000000000002,0.066,0.026000000000000023",
+}
+GOLDEN = {
+    ("fisher", 3): {"fisher": [
+        [2.0848568087752186, 1.889604484121829],
+        [1.889604484121829, 4.383340448040982],
+    ]},
+    ("bures", 3): {
+        "bures_spectral": [
+            [0.5212142021938047, 0.4724011210304572],
+            [0.4724011210304572, 1.0958351120102454],
+        ],
+        "bures_angular_weights": {
+            "1,2": 0.05439622641509435, "1,3": 0.16149532710280373, "2,3": 0.03582644628099173,
+        },
+    },
+    ("purity", 3): {"purity": 0.395},
+    ("kl", 3): {"kl_exact": 0.18167351026332967, "kl_quadratic": 0.1777},
+    ("entropy", 3): {"entropy": 0.91693877840478},
+    ("convert-r", 3): {
+        "p": [0.5966666666666667, 0.2866666666666667, 0.11666666666666664],
+        "r": [0.31, 0.17],
+        "in_polytope": True,
+    },
+    ("convert-p", 3): {
+        "p": [0.5966666666666667, 0.2866666666666667, 0.11666666666666664],
+        "r": [0.31, 0.17000000000000004],
+        "in_polytope": True,
+    },
+    ("fisher", 5): {"fisher": [
+        [3.8802947114772928, 5.389861206815741, 6.254202369614979, 5.458103515809818],
+        [5.389861206815741, 11.719067555875174, 13.134634834059087, 11.229322079034201],
+        [6.254202369614979, 13.134634834059087, 21.30551796358161, 17.64576597479779],
+        [5.458103515809818, 11.229322079034201, 17.64576597479779, 25.722649887165783],
+    ]},
+    ("bures", 5): {
+        "bures_spectral": [
+            [0.9700736778693232, 1.3474653017039353, 1.5635505924037447, 1.3645258789524546],
+            [1.3474653017039353, 2.9297668889687936, 3.2836587085147717, 2.8073305197585503],
+            [1.5635505924037447, 3.2836587085147717, 5.326379490895403, 4.4114414936994475],
+            [1.3645258789524546, 2.8073305197585503, 4.4114414936994475, 6.430662471791446],
+        ],
+        "bures_angular_weights": {
+            "1,2": 0.028937007874015742, "1,3": 0.09145569620253162,
+            "1,4": 0.15978260869565214, "1,5": 0.20664062499999994,
+            "2,3": 0.020023696682464447, "2,4": 0.06447368421052631,
+            "2,5": 0.10347682119205294, "3,4": 0.015094339622641515,
+            "3,5": 0.041860465116279055, "4,5": 0.008695652173913031,
+        },
+    },
+    ("purity", 5): {"purity": 0.45250000000000007},
+    ("kl", 5): {"kl_exact": 0.34824495333725647, "kl_quadratic": 0.34680000000000005},
+    ("entropy", 5): {"entropy": 1.2611929590968438},
+    ("convert-r", 5): {
+        "p": [0.48600000000000004, 0.276, 0.14600000000000002, 0.066, 0.026000000000000023],
+        "r": [0.21, 0.13, 0.08, 0.04],
+        "in_polytope": True,
+    },
+    ("convert-p", 5): {
+        "p": [0.48600000000000004, 0.276, 0.14600000000000002, 0.066, 0.026000000000000023],
+        "r": [0.21000000000000002, 0.13, 0.08000000000000002, 0.03999999999999998],
+        "in_polytope": True,
+    },
+}
+
+
+@pytest.mark.parametrize("which, n", list(GOLDEN))
+def test_printed_output_matches_golden_text(capsys, which, n):
+    if which.startswith("convert"):
+        flag, vec = ("--r", GOLDEN_R[n]) if which == "convert-r" else ("--p", GOLDEN_P[n])
+        argv = ["convert", "--n", str(n), flag, vec]
+        head = {"version": __version__, "subcommand": "convert", "n": n}
+    else:
+        argv = ["geometry", "--n", str(n), "--r", GOLDEN_R[n], f"--{which}"]
+        r = [float(x) for x in GOLDEN_R[n].split(",")]
+        head = {"version": __version__, "subcommand": "geometry", "n": n, "r": r}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps({**head, **GOLDEN[which, n]}, indent=2) + "\n"
+
+
+def test_convert_prints_equal_probabilities_as_a_positive_zero_gap(capsys):
+    code, out, _ = run(capsys, "convert", "--n", "3", "--p", "0.4,0.4,0.2")
+    assert code == 0
+    assert not np.any(np.signbit(json.loads(out)["r"]))
 
 
 # --- verify -----------------------------------------------------------------
@@ -264,8 +359,14 @@ def test_evolve_dimension_mismatch_exits_2(capsys, tmp_path, method, n_model, n_
         ("rho0.json", b"{not json"),
         ("rho0.json", b'{"n": "x", "rho": [[[1.0, 0.0]]]}'),
         ("rho0.json", b"\xff\xfe{}"),
+        # a fractional, huge or boolean "n" is not read as an integer, although
+        # the 2 x 2 rho would pass as the model's dimension
+        ("rho0.json", b'{"n": 2.7, "rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}'),
+        ("rho0.json", b'{"n": 1e308, "rho": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}'),
+        ("rho0.json", b'{"n": true, "rho": [[[1.0, 0.0]]]}'),
     ],
-    ids=["model-not-json", "state-not-json", "state-n-not-an-int", "state-not-utf8"],
+    ids=["model-not-json", "state-not-json", "state-n-not-an-int", "state-not-utf8",
+         "state-n-fractional", "state-n-huge-float", "state-n-bool"],
 )
 def test_evolve_malformed_input_file_exits_2(capsys, model_files, name, content):
     (model_files / name).write_bytes(content)
@@ -278,6 +379,20 @@ def test_evolve_malformed_input_file_exits_2(capsys, model_files, name, content)
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_evolve_dt_above_t_end_exits_2(capsys, model_files):
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(model_files / "model.json"),
+        "--rho0", str(model_files / "rho0.json"),
+        "--dt", "1", "--t-end", "0.1",
+        "--out", str(model_files / "run"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "exceeds t_end" in err
 
 
 def test_evolve_missing_model_is_io_error(capsys, tmp_path):

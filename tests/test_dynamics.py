@@ -366,6 +366,8 @@ def test_step_validation():
         integrate_direct(rho0, model, t_end=-1.0, dt=1e-3)
     with pytest.raises(ValidationError):
         integrate_direct(rho0, model, t_end=1.0, dt=0.0)
+    with pytest.raises(ValidationError, match="exceeds t_end"):
+        integrate_direct(rho0, model, t_end=0.1, dt=1.0)
 
 
 @pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])

@@ -17,6 +17,7 @@ from specang import (
     crossover_index,
     fundamental_coweights,
     gaps_from_probs,
+    gaps_stack,
     in_polytope,
     inverse_cartan,
     inverse_cartan_exact,
@@ -24,6 +25,7 @@ from specang import (
     ordered_simplex_volume,
     polytope_vertices,
     probs_from_gaps,
+    probs_stack,
     rejection_volume_estimate,
     sorted_probs,
     spectral_diagonal,
@@ -79,6 +81,25 @@ def test_probs_are_affine_in_gaps(n, data):
     p = probs_from_gaps(r).p
     assert np.allclose(p, 1.0 / n + jacobian_matrix(n) @ r.r, atol=1e-15)
     assert abs(p.sum() - 1.0) < 1e-12
+
+
+@given(dims, st.data())
+def test_stacked_kernels_match_the_per_vector_maps(n, data):
+    r = np.array([g.r for g in data.draw(st.lists(gap_vectors(n), min_size=1, max_size=6))])
+    p = probs_stack(r)
+    assert p.shape == (len(r), n)
+    for row_r, row_p in zip(r, p):
+        assert np.array_equal(row_p, probs_from_gaps(GapVector(n, row_r)).p)
+        assert np.array_equal(gaps_stack(row_p), gaps_from_probs(ProbVector(n, row_p)).r)
+    assert np.array_equal(gaps_stack(p), np.array([gaps_stack(row) for row in p]))
+    assert np.allclose(gaps_stack(p), r, atol=1e-14)
+
+
+def test_jacobian_matrix_is_cached_and_read_only():
+    M = jacobian_matrix(4)
+    assert jacobian_matrix(4) is M
+    with pytest.raises(ValueError):
+        M[0, 0] = 1.0
 
 
 # --- validation ------------------------------------------------------------
