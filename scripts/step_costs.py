@@ -1,6 +1,6 @@
 """Per-step cost of the two GKLS integrators and per-call cost of sampling.
 
-Every run prints and stores two tables.  The step table times
+Every run prints and stores three tables.  The step table times
 `integrate_direct` and `integrate_split` on one random model and state per
 dimension, at dt = 1e-3, over a fixed number of steps with records only at
 the two ends, and gives the median and interquartile range of the cost in
@@ -13,13 +13,20 @@ of `resolution_check(n, n, 4000)`, and of `rejection_volume_estimate(4,
 750000)`: the Monte-Carlo calls behind `sample`, `verify identity` and
 `verify volumes`.
 
+The writing table gives microseconds per line of the text files: per frame
+line of `sample` (the whole `sample --n n --N 1000` command on a fixed frame
+stack, so the header statistics and file handling are included, divided by
+the 1000 frames) and per row of a trajectory CSV (`write_trajectory_csv` on
+a recorded 50-step run, divided by its 51 rows), for every dimension.
+
 The results, with the numpy, scipy and BLAS versions, are stored under
 `runs[<label>]` of the JSON output (`results` for steps, `sampling` for
-sampling), so runs of two versions of the library can share one file.
+sampling, `writing` for text output), so runs of two versions of the
+library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_10.json
+Usage: python3 scripts/step_costs.py --label change --out BENCH_12.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
-           --out BENCH_10.json
+           --out BENCH_12.json
 """
 
 import os
@@ -29,15 +36,20 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import scipy
 
 from specang import (
-    integrate_direct, integrate_split, rejection_volume_estimate, resolution_check, sample_flags,
+    cli, integrate_direct, integrate_split, rejection_volume_estimate, resolution_check,
+    sample_flags, write_trajectory_csv,
 )
 from specang.dynamics import random_density, random_model
 
@@ -46,6 +58,8 @@ DT = 1e-3
 SEED = 0
 COUNTS = (1, 1000, 4000)  # one frame (random_density), `sample`, `verify identity`
 VOLUME_CALL = (4, 750_000)  # the (n, num_samples) of `verify volumes` in the benchmark
+FRAMES = 1000  # frames per `sample` file, as in the benchmark
+CSV_STEPS = 50  # steps of the trajectory written to CSV, one record each
 
 
 def _blas():
@@ -120,6 +134,29 @@ def sampling_table(dims, repeats):
     return results
 
 
+def writing_table(dims, repeats):
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in dims:
+            frames = sample_flags(n, FRAMES, SEED)
+            argv = ["sample", "--n", str(n), "--N", str(FRAMES), "--seed", str(SEED),
+                    "--out", str(Path(tmp) / "frames.jsonl")]
+            with mock.patch.object(cli, "sample_flags", lambda *_: frames), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                line = timings(lambda: cli.main(argv), repeats)
+            traj = integrate_direct(random_density(n, seed=SEED + 100 + n),
+                                    random_model(n, seed=SEED + n), CSV_STEPS * DT, DT)
+            path = Path(tmp) / "traj.csv"
+            row = timings(lambda: write_trajectory_csv(path, traj, n, {"dt": DT}), repeats)
+            for kind, costs, count in (("sample_line", line, FRAMES),
+                                       ("csv_row", row, len(traj.times))):
+                stats = summary(np.array(costs) / count, "us_per_item")
+                results.append({"n": n, "output": kind, "items": count, **stats})
+                print(f"n={n:2d} {kind:11s} median {stats['us_per_item_median']:8.2f} us/item  "
+                      f"IQR {stats['us_per_item_iqr']:6.2f} ({repeats} repeats x {count})")
+    return results
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 8, 16])
@@ -131,6 +168,7 @@ def main():
 
     results = step_table(args.dims, args.steps, args.repeats)
     sampling = sampling_table(args.dims, args.repeats)
+    writing = writing_table(args.dims, args.repeats)
 
     prov = provenance()
     print(
@@ -141,8 +179,8 @@ def main():
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault(
         "description",
-        "microseconds per RK4 step (results) and per sampling call (sampling), "
-        "see scripts/step_costs.py",
+        "microseconds per RK4 step (results), per sampling call (sampling) and per "
+        "written frame line or CSV row (writing), see scripts/step_costs.py",
     )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": prov,
@@ -152,9 +190,12 @@ def main():
             "repeats": args.repeats,
             "seed": SEED,
             "counts": COUNTS,
+            "frames": FRAMES,
+            "csv_steps": CSV_STEPS,
         },
         "results": results,
         "sampling": sampling,
+        "writing": writing,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote runs[{args.label!r}] to {out}")

@@ -46,7 +46,7 @@ from .flags import (
     resolution_check,
     sample_flags,
 )
-from .serialize import matrix_to_pairs
+from .serialize import frame_lines
 from .dynamics import (
     integrate_direct,
     integrate_split,
@@ -237,28 +237,17 @@ def _verify_qutrit_matrix(args):
 
 
 def cmd_verify(args) -> int:
-    dispatch = {
-        "identity": _verify_identity,
-        "measure": _verify_measure,
-        "volumes": _verify_volumes,
-        "unitarity": _verify_unitarity,
-        "qutrit-matrix": _verify_qutrit_matrix,
-    }
-    lines, ok = dispatch[args.which](args)
-    return _report(lines, ok)
+    dispatch = {"identity": _verify_identity, "measure": _verify_measure,
+                "volumes": _verify_volumes, "unitarity": _verify_unitarity,
+                "qutrit-matrix": _verify_qutrit_matrix}
+    return _report(*dispatch[args.which](args))
 
 
 def cmd_evolve(args) -> int:
     model = load_model(args.model)
     rho0 = load_density(args.rho0)
-    header = {
-        "version": __version__,
-        "model": args.model,
-        "rho0": args.rho0,
-        "dt": args.dt,
-        "t_end": args.t_end,
-        "seed": args.seed,
-    }
+    header = {"version": __version__, "model": args.model, "rho0": args.rho0,
+              "dt": args.dt, "t_end": args.t_end, "seed": args.seed}
     out = _provenance(args, model=args.model, rho0=args.rho0, files=[])
     rhos = []
     for method, integrate, extra in (
@@ -282,6 +271,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_sample(args) -> int:
     frames = sample_flags(args.n, args.N, args.seed)
+    lines = frame_lines(frames)
     header = _provenance(args)
     if args.n == 2 and args.N > 0:
         # first-column overlap |<e1|u1>|^2 should be uniform on [0, 1]
@@ -299,8 +289,7 @@ def cmd_sample(args) -> int:
         header["column_resolution_error"] = float(np.linalg.norm(dev, axis=(1, 2)).max())
     with open(args.out, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for U in frames:
-            fh.write(json.dumps({"U": matrix_to_pairs(U)}) + "\n")
+        fh.writelines(lines)
     print(f"wrote {args.N} frames to {args.out}")
     return 0
 

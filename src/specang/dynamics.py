@@ -11,7 +11,6 @@ the real symmetric qutrit sector in zyz Euler angles.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -500,6 +499,8 @@ def secular_factorization_test(
     (factorized, residuals) where residuals maps each mode (i, j) to the
     spread of its ratio.
     """
+    if not (isinstance(num_r_samples, numbers.Integral) and num_r_samples >= 2):
+        raise ValidationError(f"num_r_samples must be an integer >= 2, got {num_r_samples!r}")
     n = model.n
     U = state.U.U
     rng = np.random.default_rng(seed)
@@ -566,7 +567,7 @@ def save_model(path, model: LindbladModel) -> None:
     dump_json(path, {
         "n": model.n,
         "H": matrix_to_pairs(model.H),
-        "jumps": [matrix_to_pairs(L) for L in model.jumps],
+        "jumps": matrix_to_pairs(model.jumps),
         "rates": list(model.rates),
     })
 
@@ -598,21 +599,15 @@ def load_density(path) -> DensityMatrix:
 
 def write_trajectory_csv(path, traj: Trajectory, n: int, header_fields: dict) -> None:
     """Trajectory CSV: provenance header block (# key = value lines) followed
-    by columns t, r_1..r_{n-1}, purity_R, trace_error, min_gap."""
+    by columns t, r_1..r_{n-1}, purity_R, trace_error, min_gap, in rows that
+    end in \\r\\n as in the csv module's excel dialect."""
+    diag = traj.diagnostics
     purity = purity_spectrum(probs_stack(traj.r))
+    table = np.column_stack((traj.times, traj.r, purity, diag["trace_error"], diag["min_gap"]))
+    row = "%.12g," + "%.15g," * n + "%.3e,%.6e\r\n"
+    names = ["t"] + [f"r_{a}" for a in range(1, n)] + ["purity_R", "trace_error", "min_gap"]
     with open(path, "w", newline="") as fh:
         for key, val in header_fields.items():
             fh.write(f"# {key} = {val}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"] + [f"r_{a}" for a in range(1, n)] + ["purity_R", "trace_error", "min_gap"]
-        )
-        diag = traj.diagnostics
-        for t, r, pur, err, gap in zip(
-            traj.times, traj.r, purity, diag["trace_error"], diag["min_gap"]
-        ):
-            writer.writerow(
-                [f"{t:.12g}"]
-                + [f"{x:.15g}" for x in r]
-                + [f"{pur:.15g}", f"{err:.3e}", f"{gap:.6e}"]
-            )
+        fh.write(",".join(names) + "\r\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())

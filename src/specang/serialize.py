@@ -11,13 +11,25 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalBreakdownError, ValidationError
 
 
 def matrix_to_pairs(M) -> list:
-    """Complex matrix -> row-major nested lists of [re, im] pairs."""
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    """Complex matrix, or stack of them -> row-major nested lists of [re, im] pairs."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(float).reshape(*M.shape, 2).tolist()
+
+
+def frame_lines(frames):
+    """JSONL lines of a (B, n, n) frame stack, each json.dumps({"U": matrix_to_pairs(U)})
+    plus a newline, filled into one template of json's layout: %r and json both print
+    floats by repr.  A non-finite entry (json would print NaN) raises before any line."""
+    frames = np.ascontiguousarray(frames, dtype=complex)
+    if not np.isfinite(frames).all():
+        raise NumericalBreakdownError("non-finite entry in a sampled frame")
+    n = frames.shape[-1]
+    line = json.dumps({"U": [[["%r", "%r"]] * n] * n}).replace('"%r"', "%r") + "\n"
+    return (line % tuple(U.tolist()) for U in frames.reshape(len(frames), n * n).view(float))
 
 
 def matrix_from_pairs(data) -> np.ndarray:

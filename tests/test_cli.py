@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from specang import DensityMatrix, LindbladModel, __version__
+from specang import DensityMatrix, LindbladModel, __version__, sample_flags
 from specang.cli import main
 from specang.dynamics import random_density, random_model, save_density, save_model
 
@@ -517,6 +517,32 @@ def test_sample_zero_frames_writes_header_only(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["N"] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_sample_frame_lines_are_json_dumps_of_the_pairs(capsys, tmp_path, n):
+    # the frame lines of `sample` are byte for byte json.dumps of [re, im] lists
+    out = tmp_path / "frames.jsonl"
+    code, _, _ = run(capsys, "sample", "--n", str(n), "--N", "30", "--seed", "3", "--out", str(out))
+    assert code == 0
+    expected = "".join(
+        json.dumps({"U": [[[float(z.real), float(z.imag)] for z in row] for row in U]}) + "\n"
+        for U in sample_flags(n, 30, 3)
+    )
+    text = out.read_text()
+    assert text[text.index("\n") + 1:] == expected
+
+
+def test_sample_non_finite_frame_exits_3(capsys, tmp_path, monkeypatch):
+    # a NaN entry is a numerical breakdown, not a "NaN" token in the JSONL file
+    frames = sample_flags(3, 4, 0)
+    frames[2, 0, 1] = complex(np.nan, 0.0)
+    monkeypatch.setattr("specang.cli.sample_flags", lambda n, count, seed: frames)
+    out = tmp_path / "frames.jsonl"
+    code, stdout, err = run(capsys, "sample", "--n", "3", "--N", "4", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert err.startswith("numerical breakdown:") and "non-finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

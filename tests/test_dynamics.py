@@ -1,5 +1,6 @@
 """GKLS integration: direct vs split, closed forms, factorization, IO."""
 
+import csv
 import math
 
 import numpy as np
@@ -44,7 +45,8 @@ from specang.dynamics import (
     random_model,
     so3_euler,
 )
-from specang.spectral import jacobian_matrix, spectral_diagonal
+from specang.geometry import purity_spectrum
+from specang.spectral import jacobian_matrix, probs_stack, spectral_diagonal
 
 
 def pauli_model(h1, h2, h3, H=None):
@@ -556,6 +558,20 @@ def test_secular_factorization_negative_case():
     assert max(residuals.values()) > 1e-4
 
 
+def test_secular_factorization_rejects_a_single_gap_draw():
+    # one draw has a ratio spread of 0 and would report factorized=True for any model
+    _, state = split_point(3, 18)
+    with pytest.raises(ValidationError, match="num_r_samples must be an integer >= 2, got 1"):
+        secular_factorization_test(random_model(3, seed=0), state, 1e-10, num_r_samples=1)
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.0, 8.5, True, "8"])
+def test_secular_factorization_rejects_a_non_count(count):
+    _, state = split_point(3, 18)
+    with pytest.raises(ValidationError, match="num_r_samples must be an integer >= 2"):
+        secular_factorization_test(random_model(3, seed=0), state, 1e-10, num_r_samples=count)
+
+
 # --- IO --------------------------------------------------------------------------------
 
 
@@ -602,3 +618,51 @@ def test_trajectory_csv_schema(tmp_path):
     for row in rows:
         assert len(row) == 6
         assert 0.0 <= float(row[3]) <= 1.0  # purity column
+
+
+def ref_trajectory_csv(path, traj, n, header_fields):
+    """The csv.writer version of write_trajectory_csv, with its f-string fields."""
+    purity = purity_spectrum(probs_stack(traj.r))
+    with open(path, "w", newline="") as fh:
+        for key, val in header_fields.items():
+            fh.write(f"# {key} = {val}\n")
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["t"] + [f"r_{a}" for a in range(1, n)] + ["purity_R", "trace_error", "min_gap"]
+        )
+        diag = traj.diagnostics
+        for t, r, pur, err, gap in zip(
+            traj.times, traj.r, purity, diag["trace_error"], diag["min_gap"]
+        ):
+            writer.writerow(
+                [f"{t:.12g}"]
+                + [f"{x:.15g}" for x in r]
+                + [f"{pur:.15g}", f"{err:.3e}", f"{gap:.6e}"]
+            )
+
+
+def test_trajectory_csv_matches_the_csv_module_on_signed_and_zero_gaps(tmp_path):
+    # -0.0 prints as "-0" in both, a zero gap as 0.000000e+00; rows end in \r\n
+    traj = Trajectory(
+        np.array([0.0, 0.1, 0.30000000000000004, 1e-7]).cumsum(),
+        np.array([[0.5, 0.25], [-0.0, 0.25], [0.0, 1e-300], [1 / 3, 5e-324]]),
+        np.zeros((4, 3, 3), dtype=complex),
+        {"trace_error": np.array([0.0, 1e-17, -0.0, 2.5e-13]),
+         "min_gap": np.array([0.25, -0.0, 0.0, 5e-324])},
+    )
+    header = {"version": "x", "method": "direct", "dt": 1e-3, "note": "a, b"}
+    write_trajectory_csv(tmp_path / "new.csv", traj, 3, header)
+    ref_trajectory_csv(tmp_path / "ref.csv", traj, 3, header)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert b",-0," in new and b",0.000000e+00\r\n" in new
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+@pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])
+def test_trajectory_csv_is_byte_identical_to_the_csv_module(tmp_path, n, integrate):
+    traj = integrate(random_density(n, seed=n), random_model(n, seed=n), 0.01, 1e-3)
+    header = {"method": integrate.__name__, "dt": 1e-3, "t_end": 0.01}
+    write_trajectory_csv(tmp_path / "new.csv", traj, n, header)
+    ref_trajectory_csv(tmp_path / "ref.csv", traj, n, header)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

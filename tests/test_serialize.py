@@ -1,0 +1,81 @@
+"""JSON layout of complex matrices and of the `sample` frame lines."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from specang import NumericalBreakdownError
+from specang.serialize import frame_lines, matrix_from_pairs, matrix_to_pairs
+
+
+def ref_matrix_to_pairs(M):
+    """The per-element list comprehension that matrix_to_pairs replaced."""
+    M = np.asarray(M, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def ref_frame_line(U):
+    return json.dumps({"U": ref_matrix_to_pairs(U)}) + "\n"
+
+
+# finite floats, with the values whose repr is easiest to get wrong
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+           1.7976931348623157e308, 1.0, -3.0, 1e16, 123456789012345678.0, 0.1, 1e-7)
+entries = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def frame_stacks(draw):
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(1, 3))
+    values = draw(st.lists(entries, min_size=2 * count * n * n, max_size=2 * count * n * n))
+    return np.array(values).view(complex).reshape(count, n, n)
+
+
+@given(frame_stacks())
+@example(np.array([[[-0.0 + 5e-324j, 1e308 - 1e308j], [2.0 + 0j, -0.0 - 0.0j]]]))
+@settings(max_examples=150, deadline=None)
+def test_frame_lines_equal_json_dumps_of_the_pairs(frames):
+    lines = list(frame_lines(frames))
+    assert lines == [ref_frame_line(U) for U in frames]
+    for line, U in zip(lines, frames):
+        assert np.array_equal(matrix_from_pairs(json.loads(line)["U"]), U)
+
+
+@given(frame_stacks())
+@settings(max_examples=50, deadline=None)
+def test_matrix_to_pairs_equals_the_per_element_lists(frames):
+    for U in frames:
+        pairs = matrix_to_pairs(U)
+        assert pairs == ref_matrix_to_pairs(U)
+        # the same values and the same signs of zero, as Python floats
+        assert all(type(x) is float for row in pairs for pair in row for x in pair)
+        assert json.dumps(pairs) == json.dumps(ref_matrix_to_pairs(U))
+    assert matrix_to_pairs(frames) == [ref_matrix_to_pairs(U) for U in frames]
+
+
+def test_matrix_to_pairs_reads_real_and_strided_input():
+    A = np.arange(12.0).reshape(3, 4)[:, ::2]  # real, not contiguous
+    assert matrix_to_pairs(A) == ref_matrix_to_pairs(A)
+    assert matrix_to_pairs(A.T) == ref_matrix_to_pairs(A.T)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+     complex(0.0, -math.inf)],
+)
+def test_frame_lines_reject_a_non_finite_entry(entry):
+    # json would write NaN or Infinity, which is not JSON; the frame is a breakdown
+    frames = np.zeros((3, 2, 2), dtype=complex)
+    frames[2, 1, 0] = entry
+    with pytest.raises(NumericalBreakdownError, match="non-finite"):
+        frame_lines(frames)
+
+
+def test_frame_lines_of_no_frames():
+    assert list(frame_lines(np.zeros((0, 3, 3), dtype=complex))) == []
