@@ -46,6 +46,7 @@ from .flags import (
     resolution_check,
     sample_flags,
 )
+from .kolmogorov import ks_uniform
 from .serialize import frame_lines
 from .dynamics import (
     integrate_direct,
@@ -275,12 +276,7 @@ def cmd_sample(args) -> int:
     header = _provenance(args)
     if args.n == 2 and args.N > 0:
         # first-column overlap |<e1|u1>|^2 should be uniform on [0, 1]
-        from scipy.stats import kstest
-
-        overlap = np.abs(frames[:, 0, 0]) ** 2
-        ks = kstest(overlap, "uniform")
-        header["ks_statistic"] = float(ks.statistic)
-        header["ks_pvalue"] = float(ks.pvalue)
+        header["ks_statistic"], header["ks_pvalue"] = ks_uniform(np.abs(frames[:, 0, 0]) ** 2)
     elif args.N > 0:
         # column i averages n u_i u_i^dag to 1 only under the invariant measure;
         # their mean, mean_b U U^dag, is 1 for any unitary frames

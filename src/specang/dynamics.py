@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BREAKDOWN_TOL, EIG_TOL, MATRIX_TOL, TOL, DegenerateSpectrumError, NumericalBreakdownError,
-    ValidationError, check_angle, check_density, check_frame, check_gap_floor, check_gaps,
+    BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, TOL, DegenerateSpectrumError,
+    NumericalBreakdownError, ValidationError, check_angle, check_density, check_frame,
+    check_gap_floor, check_gaps,
 )
 from .flags import (
     DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
@@ -186,9 +187,13 @@ def _step_count(t_end, dt, record_every):
     ratio = t_end / dt
     if not ratio < math.inf:
         raise ValidationError(f"t_end / dt = {t_end:g} / {dt:g} overflows the step count")
+    if abs(ratio - round(ratio)) > GRID_TOL * ratio:  # a run ends at t_end, not near it
+        raise ValidationError(
+            f"t_end = {t_end:g} is not a multiple of dt = {dt:g}; the nearest grid ends are "
+            f"{math.floor(ratio) * dt:g} and {math.ceil(ratio) * dt:g}")
     if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
         raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
-    return int(round(ratio))
+    return round(ratio)
 
 
 def integrate_direct(

@@ -41,6 +41,8 @@ EIG_TOL = 1e-10
 # chart sines.  Above EIG_TOL so that a state whose smallest gap lies between
 # the two has a frame, and the split route hands it to the direct one at t = 0.
 BREAKDOWN_TOL = 1e-8
+# Relative slack of t_end / dt against a whole number of steps.
+GRID_TOL = 1e-9
 
 
 def check_probs(p: np.ndarray) -> None:

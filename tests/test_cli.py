@@ -1,13 +1,20 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from specang import DensityMatrix, LindbladModel, __version__, sample_flags
 from specang.cli import main
 from specang.dynamics import random_density, random_model, save_density, save_model
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -395,6 +402,22 @@ def test_evolve_dt_above_t_end_exits_2(capsys, model_files):
     assert "exceeds t_end" in err
 
 
+def test_evolve_t_end_off_the_step_grid_exits_2(capsys, model_files):
+    # 0.25 / 0.1 steps: the run would have ended at 0.2 without a word
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(model_files / "model.json"),
+        "--rho0", str(model_files / "rho0.json"),
+        "--dt", "0.1", "--t-end", "0.25",
+        "--out", str(model_files / "run"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "not a multiple of dt" in err and "0.2 and 0.3" in err
+    assert not (model_files / "run_direct.csv").exists()
+
+
 def test_evolve_missing_model_is_io_error(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -423,6 +446,37 @@ def test_sample_qubit_ks(capsys, tmp_path):
     U = json.loads(lines[1])["U"]
     mat = np.array([[complex(re, im) for re, im in row] for row in U])
     assert np.linalg.norm(mat.conj().T @ mat - np.eye(2)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 7, 2000])
+def test_sample_ks_matches_scipy_kstest(capsys, tmp_path, N):
+    out = tmp_path / "frames.jsonl"
+    code, _, _ = run(capsys, "sample", "--n", "2", "--N", str(N), "--seed", "11", "--out", str(out))
+    assert code == 0
+    header = json.loads(out.read_text().splitlines()[0])
+    # the overlap from the frames themselves: one re-read from the file may be an ulp off
+    ref = kstest(np.abs(sample_flags(2, N, 11)[:, 0, 0]) ** 2, "uniform")
+    assert header["ks_statistic"] == ref.statistic
+    assert header["ks_pvalue"] == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
+
+
+def test_sample_does_not_import_scipy(tmp_path):
+    # scipy is a test dependency only; importing it cost `sample` over a second
+    code = (
+        "import sys\n"
+        "from specang.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['sample', '--n', '2', '--N', '100', '--seed', '1', '--out', out]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "f.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_sample_resolution_statistics(capsys, tmp_path):

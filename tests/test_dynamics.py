@@ -373,6 +373,18 @@ def test_step_validation():
 
 
 @pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])
+def test_t_end_off_the_step_grid_is_a_validation_error(integrate):
+    model, rho0 = random_model(2, seed=0), random_density(2, seed=1)
+    # a run ends at t_end: 2.5 steps is rejected, not rounded to 0.2
+    with pytest.raises(ValidationError, match="nearest grid ends are 0.2 and 0.3"):
+        integrate(rho0, model, 0.25, 0.1)
+    # t_end / dt within round-off of a whole number still runs
+    for t_end, dt, steps in ((0.3, 0.1, 3), (0.2, 1e-3, 200), (0.05, 1e-3, 50)):
+        traj = integrate(rho0, model, t_end, dt, steps)
+        assert traj.times[-1] == pytest.approx(t_end, abs=1e-12)
+
+
+@pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])
 def test_step_count_overflow_is_a_validation_error(integrate):
     # t_end / dt overflows to inf although both are finite
     with pytest.raises(ValidationError, match="overflows the step count"):
