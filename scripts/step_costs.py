@@ -1,11 +1,17 @@
-"""Per-step cost of the two GKLS integrators and per-call cost of sampling.
+"""Per-step and per-record cost of the two GKLS integrators and per-call
+cost of sampling.
 
-Every run prints and stores three tables.  The step table times
+Every run prints and stores four tables.  The step table times
 `integrate_direct` and `integrate_split` on one random model and state per
 dimension, at dt = 1e-3, over a fixed number of steps with records only at
 the two ends, and gives the median and interquartile range of the cost in
 microseconds per RK4 step over the repeats.  Each timed call includes its
 own set-up (the direct route builds the Liouvillian once per call).
+
+The record table gives the cost of a record on each route: the same run
+with `record_every=1` minus the run with `record_every=steps`, timed back to
+back in each repeat and divided by the number of steps, in microseconds per
+record.
 
 The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
@@ -20,13 +26,13 @@ the 1000 frames) and per row of a trajectory CSV (`write_trajectory_csv` on
 a recorded 50-step run, divided by its 51 rows), for every dimension.
 
 The results, with the numpy, scipy and BLAS versions, are stored under
-`runs[<label>]` of the JSON output (`results` for steps, `sampling` for
-sampling, `writing` for text output), so runs of two versions of the
-library can share one file.
+`runs[<label>]` of the JSON output (`results` for steps, `records` for
+records, `sampling` for sampling, `writing` for text output), so runs of
+two versions of the library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_12.json
+Usage: python3 scripts/step_costs.py --label change --out BENCH_14.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
-           --out BENCH_12.json
+           --out BENCH_14.json
 """
 
 import os
@@ -115,6 +121,29 @@ def step_table(dims, steps, repeats):
     return results
 
 
+def record_table(dims, steps, repeats):
+    results = []
+    for n in dims:
+        model = random_model(n, seed=SEED + n)
+        rho0 = random_density(n, seed=SEED + 100 + n)
+        for method, integrate in INTEGRATORS.items():
+            def run(every):
+                t0 = time.perf_counter()
+                integrate(rho0, model, steps * DT, DT, record_every=every)
+                return time.perf_counter() - t0
+
+            run(1)
+            run(steps)
+            costs = [(run(1) - run(steps)) * 1e6 / steps for _ in range(repeats)]
+            stats = summary(costs, "us_per_record")
+            results.append({"n": n, "method": method, **stats})
+            print(
+                f"n={n:2d} {method:6s} median {stats['us_per_record_median']:8.1f} us/record  "
+                f"IQR {stats['us_per_record_iqr']:7.1f} ({repeats} repeats x {steps} records)"
+            )
+    return results
+
+
 def sampling_table(dims, repeats):
     calls = [("sample_flags", {"n": n, "count": count},
               lambda n=n, count=count: sample_flags(n, count, SEED))
@@ -167,6 +196,7 @@ def main():
     args = parser.parse_args()
 
     results = step_table(args.dims, args.steps, args.repeats)
+    records = record_table(args.dims, args.steps, args.repeats)
     sampling = sampling_table(args.dims, args.repeats)
     writing = writing_table(args.dims, args.repeats)
 
@@ -179,8 +209,8 @@ def main():
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault(
         "description",
-        "microseconds per RK4 step (results), per sampling call (sampling) and per "
-        "written frame line or CSV row (writing), see scripts/step_costs.py",
+        "microseconds per RK4 step (results), per record (records), per sampling call "
+        "(sampling) and per written frame line or CSV row (writing), see scripts/step_costs.py",
     )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": prov,
@@ -194,6 +224,7 @@ def main():
             "csv_steps": CSV_STEPS,
         },
         "results": results,
+        "records": records,
         "sampling": sampling,
         "writing": writing,
     }

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, TOL, DegenerateSpectrumError,
+    BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL, DegenerateSpectrumError,
     NumericalBreakdownError, ValidationError, check_angle, check_density, check_frame,
-    check_gap_floor, check_gaps,
+    check_gap_floor,
 )
 from .flags import (
     DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
@@ -213,19 +213,20 @@ def integrate_direct(
     return _run(rho0, model, t_end, dt, record_every, split=False)
 
 
-def _split_stage(V, r, HD):
+def _split_stage(V, r, HD, checked=True):
     """The split flow (V Omega_tilde, r_dot) at frame V and gaps r.
 
     HD maps rho to the (2, n, n) stack [H, D(rho)], rotated into the frame
     in one product, Ht, Lt = V^dag [H, D] V at rho = V diag(p) V^dag,
-    p = probs_stack(r).  V need not be unitary: RK4 stages sit at
-    U + O(dt).  r_dot holds adjacent differences of diag Lt;
-    Omega_tilde = V^dag dV/dt has zero diagonal (torus gauge) and
-    off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
+    p = probs_stack(r), with the gap floor checked if `checked`.  V need not
+    be unitary: RK4 stages sit at U + O(dt).  r_dot holds adjacent
+    differences of diag Lt; Omega_tilde = V^dag dV/dt has zero diagonal
+    (torus gauge) and off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
     """
     n = V.shape[-1]
     p = probs_stack(r)
-    check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
+    if checked:
+        check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
     Ht, Lt = V.conj().T @ HD(density_stack(p, V)) @ V
     d = Lt.diagonal().real
     denom = p[:, None] - p
@@ -252,10 +253,25 @@ def split_rhs(state: SplitState, model: LindbladModel):
     return r_dot, U_Omega @ U.conj().T
 
 
-def _polar_special(U):
-    """Nearest unitary (polar factor), det pushed back to 1 on the last column."""
-    X, _, Yh = np.linalg.svd(U)
-    return _unit_determinant(X @ Yh)
+def polar_special(U):
+    """(Q, e): the polar factor Q of U with det pushed back to 1 on the last
+    column, and the defect e = ||U^dag U - 1||_F.  Newton-Schulz
+    X <- X (1 - F/2), F = X^dag X - 1, maps a defect e < 1 to below e^2; it
+    runs to round-off, POLAR_TOL, so the update from e <= sqrt(POLAR_TOL) is
+    the last.  From e >= 1/2, where it need not converge, the SVD gives Q."""
+    U = np.array(U, dtype=complex)  # a copy: the determinant fix works in place
+    F = U.conj().T @ U - np.eye(len(U))
+    defect = err = np.linalg.norm(F)
+    if not defect < 0.5:
+        X, _, Yh = np.linalg.svd(U)
+        return _unit_determinant(X @ Yh), defect
+    while err > POLAR_TOL:
+        U = U - 0.5 * (U @ F)
+        if err * err <= POLAR_TOL:
+            break
+        F = U.conj().T @ U - np.eye(len(U))
+        err = np.linalg.norm(F)
+    return _unit_determinant(U), defect
 
 
 def integrate_split(
@@ -267,38 +283,51 @@ def integrate_split(
     fallback_direct: bool = False,
 ) -> Trajectory:
     """Fixed-step RK4 on the coupled system (r' = adjacent dissipator
-    differences, U' = U Omega_tilde), with the frame re-orthonormalized by a
-    polar correction after every step.
+    differences, U' = U Omega_tilde); after every step polar_special takes
+    U back to SU(n), and its defect before that is the frame_defect record.
 
-    On spectral degeneracy the integration stops with the breakdown time; if
-    `fallback_direct` is set, the direct route continues from the split state
-    on the run's own record grid and the trajectory carries the breakdown
-    time.
+    On spectral degeneracy, a state with a gap below BREAKDOWN_TOL or a step
+    whose stage leaves the chart, the integration stops with the breakdown
+    time; if `fallback_direct` is set, the direct route continues from the
+    live state on the run's own record grid and carries the breakdown time.
     """
     return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
 
 
-def _checked_spectrum(rho, t):
-    """Ascending spectrum of rho, after the direct route's record checks:
-    the positivity floor (NumericalBreakdownError), then check_density."""
-    w = np.linalg.eigvalsh(rho)
-    if not w[0] >= -BREAKDOWN_TOL:
-        raise NumericalBreakdownError(
-            f"positivity violated at t={t:.6g}: min eigenvalue {w[0]:.3e}"
-        )
-    check_density(rho, w)
-    return w
-
-
 def _split_step(U, r, dt, HD):
-    """One RK4 step of the pair (U, r) under _split_stage, then the polar
-    correction of U."""
-    U1, r1 = _split_stage(U, r, HD)
+    """One RK4 step of the pair (U, r) under _split_stage (the run has checked
+    (U, r), so stage 1 does not), then polar_special: (U, r, frame defect)."""
+    U1, r1 = _split_stage(U, r, HD, checked=False)
     U2, r2 = _split_stage(U + 0.5 * dt * U1, r + 0.5 * dt * r1, HD)
     U3, r3 = _split_stage(U + 0.5 * dt * U2, r + 0.5 * dt * r2, HD)
     U4, r4 = _split_stage(U + dt * U3, r + dt * r3, HD)
-    return (_polar_special(U + dt / 6.0 * (U1 + 2.0 * U2 + 2.0 * U3 + U4)),
-            r + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
+    U, defect = polar_special(U + dt / 6.0 * (U1 + 2.0 * U2 + 2.0 * U3 + U4))
+    return U, r + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4), defect
+
+
+def _split_records(records):
+    """Columns (t, r, rho, trace error, min eigenvalue, frame defect) of raw
+    split records (t, r, U, defect), after check_frame.  No check_gaps: every
+    r passed the gap floor and the weighted sum bound at its step."""
+    t, R, Us, defects = map(np.array, zip(*records))
+    check_frame(Us)
+    P = probs_stack(R)
+    return t, R, density_stack(P, Us), abs(P.sum(axis=-1) - 1.0), P[:, -1], defects
+
+
+def _direct_records(records):
+    """The same columns of raw direct records (t, rho, drift), frame defect
+    NaN, from one eigvalsh.  The earliest failing record raises, with the
+    positivity floor (NumericalBreakdownError) ahead of check_density."""
+    t, rhos, drifts = map(np.array, zip(*records))
+    w = np.linalg.eigvalsh(rhos)
+    low = np.flatnonzero(~(w[:, 0] >= -BREAKDOWN_TOL))
+    k = low[0] if low.size else len(w)
+    check_density(rhos[:k], w[:k])
+    if low.size:
+        raise NumericalBreakdownError(
+            f"positivity violated at t={t[k]:.6g}: min eigenvalue {w[k, 0]:.3e}")
+    return t, gaps_stack(w[:, ::-1]), rhos, drifts, w[:, 0], np.full(len(t), np.nan)
 
 
 def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
@@ -307,19 +336,23 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     It starts on the split route if `split` is set and on the direct route
     otherwise, and records at step 0, at every step with
     step % record_every == 0 and at the last, at time step * dt.  A split
-    breakdown raises unless `fallback_direct` is set.  Then the live state
-    becomes rho = U diag(p) U^dag, passes the direct route's record checks at
-    the breakdown time, and the loop takes the direct step from the failed
-    step on, into the same records.
+    state with a gap below BREAKDOWN_TOL, or one whose step leaves the
+    chart in a stage, is a breakdown at its time; one outside R_{n-1} raises.
+    A breakdown raises unless `fallback_direct` is set.  Then the live
+    state becomes rho = U diag(p) U^dag, passes the direct record checks,
+    and the loop steps on from there on the direct route.  Records are
+    checked as stacks at every exit (the end, an exception, the hand-over);
+    the earliest failing record raises ahead of a later step's exception.
     """
     steps = _step_count(t_end, dt, record_every)
     n = model.n
     if rho0.n != n:
         raise ValidationError("state and model dimensions disagree")
-    rho, A, t_break = np.asarray(rho0.rho, dtype=complex), None, None
+    rho, A, t_break, drift, defect = np.asarray(rho0.rho, dtype=complex), None, None, 0.0, 0.0
     if split:
         r_vec, frame = eigendecompose_ordered(rho0)
         r, U = np.array(r_vec.r), np.array(frame.U)
+        weights = np.arange(1.0, n)  # R_{n-1} is sum_a a r_a <= 1 for r >= 0
         # dissipator superoperator; H enters the frame rates only through its
         # frame image, so r' does not depend on H
         LD = _liouvillian(-0.5 * model._K, model._A)
@@ -331,58 +364,57 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
             np.matmul(LD, state.ravel(), out=D)
             return HD
 
-    times, rs, rhos, errors, mins = [], [], [], [], []
-    drift = 0.0
-    for step in range(steps + 1):
-        if step and split:
-            try:
-                U, r = _split_step(U, r, dt, H_and_D)
-            except DegenerateSpectrumError as exc:
-                t_break = (step - 1) * dt
-                if not fallback_direct:
-                    raise DegenerateSpectrumError(
-                        f"split integration broke down at t={t_break:.6g}: {exc}"
-                    ) from exc
-                split = False
-                rho = density_stack(probs_stack(r), U)
-                _checked_spectrum(rho, t_break)  # the hand-over state is checked as a record
-        if step and not split:
-            if A is None:
-                A = _liouvillian(-1j * model.H - 0.5 * model._K, model._A)
-                A *= dt
-            v = rho.ravel()
-            x = v
-            for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
-                x = v + c * (A @ x)
-            rho = x.reshape(n, n)
-            rho = 0.5 * (rho + rho.conj().T)
-            tr = float(np.trace(rho).real)
-            drift = abs(tr - 1.0)
-            if not drift <= BREAKDOWN_TOL:
-                raise NumericalBreakdownError(
-                    f"trace drift {drift:.3e} exceeds {BREAKDOWN_TOL:.0e} at t={step * dt:.6g}"
-                )
-            rho = rho / tr
-        if step % record_every == 0 or step == steps:
+    raw, blocks, live = [], [], 0  # this route's raw records, checked columns, live step
+    try:
+        for step in range(steps + 1):
             if split:
-                check_gaps(r)
-                check_frame(U)
-                p = probs_stack(r)
-                rs.append(r)
-                rhos.append(density_stack(p, U))
-                errors.append(abs(p.sum() - 1.0))
-                mins.append(p[-1])
-            else:
-                w = _checked_spectrum(rho, step * dt)
-                rs.append(gaps_stack(w[::-1]))
-                rhos.append(rho)
-                errors.append(drift)
-                mins.append(w[0])
-            times.append(step * dt)
+                try:
+                    if step:
+                        U, r, defect = _split_step(U, r, dt, H_and_D)
+                        live = step
+                    check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
+                    if not weights @ r <= 1.0 + TOL:
+                        raise NumericalBreakdownError(
+                            f"split state left R_{{n-1}} at t={step * dt:.6g}")
+                except DegenerateSpectrumError as exc:
+                    t_break = live * dt
+                    if not fallback_direct:
+                        raise DegenerateSpectrumError(
+                            f"split integration broke down at t={t_break:.6g}: {exc}"
+                        ) from exc
+                    pending, raw, split = raw, [], False
+                    if pending:
+                        blocks.append(_split_records(pending))
+                    rho = density_stack(probs_stack(r), U)
+                    _direct_records([(t_break, rho, drift)])  # the hand-over state, as a record
+            if live < step:
+                if A is None:
+                    A = _liouvillian(-1j * model.H - 0.5 * model._K, model._A)
+                    A *= dt
+                v = rho.ravel()
+                x = v
+                for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
+                    x = v + c * (A @ x)
+                rho = x.reshape(n, n)
+                rho = 0.5 * (rho + rho.conj().T)
+                tr = float(np.trace(rho).real)
+                drift = abs(tr - 1.0)
+                if not drift <= BREAKDOWN_TOL:
+                    raise NumericalBreakdownError(
+                        f"trace drift {drift:.3e} exceeds {BREAKDOWN_TOL:.0e} at t={step * dt:.6g}"
+                    )
+                rho = rho / tr
+                live = step
+            if step % record_every == 0 or step == steps:
+                raw.append((step * dt, r, U, defect) if split else (step * dt, rho, drift))
+    finally:
+        if raw:
+            blocks.append((_split_records if split else _direct_records)(raw))
 
-    gaps = np.array(rs)
-    diag = {"trace_error": np.array(errors), "min_eig": np.array(mins), "min_gap": gaps.min(axis=1)}
-    return Trajectory(np.array(times), gaps, np.array(rhos), diag, breakdown_time=t_break)
+    times, gaps, rhos, errors, mins, defects = map(np.concatenate, zip(*blocks))
+    diag = {"trace_error": errors, "min_eig": mins, "min_gap": gaps.min(axis=1),
+            "frame_defect": defects}
+    return Trajectory(times, gaps, rhos, diag, breakdown_time=t_break)
 
 
 def qubit_rhs(state: QubitAngles, model: LindbladModel):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import specang.dynamics as dynamics
 from specang import (
     PAULI,
     DegenerateSpectrumError,
@@ -40,6 +41,7 @@ from specang import (
 )
 from specang.dynamics import (
     euler_omega,
+    polar_special,
     qubit_frame,
     random_density,
     random_model,
@@ -201,8 +203,8 @@ def test_direct_matches_reference_rk4(n):
         assert np.max(np.abs(traj.rho - np.array(expect))) < 1e-13
 
 
-def polar_special(U):
-    """Polar factor of U with det pushed back to 1 on the last column."""
+def svd_polar_special(U):
+    """Polar factor of U from its SVD, with det pushed back to 1 on the last column."""
     X, _, Yh = np.linalg.svd(U)
     Q = X @ Yh
     det = np.linalg.det(Q)
@@ -249,13 +251,30 @@ def test_split_matches_reference_rk4(n):
                 y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                 for y, a, b, c, d in zip((U, r), k1, k2, k3, k4)
             )
-            U = polar_special(U)
+            U = svd_polar_special(U)
             if step % every == 0:
                 expect_r.append(r)
                 expect_rho.append((U * (1.0 / n + M @ r)) @ U.conj().T)
         assert len(traj.times) == len(expect_r)
         assert np.max(np.abs(traj.r - np.array(expect_r))) < 1e-13
         assert np.max(np.abs(traj.rho - np.array(expect_rho))) < 1e-13
+
+
+@given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       exponent=st.floats(-16.0, math.log10(0.3)))
+@example(n=16, seed=0, exponent=-7.0)
+@example(n=2, seed=0, exponent=math.log10(0.3))
+@settings(max_examples=60, deadline=None)
+def test_polar_special_matches_the_svd_polar_factor(n, seed, exponent):
+    # U = W (1 + E), W Haar and E Hermitian with ||E||_2 up to 0.3: the
+    # Newton-Schulz factor below a defect of 1/2, the SVD one above
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    E = A + A.conj().T
+    U = sample_flag(n, seed).U @ (np.eye(n) + 10.0**exponent / np.linalg.norm(E, 2) * E)
+    Q, defect = polar_special(U)
+    assert np.max(np.abs(Q - svd_polar_special(U))) <= 1e-14
+    assert defect == np.linalg.norm(U.conj().T @ U - np.eye(n))
 
 
 def test_direct_trace_drift_breaks_down_at_the_step():
@@ -309,7 +328,7 @@ def test_fallback_resumes_from_live_state():
         assert np.array_equal(split.times, direct.times)
         assert np.max(np.linalg.norm(split.rho - direct.rho, axis=(1, 2))) < 1e-12
         diag = split.diagnostics
-        for key in ("trace_error", "min_eig", "min_gap"):
+        for key in ("trace_error", "min_eig", "min_gap", "frame_defect"):
             assert len(diag[key]) == len(split.times)
         assert np.array_equal(diag["min_gap"], split.r.min(axis=1))
         after = split.times > split.breakdown_time
@@ -333,18 +352,18 @@ def test_fallback_records_on_the_run_grid(record_every, steps):
 
 
 def test_record_checks_raise_at_the_record():
-    # split: one RK4 step at an unstable dt leaves R_{n-1}; the record after
-    # it fails validation, and a run that skips that record breaks down at
-    # the next step instead
+    # split: one RK4 step at an unstable dt leaves R_{n-1}; the state it
+    # reaches is checked at its step, so the breakdown is the same whether
+    # or not a record falls there
     model = random_model(2, seed=3, jump_scale=1.0)
     rho0 = random_density(2, seed=503, fill=0.5)
-    with pytest.raises(ValidationError, match="non-negative"):
+    with pytest.raises(DegenerateSpectrumError, match="broke down at t=0.05: spectral gap"):
         integrate_split(rho0, model, 0.05, 0.05)
-    with pytest.raises(DegenerateSpectrumError, match="t=0.05"):
+    with pytest.raises(DegenerateSpectrumError, match="broke down at t=0.05: spectral gap"):
         integrate_split(rho0, model, 1.0, 0.05, record_every=3)
     model = random_model(2, seed=25, jump_scale=2.0)
     rho0 = random_density(2, seed=525, fill=0.5)
-    with pytest.raises(ValidationError, match="exceeds 1"):
+    with pytest.raises(NumericalBreakdownError, match=r"split state left R_\{n-1\} at t=0.05"):
         integrate_split(rho0, model, 0.05, 0.05)
     # direct: RK4 just outside its stability region grows the Bloch vector of
     # a unitary qubit; a slow growth first crosses -EIG_TOL at record 2, a
@@ -359,6 +378,68 @@ def test_record_checks_raise_at_the_record():
     dt = math.sqrt(8.01)
     with pytest.raises(NumericalBreakdownError, match="positivity violated at t=2.83"):
         integrate_direct(rho0, model, dt, dt)
+
+
+def test_split_breakdown_does_not_depend_on_record_every():
+    # the step to t = 0.003 closes a gap; the state is checked at its step,
+    # so a record there does not turn the breakdown into a validation error
+    model = random_model(4, seed=4, jump_scale=3.0)
+    rho0 = random_density(4, seed=104)
+    for record_every in (1, 10):
+        with pytest.raises(DegenerateSpectrumError, match="broke down at t=0.003: spectral gap"):
+            integrate_split(rho0, model, 0.1, 1e-3, record_every)
+
+
+def test_a_failing_record_wins_over_a_later_step():
+    # the record at t = 1.5 fails positivity; the run without it reaches a
+    # trace drift at t = 10.5, which must not mask the earlier record
+    model = random_model(2, seed=1, jump_scale=1.0)
+    rho0 = random_density(2, seed=2)
+    with pytest.raises(NumericalBreakdownError, match="trace drift .* at t=10.5"):
+        integrate_direct(rho0, model, 60.0, 1.5, record_every=1000)
+    with pytest.raises(NumericalBreakdownError, match="positivity violated at t=1.5: min"):
+        integrate_direct(rho0, model, 60.0, 1.5, record_every=1)
+
+
+def test_a_failing_record_wins_over_the_hand_over_check(monkeypatch):
+    # from step 100 on every polar factor is scaled by 1 + 1e-6: the split
+    # records from t = 0.1 fail check_frame, and the hand-over state at
+    # t = 0.336 fails check_density (its trace is off); the earlier wins
+    model, rho0 = _amplitude_damped_qubit()
+    calls = []
+
+    def skewed(U):
+        Q, defect = polar_special(U)
+        calls.append(defect)
+        return Q * (1.0 + 1e-6 * (len(calls) >= 100)), defect
+
+    monkeypatch.setattr(dynamics, "polar_special", skewed)
+    with pytest.raises(ValidationError, match="trace is not 1"):
+        integrate_split(rho0, model, 1.0, 1e-3, record_every=1000, fallback_direct=True)
+    with pytest.raises(ValidationError, match="frame is not unitary"):
+        integrate_split(rho0, model, 1.0, 1e-3, record_every=1, fallback_direct=True)
+
+
+def test_frame_defect_is_the_defect_before_the_polar_correction(monkeypatch):
+    seen = []
+
+    def logged(U):
+        seen.append(np.linalg.norm(U.conj().T @ U - np.eye(len(U))))
+        return polar_special(U)
+
+    monkeypatch.setattr(dynamics, "polar_special", logged)
+    rho0, model = random_density(3, seed=5), random_model(3, seed=5)
+    defect = integrate_split(rho0, model, 0.05, 1e-3, record_every=5).diagnostics["frame_defect"]
+    assert defect[0] == 0.0
+    assert np.array_equal(defect[1:], np.array(seen)[4::5])
+    assert 0.0 < np.max(defect) < 1e-8
+    assert np.all(np.isnan(integrate_direct(rho0, model, 0.05, 1e-3).diagnostics["frame_defect"]))
+    # after a fallback the records are direct ones
+    model, rho0 = _amplitude_damped_qubit()
+    split = integrate_split(rho0, model, 1.0, 1e-3, 10, fallback_direct=True)
+    after = split.times > split.breakdown_time
+    assert np.all(np.isnan(split.diagnostics["frame_defect"][after]))
+    assert np.all(np.isfinite(split.diagnostics["frame_defect"][~after]))
 
 
 def test_step_validation():

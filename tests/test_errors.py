@@ -49,7 +49,7 @@ def test_tolerances_live_in_errors_only():
         if path.name != "errors.py" and (lits := tolerance_literals(path))
     }
     assert found == {}
-    assert len(tolerance_literals(SRC / "errors.py")) == 6
+    assert len(tolerance_literals(SRC / "errors.py")) == 7
 
 
 def nan_matrix():
@@ -96,3 +96,28 @@ def test_non_finite_input_is_rejected(build):
 def test_every_check_rejects_nan(check, error):
     with pytest.raises(error):
         check()
+
+
+def test_stacked_checks_raise_for_the_first_failing_entry():
+    # entry 1 fails a later test than entry 2 does; entry 1 names the failure,
+    # and a stack with no failing entry passes
+    gaps = np.array([[0.2, 0.1], [0.9, 0.2], [-0.1, 0.1], [NAN, 0.1]])
+    check_gaps(gaps[:1])
+    with pytest.raises(ValidationError, match="weighted gap sum exceeds 1"):
+        check_gaps(gaps)
+    with pytest.raises(ValidationError, match="non-negative"):
+        check_gaps(gaps[2:])
+    frames = np.stack([np.eye(2), np.diag([1j, 1j]), 2.0 * np.eye(2), nan_matrix()])
+    check_frame(frames[:1])
+    with pytest.raises(ValidationError, match="determinant is not 1"):
+        check_frame(frames)
+    with pytest.raises(ValidationError, match="not unitary"):
+        check_frame(frames[2:])
+    rhos = np.stack([np.eye(2) / 2.0, np.eye(2), np.array([[0.5, 1.0], [0.0, 0.5]]), nan_matrix()])
+    spectra = np.linalg.eigvalsh(rhos[:2])
+    spectra = np.concatenate([spectra, [[0.2, 0.8], [NAN, NAN]]])
+    check_density(rhos[:1], spectra[:1])
+    with pytest.raises(ValidationError, match="trace is not 1"):
+        check_density(rhos, spectra)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        check_density(rhos[2:], spectra[2:])
