@@ -19,9 +19,7 @@ import numpy as np
 from .errors import (
     EIG_TOL, ValidationError, check_angle, check_density, check_frame, check_gap_floor,
 )
-from .spectral import (
-    GapVector, ProbVector, gaps_from_probs, gaps_stack, probs_from_gaps, weighted_simplex_volume,
-)
+from .spectral import GapVector, gaps_stack, probs_stack, weighted_simplex_volume
 
 
 def pair_indices(n: int) -> list:
@@ -91,7 +89,7 @@ class DensityMatrix:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (self.n, self.n):
             raise ValidationError(f"density matrix must be {self.n} x {self.n}")
-        check_density(rho, np.linalg.eigvalsh(rho))
+        check_density(rho)
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
@@ -187,7 +185,7 @@ def full_unitary(angles: AngleSet) -> UnitaryFrame:
     of SU(n) with n^2 - 1 real parameters."""
     if angles.torus is None:
         raise ValidationError("full_unitary requires torus phases")
-    U = coset_unitary(angles).U @ torus_element(angles.n, angles.torus)
+    U = coset_unitaries(angles.n, *_angle_arrays(angles)) @ torus_element(angles.n, angles.torus)
     return UnitaryFrame(angles.n, U)
 
 
@@ -224,7 +222,7 @@ def assemble_density(r: GapVector, frame) -> DensityMatrix:
     """
     if isinstance(frame, AngleSet):
         frame = coset_unitary(frame)
-    return DensityMatrix(r.n, density_stack(probs_from_gaps(r).p, frame.U))
+    return DensityMatrix(r.n, density_stack(probs_stack(r.r), frame.U))
 
 
 def _unit_determinant(U: np.ndarray) -> np.ndarray:
@@ -254,7 +252,7 @@ def eigendecompose_ordered(rho: DensityMatrix):
     w, V = w[::-1], V[:, ::-1]
     check_gap_floor(gaps_stack(w), EIG_TOL, "eigenframe")
     w = np.clip(w, 0.0, None)
-    r = gaps_from_probs(ProbVector(rho.n, w / w.sum()))
+    r = GapVector(rho.n, gaps_stack(w / w.sum()))
     return r, UnitaryFrame(rho.n, _fix_column_phases(V))
 
 
@@ -342,7 +340,7 @@ def quantize(f, r: GapVector, num_samples: int, seed: int) -> np.ndarray:
     if num_samples == 0:
         return np.zeros((n, n), dtype=complex)
     weights = np.array([f(U) for U in frames], dtype=complex)
-    rhos = density_stack(probs_from_gaps(r).p, frames)
+    rhos = density_stack(probs_stack(r.r), frames)
     return n * np.einsum("b,bij->ij", weights, rhos) / num_samples
 
 

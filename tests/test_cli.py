@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -416,6 +417,29 @@ def test_evolve_t_end_off_the_step_grid_exits_2(capsys, model_files):
     assert out == ""
     assert "not a multiple of dt" in err and "0.2 and 0.3" in err
     assert not (model_files / "run_direct.csv").exists()
+
+
+def test_evolve_eigenvalue_below_the_record_floor_exits_3(capsys, tmp_path):
+    # RK4 just outside its stability region grows the Bloch vector of a
+    # unitary qubit: record 2 has an eigenvalue of -5e-10, below -EIG_TOL but
+    # above -BREAKDOWN_TOL.  The run broke down (exit 3); its input was valid
+    save_model(tmp_path / "model.json", LindbladModel(2, np.diag([0.5, -0.5]), (), ()))
+    c = 1.0 - 1e-9
+    save_density(tmp_path / "rho0.json", DensityMatrix(2, 0.5 * np.array([[1.0, c], [c, 1.0]])))
+    dt = math.sqrt(8.0 + 2.25e-9)
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(tmp_path / "model.json"),
+        "--rho0", str(tmp_path / "rho0.json"),
+        "--method", "direct",
+        "--dt", repr(dt), "--t-end", repr(2.0 * dt),
+        "--record-every", "1",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 3
+    assert out == ""
+    assert "positivity violated at t=5.65685" in err
 
 
 def test_evolve_missing_model_is_io_error(capsys, tmp_path):

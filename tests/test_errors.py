@@ -86,7 +86,7 @@ def test_non_finite_input_is_rejected(build):
         (lambda: check_probs(np.array([0.6, NAN])), ValidationError),
         (lambda: check_gaps(np.array([0.2, NAN])), ValidationError),
         (lambda: check_frame(nan_matrix()), ValidationError),
-        (lambda: check_density(np.eye(2) / 2.0, np.array([NAN, 0.5])), ValidationError),
+        (lambda: check_density(nan_matrix()), ValidationError),
         (lambda: check_angle("theta", NAN, full_turn=False), ValidationError),
         (lambda: check_angle("phi", NAN, full_turn=True), ValidationError),
         (lambda: check_gap_floor(np.array([0.2, NAN]), 1e-8, "chart"), DegenerateSpectrumError),
@@ -98,26 +98,51 @@ def test_every_check_rejects_nan(check, error):
         check()
 
 
-def test_stacked_checks_raise_for_the_first_failing_entry():
-    # entry 1 fails a later test than entry 2 does; entry 1 names the failure,
-    # and a stack with no failing entry passes
-    gaps = np.array([[0.2, 0.1], [0.9, 0.2], [-0.1, 0.1], [NAN, 0.1]])
-    check_gaps(gaps[:1])
-    with pytest.raises(ValidationError, match="weighted gap sum exceeds 1"):
-        check_gaps(gaps)
-    with pytest.raises(ValidationError, match="non-negative"):
-        check_gaps(gaps[2:])
-    frames = np.stack([np.eye(2), np.diag([1j, 1j]), 2.0 * np.eye(2), nan_matrix()])
-    check_frame(frames[:1])
-    with pytest.raises(ValidationError, match="determinant is not 1"):
-        check_frame(frames)
-    with pytest.raises(ValidationError, match="not unitary"):
-        check_frame(frames[2:])
-    rhos = np.stack([np.eye(2) / 2.0, np.eye(2), np.array([[0.5, 1.0], [0.0, 0.5]]), nan_matrix()])
-    spectra = np.linalg.eigvalsh(rhos[:2])
-    spectra = np.concatenate([spectra, [[0.2, 0.8], [NAN, NAN]]])
-    check_density(rhos[:1], spectra[:1])
-    with pytest.raises(ValidationError, match="trace is not 1"):
-        check_density(rhos, spectra)
-    with pytest.raises(ValidationError, match="not Hermitian"):
-        check_density(rhos[2:], spectra[2:])
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        (check_gaps, np.array([0.2, 0.1]), None),
+        (check_gaps, np.array([-0.1, 0.9]), "non-negative"),
+        (check_gaps, np.array([0.9, 0.2]), "weighted gap sum exceeds 1"),
+        (check_frame, np.eye(2), None),
+        (check_frame, 2.0 * np.eye(2), "not unitary"),
+        (check_frame, np.diag([1j, 1j]), "determinant is not 1"),
+        (check_density, np.eye(2) / 2.0, None),
+        (check_density, np.array([[1.0, 2.0], [0.0, -1.5]]), "not Hermitian"),
+        (check_density, np.diag([1.2, -0.7]), "trace is not 1"),
+        (check_density, np.diag([1.2, -0.2]), "negative eigenvalue"),
+    ],
+)
+def test_each_check_names_its_first_failing_test(check, value, message):
+    # every failing value also fails each later test of its check
+    if message is None:
+        check(value)
+    else:
+        with pytest.raises(ValidationError, match=message):
+            check(value)
+
+
+INPUT_CHECKS = {"check_probs", "check_gaps", "check_frame", "check_density", "check_angle"}
+
+
+def test_input_checks_run_only_in_validating_constructors():
+    # the validators guard input at the API boundary; a state the library
+    # computes itself is guarded by the step loop (check_gap_floor and the
+    # breakdown checks), never by re-validating it as input
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"
+            for node in ast.walk(func)
+        }
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        outside += [
+            (path.name, node.lineno, name)
+            for node in calls
+            if (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in INPUT_CHECKS
+            and id(node) not in inside
+        ]
+    assert outside == []

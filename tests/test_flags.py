@@ -1,5 +1,6 @@
 """SU(n) factors, flag sampling, invariant measure and quantization."""
 
+import collections
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from specang import (
     DegenerateSpectrumError,
     DensityMatrix,
     GapVector,
+    ProbVector,
+    UnitaryFrame,
     ValidationError,
     assemble_density,
     cartan_generator,
@@ -37,6 +40,7 @@ from specang import (
     state_space_volume,
     weighted_simplex_volume,
 )
+from specang.dynamics import random_density
 from specang.flags import torus_element, pair_indices
 from conftest import interior_gaps, random_angles
 
@@ -230,6 +234,36 @@ def test_density_stack_matches_per_frame_assembly(rng):
 def test_eigendecompose_degenerate_raises():
     with pytest.raises(DegenerateSpectrumError):
         eigendecompose_ordered(DensityMatrix(3, np.eye(3) / 3.0))
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counter of the validating constructors run, by class name."""
+    counts = collections.Counter()
+    for cls in (GapVector, ProbVector, UnitaryFrame, DensityMatrix):
+        def counted(self, check=cls.__post_init__):
+            counts[type(self).__name__] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_library_intermediates_are_not_revalidated(constructed, rng):
+    # each public result is validated once; the vectors and frames the
+    # library computes on the way to it are not
+    rho = random_density(4, seed=1)
+    assert constructed == {"GapVector": 1, "UnitaryFrame": 1, "DensityMatrix": 1}
+    constructed.clear()
+    eigendecompose_ordered(rho)
+    assert constructed == {"GapVector": 1, "UnitaryFrame": 1}
+    angles = random_angles(3, rng, with_torus=True)
+    constructed.clear()
+    full_unitary(angles)
+    assert constructed == {"UnitaryFrame": 1}
+    r = interior_gaps(3, rng)
+    constructed.clear()
+    quantize(lambda U: 1.0, r, 10, seed=0)
+    assert constructed == {}
 
 
 def test_density_matrix_validation():
