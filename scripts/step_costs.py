@@ -6,12 +6,14 @@ Every run prints and stores four tables.  The step table times
 dimension, at dt = 1e-3, over a fixed number of steps with records only at
 the two ends, and gives the median and interquartile range of the cost in
 microseconds per RK4 step over the repeats.  Each timed call includes its
-own set-up (the direct route builds the Liouvillian once per call).
+own set-up: it builds a fresh `LindbladModel`, so the route's superoperator
+(the Liouvillian or the dissipator alone), which a model caches on first
+use, is built once per call.
 
 The record table gives the cost of a record on each route: the same run
-with `record_every=1` minus the run with `record_every=steps`, timed back to
-back in each repeat and divided by the number of steps, in microseconds per
-record.
+with `record_every=1` minus the run with `record_every=steps`, each on a
+fresh model, timed back to back in each repeat and divided by the number of
+steps, in microseconds per record.
 
 The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
@@ -54,8 +56,8 @@ import numpy as np
 import scipy
 
 from specang import (
-    cli, integrate_direct, integrate_split, rejection_volume_estimate, resolution_check,
-    sample_flags, write_trajectory_csv,
+    LindbladModel, cli, integrate_direct, integrate_split, rejection_volume_estimate,
+    resolution_check, sample_flags, write_trajectory_csv,
 )
 from specang.dynamics import random_density, random_model
 
@@ -85,6 +87,11 @@ def provenance():
     }
 
 
+def fresh(model):
+    """A new model with the same operators, so no superoperator is cached on it."""
+    return LindbladModel(model.n, model.H, model.jumps, model.rates)
+
+
 def timings(call, repeats):
     """Microseconds of each of `repeats` timed calls of call(), after one warm-up."""
     call()
@@ -109,8 +116,8 @@ def step_table(dims, steps, repeats):
         model = random_model(n, seed=SEED + n)
         rho0 = random_density(n, seed=SEED + 100 + n)
         for method, integrate in INTEGRATORS.items():
-            costs = timings(lambda: integrate(rho0, model, steps * DT, DT, record_every=steps),
-                            repeats)
+            costs = timings(
+                lambda: integrate(rho0, fresh(model), steps * DT, DT, record_every=steps), repeats)
             stats = summary(np.array(costs) / steps, "us_per_step")
             results.append({"n": n, "method": method, **stats})
             print(
@@ -129,7 +136,7 @@ def record_table(dims, steps, repeats):
         for method, integrate in INTEGRATORS.items():
             def run(every):
                 t0 = time.perf_counter()
-                integrate(rho0, model, steps * DT, DT, record_every=every)
+                integrate(rho0, fresh(model), steps * DT, DT, record_every=every)
                 return time.perf_counter() - t0
 
             run(1)

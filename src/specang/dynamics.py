@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .flags import (
 from .geometry import purity_spectrum
 from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
 from .spectral import GapVector, gaps_stack, probs_stack
+
+RECORD_CHUNK = 1000  # raw records per stacked check, so a failing record stops its run soon
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -65,15 +68,18 @@ class LindbladModel:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "rates", rates)
-        # K = sum_k h_k L_k^dag L_k and the stack A_k = sqrt(h_k) L_k, shared
-        # by the dissipator and the superoperators
-        K = sum((h * (L.conj().T @ L) for h, L in zip(rates, jumps)), np.zeros_like(H))
-        A = np.array([math.sqrt(h) * L for h, L in zip(rates, jumps)], dtype=complex)
-        A = A.reshape(len(jumps), self.n, self.n)
-        for a in (H, *jumps, K, A):
+        for a in (H, *jumps):
             a.setflags(write=False)
-        object.__setattr__(self, "_K", K)
-        object.__setattr__(self, "_A", A)
+
+    @cached_property
+    def liouvillian(self) -> np.ndarray:
+        """The GKLS generator on row-major vec(rho), built once, read-only."""
+        return _liouvillian(self, hamiltonian=True)
+
+    @cached_property
+    def dissipator_superoperator(self) -> np.ndarray:
+        """The dissipator alone, with no H in it, built once, read-only."""
+        return _liouvillian(self, hamiltonian=False)
 
 
 @dataclass(frozen=True)
@@ -136,42 +142,47 @@ class Trajectory:
             raise ValidationError("trajectory times must be strictly increasing")
 
 
-def dissipator(rho, model: LindbladModel) -> np.ndarray:
-    """Dissipative part sum_k h_k (L rho L^dag - {rho, L^dag L}/2), on one
-    matrix or a stack (..., n, n)."""
-    rho = np.asarray(getattr(rho, "rho", rho), dtype=complex)
-    K, A = model._K, model._A
-    jump = np.sum(A @ rho[..., None, :, :] @ A.conj().swapaxes(-1, -2), axis=-3)
-    return jump - 0.5 * (K @ rho + rho @ K)
+def _liouvillian(model: LindbladModel, hamiltonian: bool) -> np.ndarray:
+    """The read-only n^2 x n^2 superoperator of X -> G X + X G^dag +
+    sum_k A_k X A_k^dag on row-major vec(X), A_k = sqrt(h_k) L_k.
 
-
-def _liouvillian(G: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The n^2 x n^2 superoperator of X -> G X + X G^dag + sum_k A_k X A_k^dag
-    on row-major vec(X).
-
-    With vec(A X B) = (A kron B^T) vec(X) it is
-    kron(G, 1) + kron(1, conj(G)) + sum_k kron(A_k, conj(A_k)).  With
-    A_k = sqrt(h_k) L_k, G = -iH - K/2 gives the GKLS generator and G = -K/2
-    its dissipator alone.  Built in place with no n^4 temporary: the jump sum
-    is written straight into the (i, a, j, b) block view, then the G blocks
-    are added to it.
+    With vec(A X B) = (A kron B^T) vec(X) it is kron(G, 1) + kron(1, conj(G))
+    + sum_k kron(A_k, conj(A_k)); with K = sum_k h_k L_k^dag L_k, G = -iH - K/2
+    gives the GKLS generator and G = -K/2 its dissipator alone.  Built in
+    place: the jump sum is written into the (i, a, j, b) block view, then
+    the G blocks are added to it, so no n^4 temporary exists.
     """
-    n = G.shape[0]
+    n, hL = model.n, list(zip(model.rates, model.jumps))
+    K = sum((h * (L.conj().T @ L) for h, L in hL), np.zeros_like(model.H))
+    A = np.array([math.sqrt(h) * L for h, L in hL], dtype=complex).reshape(len(hL), n, n)
+    G = -1j * model.H - 0.5 * K if hamiltonian else -0.5 * K
     out = np.empty((n * n, n * n), dtype=complex)
     blocks = out.reshape(n, n, n, n)
     np.einsum("kij,kab->iajb", A, A.conj(), out=blocks)
     for a in range(n):
         blocks[:, a, :, a] += G
         blocks[a, :, a, :] += G.conj()
+    out.setflags(write=False)
     return out
 
 
-def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
-    """Full generator -i[H, rho] + dissipator."""
-    mat = np.asarray(getattr(rho, "rho", rho), dtype=complex)
-    if mat.shape != (model.n, model.n):
+def _matvec(superop, rho, model):
+    """superop vec(rho) on one matrix or a stack (..., n, n), in rho's shape."""
+    rho, n = np.asarray(getattr(rho, "rho", rho), dtype=complex), model.n
+    if rho.shape[-2:] != (n, n):
         raise ValidationError("state and model dimensions disagree")
-    return -1j * (model.H @ mat - mat @ model.H) + dissipator(mat, model)
+    return (rho.reshape(*rho.shape[:-2], n * n) @ superop.T).reshape(rho.shape)
+
+
+def dissipator(rho, model: LindbladModel) -> np.ndarray:
+    """Dissipative part sum_k h_k (L rho L^dag - {rho, L^dag L}/2), on one
+    matrix or a stack (..., n, n)."""
+    return _matvec(model.dissipator_superoperator, rho, model)
+
+
+def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
+    """Full generator -i[H, rho] + dissipator, on one matrix or a stack."""
+    return _matvec(model.liouvillian, rho, model)
 
 
 def _step_count(t_end, dt, record_every):
@@ -208,13 +219,14 @@ def integrate_direct(
     return _run(rho0, model, t_end, dt, record_every, split=False)
 
 
-def _split_stage(V, r, HD, checked=True):
+def _split_stage(V, r, LD, HD, checked=True):
     """The split flow (V Omega_tilde, r_dot) at frame V and gaps r.
 
-    HD maps rho to the (2, n, n) stack [H, D(rho)], rotated into the frame
-    in one product, Ht, Lt = V^dag [H, D] V at rho = V diag(p) V^dag,
-    p = probs_stack(r), with the gap floor checked if `checked`.  V need not
-    be unitary: RK4 stages sit at U + O(dt).  r_dot holds adjacent
+    HD is a (2, n, n) buffer whose first slice is H.  The stage writes
+    D(rho) = LD vec(rho) into its second slice, at rho = V diag(p) V^dag,
+    p = probs_stack(r), and rotates both into the frame in one product,
+    Ht, Lt = V^dag [H, D] V, with the gap floor checked if `checked`.  V
+    need not be unitary: RK4 stages sit at U + O(dt).  r_dot holds adjacent
     differences of diag Lt; Omega_tilde = V^dag dV/dt has zero diagonal
     (torus gauge) and off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
     """
@@ -222,7 +234,8 @@ def _split_stage(V, r, HD, checked=True):
     p = probs_stack(r)
     if checked:
         check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
-    Ht, Lt = V.conj().T @ HD(density_stack(p, V)) @ V
+    np.matmul(LD, density_stack(p, V).ravel(), out=HD[1].reshape(n * n))
+    Ht, Lt = V.conj().T @ HD @ V
     d = Lt.diagonal().real
     denom = p[:, None] - p
     denom.flat[:: n + 1] = 1.0
@@ -241,10 +254,8 @@ def split_rhs(state: SplitState, model: LindbladModel):
     """
     if model.n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
-    U = state.U.U
-    U_Omega, r_dot = _split_stage(
-        U, state.r.r, lambda rho: np.stack([model.H, dissipator(rho, model)])
-    )
+    U, HD = state.U.U, np.array([model.H, model.H])  # the stage overwrites HD[1]
+    U_Omega, r_dot = _split_stage(U, state.r.r, model.dissipator_superoperator, HD)
     return r_dot, U_Omega @ U.conj().T
 
 
@@ -289,13 +300,13 @@ def integrate_split(
     return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
 
 
-def _split_step(U, r, dt, HD):
+def _split_step(U, r, dt, LD, HD):
     """One RK4 step of the pair (U, r) under _split_stage (the run has checked
     (U, r), so stage 1 does not), then polar_special: (U, r, frame defect)."""
-    U1, r1 = _split_stage(U, r, HD, checked=False)
-    U2, r2 = _split_stage(U + 0.5 * dt * U1, r + 0.5 * dt * r1, HD)
-    U3, r3 = _split_stage(U + 0.5 * dt * U2, r + 0.5 * dt * r2, HD)
-    U4, r4 = _split_stage(U + dt * U3, r + dt * r3, HD)
+    U1, r1 = _split_stage(U, r, LD, HD, checked=False)
+    U2, r2 = _split_stage(U + 0.5 * dt * U1, r + 0.5 * dt * r1, LD, HD)
+    U3, r3 = _split_stage(U + 0.5 * dt * U2, r + 0.5 * dt * r2, LD, HD)
+    U4, r4 = _split_stage(U + dt * U3, r + dt * r3, LD, HD)
     U, defect = polar_special(U + dt / 6.0 * (U1 + 2.0 * U2 + 2.0 * U3 + U4))
     return U, r + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4), defect
 
@@ -336,9 +347,9 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     A breakdown raises unless `fallback_direct` is set.  Then the live
     state becomes rho = U diag(p) U^dag, passes the direct record floor,
     and the loop steps on from there on the direct route.  Direct records
-    are checked as a stack at every exit (the end, an exception, the
-    hand-over); the earliest failing record raises ahead of a later step's
-    exception.
+    are checked as a stack of every RECORD_CHUNK records and at every exit
+    (the end, an exception, the hand-over); the earliest failing record
+    raises ahead of a later step's exception.
     """
     steps = _step_count(t_end, dt, record_every)
     n = model.n
@@ -349,24 +360,16 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
         r_vec, frame = eigendecompose_ordered(rho0)
         r, U = np.array(r_vec.r), np.array(frame.U)
         weights = np.arange(1.0, n)  # R_{n-1} is sum_a a r_a <= 1 for r >= 0
-        # dissipator superoperator; H enters the frame rates only through its
-        # frame image, so r' does not depend on H
-        LD = _liouvillian(-0.5 * model._K, model._A)
-        HD = np.empty((2, n, n), dtype=complex)
-        HD[0] = model.H
-        D = HD[1].reshape(n * n)  # a view: the matvec below writes into HD
-
-        def H_and_D(state):
-            np.matmul(LD, state.ravel(), out=D)
-            return HD
-
+        # H enters the frame rates only through its frame image, so r' does
+        # not depend on H; the stages overwrite HD[1]
+        LD, HD = model.dissipator_superoperator, np.array([model.H, model.H])
     raw, blocks, live = [], [], 0  # this route's raw records, checked columns, live step
     try:
         for step in range(steps + 1):
             if split:
                 try:
                     if step:
-                        U, r, defect = _split_step(U, r, dt, H_and_D)
+                        U, r, defect = _split_step(U, r, dt, LD, HD)
                         live = step
                     check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
                     if not weights @ r <= 1.0 + TOL:
@@ -385,8 +388,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                     _direct_records([(t_break, rho, drift)])  # the hand-over state, as a record
             if live < step:
                 if A is None:
-                    A = _liouvillian(-1j * model.H - 0.5 * model._K, model._A)
-                    A *= dt
+                    A = dt * model.liouvillian  # one scaled copy per run
                 v = rho.ravel()
                 x = v
                 for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
@@ -403,6 +405,9 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                 live = step
             if step % record_every == 0 or step == steps:
                 raw.append((step * dt, r, U, defect) if split else (step * dt, rho, drift))
+                if len(raw) == RECORD_CHUNK:
+                    pending, raw = raw, []
+                    blocks.append((_split_records if split else _direct_records)(pending))
     finally:
         if raw:
             blocks.append((_split_records if split else _direct_records)(raw))

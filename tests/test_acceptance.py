@@ -83,8 +83,7 @@ def test_criterion_01_volume_identities():
         1,
         "volume identities",
         ok,
-        f"exact rationals n<=10, ratio=n; MC deviations {max(mc):.2f} sigma max "
-        f"at N=1e6 in {elapsed:.1f}s",
+        f"exact rationals n<=10, ratio=n; MC deviations {max(mc):.2f} sigma max at N=1e6",
     )
 
 

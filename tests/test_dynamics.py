@@ -2,6 +2,7 @@
 
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -83,6 +84,57 @@ def test_generator_structure(rng):
     for mat in (d, full):
         assert abs(np.trace(mat)) < 1e-12
         assert np.linalg.norm(mat - mat.conj().T) < 1e-12
+
+
+def matrix_form_rhs(rho, model, hamiltonian=True):
+    """Reference GKLS generator in matrix form on a stack (..., n, n):
+    -i[H, rho] (if `hamiltonian`) + sum_k h_k (L rho L^dag - {L^dag L, rho}/2)."""
+    rho = np.asarray(rho, dtype=complex)
+    out = -1j * (model.H @ rho - rho @ model.H) if hamiltonian else np.zeros_like(rho)
+    for h, L in zip(model.rates, model.jumps):
+        LdL = L.conj().T @ L
+        out = out + h * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+    return out
+
+
+def reference_models(n, scale=1.0):
+    """A random model, one with a zero rate and one with no jumps, sharing H."""
+    rng = np.random.default_rng(n)
+    H = random_model(n, seed=n).H
+    L = [scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+         for _ in range(3)]
+    return (
+        random_model(n, seed=20 + n),
+        LindbladModel(n, H, tuple(L), (0.7, 0.0, 1.3)),  # one zero rate
+        LindbladModel(n, H, (), ()),  # no jumps: -i[H, rho] alone
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_superoperator_matvecs_match_the_matrix_form(n):
+    rhos = np.stack([random_density(n, seed=s).rho for s in range(6)]).reshape(2, 3, n, n)
+    for model in reference_models(n):
+        for rhs, hamiltonian in ((lindblad_rhs, True), (dissipator, False)):
+            got, expect = rhs(rhos, model), matrix_form_rhs(rhos, model, hamiltonian)
+            assert got.shape == rhos.shape
+            assert np.max(np.abs(got - expect)) <= 1e-14 * max(1.0, np.max(np.abs(expect)))
+    with pytest.raises(ValidationError, match="dimensions disagree"):
+        lindblad_rhs(rhos[..., :-1], model)
+
+
+def test_superoperators_are_cached_read_only():
+    model = random_model(3, seed=2)
+    for name in ("liouvillian", "dissipator_superoperator"):
+        S = getattr(model, name)
+        assert S is getattr(model, name)
+        assert S.shape == (9, 9) and not S.flags.writeable
+    L = model.liouvillian.copy()
+    integrate_direct(random_density(3, seed=3), model, 0.01, 1e-3)
+    assert np.array_equal(model.liouvillian, L)  # the run scales a copy
+    # the dissipator superoperator holds no H
+    other = LindbladModel(3, random_model(3, seed=4).H, model.jumps, model.rates)
+    assert np.array_equal(other.dissipator_superoperator, model.dissipator_superoperator)
+    assert not np.array_equal(other.liouvillian, model.liouvillian)
 
 
 def frame_operator_form(U, p, model):
@@ -175,25 +227,17 @@ def test_direct_depolarizing_qubit_exact():
 def test_direct_matches_reference_rk4(n):
     # four matrix-form generator evaluations per step, the same re-Hermitize
     # and renormalize steps, against the Horner form on the Liouvillian
-    rng = np.random.default_rng(n)
-    H = random_model(n, seed=n).H
-    L = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
-    models = (
-        random_model(n, seed=20 + n),
-        LindbladModel(n, H, tuple(L), (0.7, 0.0, 1.3)),  # one zero rate
-        LindbladModel(n, H, (), ()),  # no jumps: -i[H, rho] alone
-    )
     rho0 = random_density(n, seed=30 + n)
     dt, steps, every = 1e-2, 40, 8
-    for model in models:
+    for model in reference_models(n):
         traj = integrate_direct(rho0, model, steps * dt, dt, record_every=every)
         rho = rho0.rho.astype(complex)
         expect = [rho]
         for step in range(1, steps + 1):
-            k1 = lindblad_rhs(rho, model)
-            k2 = lindblad_rhs(rho + 0.5 * dt * k1, model)
-            k3 = lindblad_rhs(rho + 0.5 * dt * k2, model)
-            k4 = lindblad_rhs(rho + dt * k3, model)
+            k1 = matrix_form_rhs(rho, model)
+            k2 = matrix_form_rhs(rho + 0.5 * dt * k1, model)
+            k3 = matrix_form_rhs(rho + 0.5 * dt * k2, model)
+            k4 = matrix_form_rhs(rho + dt * k3, model)
             rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             rho = 0.5 * (rho + rho.conj().T)
             rho = rho / np.trace(rho).real
@@ -215,15 +259,9 @@ def svd_polar_special(U):
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_split_matches_reference_rk4(n):
     # RK4 on (U, r) with the rotated-operator form of the split RHS and the
-    # same polar correction, against the dissipator-superoperator stages
-    rng = np.random.default_rng(n)
-    H = random_model(n, seed=n).H
-    L = [0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) for _ in range(3)]
-    models = (
-        random_model(n, seed=20 + n),
-        LindbladModel(n, H, tuple(L), (0.7, 0.0, 1.3)),  # one zero rate
-        LindbladModel(n, H, (), ()),  # no jumps: a rigid rotation of the frame
-    )
+    # same polar correction, against the dissipator-superoperator stages;
+    # with no jumps the frame turns rigidly
+    models = reference_models(n, scale=0.3)
     rho0 = random_density(n, seed=30 + n)
     r0, frame = eigendecompose_ordered(rho0)
     M = jacobian_matrix(n)
@@ -394,6 +432,20 @@ def test_record_checks_raise_at_the_record():
     dt = math.sqrt(8.01)
     with pytest.raises(NumericalBreakdownError, match="positivity violated at t=2.83"):
         integrate_direct(rho0, model, dt, dt)
+
+
+def test_a_failing_record_stops_a_long_run_early():
+    # the unitary qubit of test_record_checks_raise_at_the_record over 200,000
+    # steps: its trace holds, so only the record check can stop it, and it
+    # raises at record 2 within one chunk of records, not at t_end
+    model = LindbladModel(2, np.diag([0.5, -0.5]), (), ())
+    rho0 = DensityMatrix(2, 0.5 * np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]))
+    dt = math.sqrt(8.0 + 2.25e-9)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalBreakdownError,
+                       match="positivity violated at t=5.65685: min eigenvalue -5.000e-10"):
+        integrate_direct(rho0, model, 200_000 * dt, dt)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_split_breakdown_does_not_depend_on_record_every():
