@@ -19,7 +19,10 @@ The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
 of `resolution_check(n, n, 4000)`, and of `rejection_volume_estimate(4,
 750000)`: the Monte-Carlo calls behind `sample`, `verify identity` and
-`verify volumes`.
+`verify volumes`.  Each call also gets two memory figures: the
+`tracemalloc` peak of one call, in KiB, and the minor page faults per call
+(`ru_minflt` of this process) over the repeats, after the timed ones, so
+the heap is as warm as in a long-running process.
 
 The writing table gives microseconds per line of the text files: per frame
 line of `sample` (the whole `sample --n n --N 1000` command on a fixed frame
@@ -32,9 +35,9 @@ The results, with the numpy, scipy and BLAS versions, are stored under
 records, `sampling` for sampling, `writing` for text output), so runs of
 two versions of the library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_14.json
+Usage: python3 scripts/step_costs.py --label change --out BENCH_17.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
-           --out BENCH_14.json
+           --out BENCH_17.json
 """
 
 import os
@@ -47,8 +50,10 @@ import argparse
 import contextlib
 import io
 import json
+import resource
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -101,6 +106,22 @@ def timings(call, repeats):
         call()
         costs.append((time.perf_counter() - t0) * 1e6)
     return costs
+
+
+def memory(call, repeats):
+    """Traced peak in KiB of one call of call(), and minor page faults per
+    call over `repeats` untraced calls."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        call()
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / repeats
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"traced_peak_kib": peak / 1024, "minor_faults_per_call": faults}
 
 
 def summary(costs, unit):
@@ -163,10 +184,13 @@ def sampling_table(dims, repeats):
     results = []
     for name, params, call in calls:
         stats = summary(timings(call, repeats), "us_per_call")
-        results.append({"call": name, **params, **stats})
+        mem = memory(call, repeats)
+        results.append({"call": name, **params, **stats, **mem})
         args = ", ".join(f"{key}={value}" for key, value in params.items())
         print(f"{name}({args}) median {stats['us_per_call_median']:10.1f} us/call  "
-              f"IQR {stats['us_per_call_iqr']:8.1f} ({repeats} repeats)")
+              f"IQR {stats['us_per_call_iqr']:8.1f} ({repeats} repeats)  "
+              f"peak {mem['traced_peak_kib']:9.1f} KiB  "
+              f"{mem['minor_faults_per_call']:7.1f} faults/call")
     return results
 
 
@@ -217,7 +241,8 @@ def main():
     doc.setdefault(
         "description",
         "microseconds per RK4 step (results), per record (records), per sampling call "
-        "(sampling) and per written frame line or CSV row (writing), see scripts/step_costs.py",
+        "with its traced peak and page faults (sampling) and per written frame line or "
+        "CSV row (writing), see scripts/step_costs.py",
     )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": prov,

@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(2), default=3)
     p.add_argument("--N", type=_at_least(1), default=100000)
     p.add_argument("--trials", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--tol", type=_positive, default=0.05)
 
     p = sub.add_parser("evolve", help="integrate a GKLS model")
@@ -333,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", action="store_true",
                    help="fall back to direct integration on spectral degeneracy")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
 
     p = sub.add_parser("sample", help="sample invariantly distributed frames")
     p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--N", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--out", required=True)
 
     return parser
@@ -348,10 +348,11 @@ _parser = functools.cache(build_parser)  # one parser per process, reused by eve
 
 
 def _env_seed() -> int:
+    text = os.environ.get("SPECANG_SEED", "0")
     try:
-        return int(os.environ.get("SPECANG_SEED", "0"))
-    except ValueError as exc:
-        raise ValidationError(f"SPECANG_SEED must be an integer: {exc}") from None
+        return _at_least(0)(text)
+    except argparse.ArgumentTypeError:
+        raise ValidationError(f"SPECANG_SEED must be an integer >= 0, got {text!r}") from None
 
 
 def main(argv=None) -> int:

@@ -30,7 +30,7 @@ from .geometry import purity_spectrum
 from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
 from .spectral import GapVector, gaps_stack, probs_stack
 
-RECORD_CHUNK = 1000  # raw records per stacked check, so a failing record stops its run soon
+RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -347,8 +347,8 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     A breakdown raises unless `fallback_direct` is set.  Then the live
     state becomes rho = U diag(p) U^dag, passes the direct record floor,
     and the loop steps on from there on the direct route.  Direct records
-    are checked as a stack of every RECORD_CHUNK records and at every exit
-    (the end, an exception, the hand-over); the earliest failing record
+    are checked as a stack once they span RECORD_CHUNK steps and at every
+    exit (the end, an exception, the hand-over); the earliest failing record
     raises ahead of a later step's exception.
     """
     steps = _step_count(t_end, dt, record_every)
@@ -405,7 +405,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                 live = step
             if step % record_every == 0 or step == steps:
                 raw.append((step * dt, r, U, defect) if split else (step * dt, rho, drift))
-                if len(raw) == RECORD_CHUNK:
+                if len(raw) * record_every >= RECORD_CHUNK:
                     pending, raw = raw, []
                     blocks.append((_split_records if split else _direct_records)(pending))
     finally:

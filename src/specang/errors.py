@@ -5,6 +5,7 @@ in its input fails it.  No other module defines a tolerance.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -64,6 +65,12 @@ def check_gaps(r: np.ndarray) -> None:
         raise ValidationError("gaps must be non-negative")
     if not r @ np.arange(1.0, r.size + 1) <= 1.0 + TOL:
         raise ValidationError("weighted gap sum exceeds 1 (outside R_{n-1})")
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ValidationError unless value is an integer >= minimum."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ValidationError(f"{name} must be >= {minimum} and an integer, got {value!r}")
 
 
 def check_gap_floor(gaps, floor: float, chart: str) -> None:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EIG_TOL, ValidationError, check_angle, check_density, check_frame, check_gap_floor,
+    EIG_TOL, ValidationError, check_angle, check_count, check_density, check_frame,
+    check_gap_floor,
 )
 from .spectral import GapVector, gaps_stack, probs_stack, weighted_simplex_volume
 
@@ -281,7 +282,9 @@ def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
     """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n
     matrices as a (k, count, n) stack: batched classical Gram-Schmidt, run twice."""
     G = np.random.default_rng(seed).standard_normal((2, count, n, n))  # real, imaginary
-    Q = np.ascontiguousarray((G[0, ..., :k] + 1j * G[1, ..., :k]).transpose(2, 0, 1))
+    Q = np.empty((k, count, n), complex)
+    Q.real, Q.imag = G[..., :k].transpose(0, 3, 1, 2)
+    del G
     for j, v in enumerate(Q):  # twice v -= (v P^dag) P, P the columns before v
         if j:
             w, P, Ph = v[:, None], Q[:j].transpose(1, 0, 2), Q[:j].conj().transpose(1, 2, 0)
@@ -298,8 +301,7 @@ def sample_flags(n: int, count: int, seed: int) -> np.ndarray:
     diagonal, by Gram-Schmidt), which is invariant by construction; each
     frame then gets the deterministic phase section of eigendecompose_ordered.
     """
-    if not count >= 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
+    check_count("count", count, 0)
     return _fix_column_phases(_ginibre_columns(n, count, seed, n).transpose(1, 2, 0).copy())
 
 
@@ -316,8 +318,7 @@ def resolution_check(n: int, i: int, num_samples: int, seed: int):
     """
     if not 1 <= i <= n:
         raise ValidationError(f"column index must be in 1..{n}")
-    if not num_samples >= 1:
-        raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
+    check_count("num_samples", num_samples, 1)
     avg = _column_averages(_ginibre_columns(n, num_samples, seed, i)[-1][:, :, None])[0]
     return avg, float(np.linalg.norm(avg - np.eye(n)))
 

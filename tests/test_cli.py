@@ -547,21 +547,35 @@ def test_seed_from_environment_set_after_a_first_call(capsys, tmp_path, monkeypa
     assert seed() == 0
 
 
-@pytest.mark.parametrize("command", ["verify", "evolve", "sample"])
-def test_non_integer_seed_from_environment_exits_2(capsys, tmp_path, monkeypatch,
-                                                    model_files, command):
-    monkeypatch.setenv("SPECANG_SEED", "abc")
-    argv = {
+def seeded_argv(command, model_files, tmp_path):
+    """A short run of each subcommand that takes a seed, without --seed."""
+    return {
         "verify": ["verify", "volumes", "--n", "4", "--N", "100"],
         "evolve": ["evolve", "--model", str(model_files / "model.json"),
                    "--rho0", str(model_files / "rho0.json"), "--t-end", "0.01",
                    "--out", str(tmp_path / "traj")],
         "sample": ["sample", "--n", "2", "--N", "5", "--out", str(tmp_path / "s.jsonl")],
     }[command]
-    code, out, err = run(capsys, *argv)
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve", "sample"])
+def test_non_integer_seed_from_environment_exits_2(capsys, tmp_path, monkeypatch,
+                                                    model_files, command):
+    monkeypatch.setenv("SPECANG_SEED", "abc")
+    code, out, err = run(capsys, *seeded_argv(command, model_files, tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: SPECANG_SEED must be an integer") and "'abc'" in err
     assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("command", ["verify", "evolve", "sample"])
+def test_negative_seed_from_environment_exits_2(capsys, tmp_path, monkeypatch,
+                                                model_files, command):
+    # numpy's generators take no negative seed; it is an input error, not a traceback
+    monkeypatch.setenv("SPECANG_SEED", "-3")
+    code, out, err = run(capsys, *seeded_argv(command, model_files, tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: SPECANG_SEED must be an integer >= 0, got '-3'\n"
 
 
 def test_convert_ignores_the_seed_variable(capsys, monkeypatch):
@@ -635,10 +649,14 @@ def test_sample_non_finite_frame_exits_3(capsys, tmp_path, monkeypatch):
         ("verify", "measure", "--n", "1", "--N", "100"),
         ("verify", "unitarity", "--n", "0", "--trials", "2"),
         ("verify", "identity", "--n", "0"),
+        ("evolve", "--model", "m.json", "--rho0", "r.json", "--seed", "-1", "--out", "x"),
+        ("sample", "--n", "2", "--N", "5", "--seed", "-1", "--out", "x"),
+        ("verify", "volumes", "--n", "4", "--N", "10", "--seed", "-1"),
     ],
     ids=["evolve-record-every", "sample-N", "sample-n", "verify-measure-N",
          "verify-volumes-N", "verify-unitarity-trials", "verify-measure-n",
-         "verify-unitarity-n", "verify-identity-n"],
+         "verify-unitarity-n", "verify-identity-n", "evolve-seed", "sample-seed",
+         "verify-volumes-seed"],
 )
 def test_count_below_its_bound_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -448,6 +448,19 @@ def test_a_failing_record_stops_a_long_run_early():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_a_failing_record_stops_a_sparsely_recorded_run_early():
+    # the run above at record_every=100: a stacked check spans RECORD_CHUNK
+    # steps, not records, so record 2 raises within 1000 steps, not 100,000
+    model = LindbladModel(2, np.diag([0.5, -0.5]), (), ())
+    rho0 = DensityMatrix(2, 0.5 * np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]))
+    dt = math.sqrt(8.0 + 2.25e-9)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalBreakdownError,
+                       match="positivity violated at t=282.843: min eigenvalue -4.950e-08"):
+        integrate_direct(rho0, model, 200_000 * dt, dt, record_every=100)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_split_breakdown_does_not_depend_on_record_every():
     # the step to t = 0.003 closes a gap; the state is checked at its step,
     # so a record there does not turn the breakdown into a validation error

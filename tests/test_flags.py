@@ -354,6 +354,53 @@ def test_sample_flags_negative_count():
         sample_flags(3, -1, seed=0)
 
 
+def test_sample_flags_count_must_be_an_integer():
+    with pytest.raises(ValidationError, match="count must be >= 0 and an integer, got 2.5"):
+        sample_flags(3, 2.5, seed=0)
+
+
+def ginibre_reference(n, count, seed, k):
+    """Columns 1..k of the Gram-Schmidt QR of complex Gaussian matrices, from
+    the complex sum G[0] + 1j G[1] copied into a separate contiguous stack."""
+    G = np.random.default_rng(seed).standard_normal((2, count, n, n))
+    Q = np.ascontiguousarray((G[0, ..., :k] + 1j * G[1, ..., :k]).transpose(2, 0, 1))
+    for j, v in enumerate(Q):
+        if j:
+            w, P, Ph = v[:, None], Q[:j].transpose(1, 0, 2), Q[:j].conj().transpose(1, 2, 0)
+            w -= (w @ Ph) @ P
+            w -= (w @ Ph) @ P
+        v /= np.sqrt(np.einsum("bi,bi->b", v.view(float), v.view(float)))[:, None]
+    return Q
+
+
+def phase_section_reference(U):
+    """Each column's largest-modulus entry real positive, then det = 1 by a
+    phase on the last column."""
+    rows = np.argmax(np.abs(U), axis=-2)
+    lead = np.take_along_axis(U, rows[..., None, :], axis=-2)
+    U = U * (np.abs(lead) / lead)
+    det = np.linalg.det(U)
+    U[..., :, -1] *= (det.conjugate() / np.hypot(det.real, det.imag))[..., None]
+    return U
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("count", [1, 7, 4000])
+def test_flag_sampling_matches_the_complex_sum_assembly(n, count):
+    # the real and imaginary draws fill one complex stack in place; the
+    # frames and the column averages stay bit-identical to the complex sum
+    for seed in range(3):
+        frames = ginibre_reference(n, count, seed, n).transpose(1, 2, 0).copy()
+        want = phase_section_reference(frames)
+        assert np.array_equal(sample_flags(n, count, seed), want)
+        for i in range(1, n + 1):
+            cols = ginibre_reference(n, count, seed, i)[-1][:, :, None].transpose(2, 1, 0)
+            avg = (n * (cols @ cols.conj().swapaxes(-1, -2)) / count)[0]
+            got, err = resolution_check(n, i, count, seed)
+            assert np.array_equal(got, avg)
+            assert err == float(np.linalg.norm(avg - np.eye(n)))
+
+
 def test_sample_flag_single():
     U = sample_flag(4, seed=9)
     assert np.allclose(U.U, sample_flags(4, 1, seed=9)[0])
@@ -423,7 +470,7 @@ def test_resolution_check_bad_column():
         resolution_check(3, 4, 10, seed=0)
 
 
-@pytest.mark.parametrize("num_samples", [0, -1])
+@pytest.mark.parametrize("num_samples", [0, -1, 2.5])
 def test_resolution_check_needs_a_sample(num_samples):
     # an average over zero samples is NaN, not an estimate
     with pytest.raises(ValidationError, match="num_samples must be >= 1"):

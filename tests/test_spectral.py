@@ -1,6 +1,7 @@
 """Gap coordinates, coweight algebra, polytope geometry and exact volumes."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from specang import (
     spectral_diagonal,
     weighted_simplex_volume,
 )
+from specang.spectral import VOLUME_BLOCK
 
 dims = st.integers(min_value=2, max_value=7)
 
@@ -265,7 +267,33 @@ def test_rejection_estimate_matches_the_box_point_formula(n):
         assert rejection_volume_estimate(n, 20_000, seed) == want
 
 
-@pytest.mark.parametrize("num_samples", [0, -3])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize(
+    "num_samples", [1, VOLUME_BLOCK - 1, VOLUME_BLOCK, VOLUME_BLOCK + 1, 3 * VOLUME_BLOCK + 7])
+def test_rejection_estimate_streams_the_stream_of_one_draw(n, num_samples):
+    # the blocks hold the generator's draws in order, so the counts, and with
+    # them the estimate and its error, are those of one whole (N, n-1) draw
+    box = float(np.prod(1.0 / np.arange(1, n, dtype=float)))
+    for seed in range(3):
+        u = np.random.default_rng(seed).random((num_samples, n - 1))
+        frac = float(np.mean(u @ np.ones(n - 1) <= 1.0))
+        want = (box * frac, box * math.sqrt(max(frac * (1.0 - frac), 0.0) / num_samples))
+        assert rejection_volume_estimate(n, num_samples, seed) == want
+
+
+@pytest.mark.parametrize("num_samples", [10**5, 2 * 10**6])
+def test_rejection_estimate_memory_does_not_grow_with_num_samples(num_samples):
+    # one whole draw at N = 2e6 traces 61 MB; the block buffer stays below 1 MB
+    tracemalloc.start()
+    try:
+        rejection_volume_estimate(4, num_samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("num_samples", [0, -3, 2.5])
 def test_rejection_estimate_needs_a_sample(num_samples):
     with pytest.raises(ValidationError, match="num_samples must be >= 1"):
         rejection_volume_estimate(4, num_samples, seed=0)
