@@ -31,8 +31,8 @@ def main():
     direct = integrate_direct(rho0, model, args.t_end, args.dt, record_every=10)
     split = integrate_split(rho0, model, args.t_end, args.dt, record_every=10)
     header = {"rate": args.rate, "dt": args.dt, "seed": args.seed}
-    write_trajectory_csv(f"{args.out}_direct.csv", direct, 2, {**header, "method": "direct"})
-    write_trajectory_csv(f"{args.out}_split.csv", split, 2, {**header, "method": "split"})
+    write_trajectory_csv(f"{args.out}_direct.csv", direct, {**header, "method": "direct"})
+    write_trajectory_csv(f"{args.out}_split.csv", split, {**header, "method": "split"})
 
     radii = split.r[:, 0]
     slope = np.polyfit(split.times, np.log(radii), 1)[0]

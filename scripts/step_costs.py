@@ -19,7 +19,10 @@ The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
 of `resolution_check(n, n, 4000)`, and of `rejection_volume_estimate(4,
 750000)`: the Monte-Carlo calls behind `sample`, `verify identity` and
-`verify volumes`.  Each call also gets two memory figures: the
+`verify volumes`.  It also times the KS p-value of `sample --n 2`,
+`kolmogorov_sf(N, 2/sqrt(N))` for N in 1e3, 1e4, 1e5 and 1e6: at N d^2 = 4
+it is the one-sided tail sum, whose cost grows with N.  Each call also gets
+two memory figures: the
 `tracemalloc` peak of one call, in KiB, and the minor page faults per call
 (`ru_minflt` of this process) over the repeats, after the timed ones, so
 the heap is as warm as in a long-running process.
@@ -35,9 +38,9 @@ The results, with the numpy, scipy and BLAS versions, are stored under
 records, `sampling` for sampling, `writing` for text output), so runs of
 two versions of the library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_17.json
+Usage: python3 scripts/step_costs.py --label change --out BENCH_18.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
-           --out BENCH_17.json
+           --out BENCH_18.json
 """
 
 import os
@@ -50,6 +53,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import resource
 import tempfile
 import time
@@ -65,6 +69,7 @@ from specang import (
     resolution_check, sample_flags, write_trajectory_csv,
 )
 from specang.dynamics import random_density, random_model
+from specang.kolmogorov import kolmogorov_sf
 
 INTEGRATORS = {"direct": integrate_direct, "split": integrate_split}
 DT = 1e-3
@@ -181,6 +186,9 @@ def sampling_table(dims, repeats):
     volume_n, volume_samples = VOLUME_CALL
     calls.append(("rejection_volume_estimate", {"n": volume_n, "num_samples": volume_samples},
                   lambda: rejection_volume_estimate(volume_n, volume_samples, SEED)))
+    calls += [("kolmogorov_sf", {"N": N, "d": 2.0 / math.sqrt(N)},
+               lambda N=N: kolmogorov_sf(N, 2.0 / math.sqrt(N)))
+              for N in (10**3, 10**4, 10**5, 10**6)]
     results = []
     for name, params, call in calls:
         stats = summary(timings(call, repeats), "us_per_call")
@@ -207,7 +215,7 @@ def writing_table(dims, repeats):
             traj = integrate_direct(random_density(n, seed=SEED + 100 + n),
                                     random_model(n, seed=SEED + n), CSV_STEPS * DT, DT)
             path = Path(tmp) / "traj.csv"
-            row = timings(lambda: write_trajectory_csv(path, traj, n, {"dt": DT}), repeats)
+            row = timings(lambda: write_trajectory_csv(path, traj, {"dt": DT}), repeats)
             for kind, costs, count in (("sample_line", line, FRAMES),
                                        ("csv_row", row, len(traj.times))):
                 stats = summary(np.array(costs) / count, "us_per_item")

@@ -258,7 +258,7 @@ def cmd_evolve(args) -> int:
             continue
         traj = integrate(rho0, model, args.t_end, args.dt, args.record_every, *extra)
         path = f"{args.out}_{method}.csv"
-        write_trajectory_csv(path, traj, model.n, {**header, "method": method})
+        write_trajectory_csv(path, traj, {**header, "method": method})
         out["files"].append(path)
         rhos.append(traj.rho)
         if traj.breakdown_time is not None:

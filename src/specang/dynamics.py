@@ -12,7 +12,6 @@ the real symmetric qutrit sector in zyz Euler angles.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import (
     BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL, DegenerateSpectrumError,
-    NumericalBreakdownError, ValidationError, check_angle, check_gap_floor,
+    NumericalBreakdownError, ValidationError, check_angle, check_count, check_gap_floor,
 )
 from .flags import (
     DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
@@ -49,6 +48,7 @@ class LindbladModel:
     rates: tuple
 
     def __post_init__(self):
+        check_count("dimension", self.n, 2)
         H = np.array(self.H, dtype=complex)
         if H.shape != (self.n, self.n):
             raise ValidationError(f"H must be {self.n} x {self.n}")
@@ -198,8 +198,7 @@ def _step_count(t_end, dt, record_every):
         raise ValidationError(
             f"t_end = {t_end:g} is not a multiple of dt = {dt:g}; the nearest grid ends are "
             f"{math.floor(ratio) * dt:g} and {math.ceil(ratio) * dt:g}")
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
-        raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
+    check_count("record_every", record_every, 1)
     return round(ratio)
 
 
@@ -537,8 +536,7 @@ def secular_factorization_test(
     (factorized, residuals) where residuals maps each mode (i, j) to the
     spread of its ratio.
     """
-    if not (isinstance(num_r_samples, numbers.Integral) and num_r_samples >= 2):
-        raise ValidationError(f"num_r_samples must be an integer >= 2, got {num_r_samples!r}")
+    check_count("num_r_samples", num_r_samples, 2)
     n = model.n
     U = state.U.U
     rng = np.random.default_rng(seed)
@@ -557,22 +555,15 @@ def secular_factorization_test(
 # --- random model and state generation (seeded) ---------------------------
 
 
-def random_hermitian(n: int, rng) -> np.ndarray:
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (A + A.conj().T)
-
-
-def random_model(
-    n: int, seed: int, jump_scale: float = 0.3, num_jumps: int = 2
-) -> LindbladModel:
-    """Gaussian Hermitian H, Gaussian complex jump operators, unit rates."""
+def random_model(n: int, seed: int, jump_scale: float = 0.3) -> LindbladModel:
+    """Gaussian Hermitian H, two Gaussian complex jump operators, unit rates."""
     rng = np.random.default_rng(seed)
-    H = random_hermitian(n, rng)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     jumps = tuple(
         jump_scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for _ in range(num_jumps)
+        for _ in range(2)
     )
-    return LindbladModel(n, H, jumps, (1.0,) * num_jumps)
+    return LindbladModel(n, 0.5 * (A + A.conj().T), jumps, (1.0, 1.0))
 
 
 def random_interior_gaps(n: int, rng, fill: float = 0.75) -> GapVector:
@@ -635,10 +626,11 @@ def load_density(path) -> DensityMatrix:
     return DensityMatrix(n, rho)
 
 
-def write_trajectory_csv(path, traj: Trajectory, n: int, header_fields: dict) -> None:
+def write_trajectory_csv(path, traj: Trajectory, header_fields: dict) -> None:
     """Trajectory CSV: provenance header block (# key = value lines) followed
     by columns t, r_1..r_{n-1}, purity_R, trace_error, min_gap, in rows that
     end in \\r\\n as in the csv module's excel dialect."""
+    n = traj.r.shape[1] + 1
     diag = traj.diagnostics
     purity = purity_spectrum(probs_stack(traj.r))
     table = np.column_stack((traj.times, traj.r, purity, diag["trace_error"], diag["min_gap"]))

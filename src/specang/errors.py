@@ -70,7 +70,7 @@ def check_gaps(r: np.ndarray) -> None:
 def check_count(name: str, value, minimum: int) -> None:
     """Raise ValidationError unless value is an integer >= minimum."""
     if not (isinstance(value, numbers.Integral) and value >= minimum):
-        raise ValidationError(f"{name} must be >= {minimum} and an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_gap_floor(gaps, floor: float, chart: str) -> None:

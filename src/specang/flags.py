@@ -71,6 +71,7 @@ class UnitaryFrame:
     U: np.ndarray
 
     def __post_init__(self):
+        check_count("dimension", self.n, 2)
         U = np.array(self.U, dtype=complex)
         if U.shape != (self.n, self.n):
             raise ValidationError(f"frame must be {self.n} x {self.n}")
@@ -87,6 +88,7 @@ class DensityMatrix:
     rho: np.ndarray
 
     def __post_init__(self):
+        check_count("dimension", self.n, 2)
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (self.n, self.n):
             raise ValidationError(f"density matrix must be {self.n} x {self.n}")

@@ -8,38 +8,13 @@ import math
 import numpy as np
 
 
-def _first(lo: int, hi: int, test) -> int:
-    """The least j in [lo, hi] with test(j), for a test false then true on
-    [lo, hi]; hi + 1 if it holds nowhere."""
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid - 1) if test(mid) else (mid + 1, hi)
-    return lo
-
-
 def _smirnov_sf(N: int, d: float) -> float:
-    """P(D_N^+ >= d) = d sum_j C(N, j) (1 - d - j/N)^(N-j) (d + j/N)^(j-1).
-
-    The terms rise to one peak and then fall wherever kolmogorov_sf calls
-    this (a longdouble check of every step, over a grid of N <= 3e5 and d,
-    found no exception), so bisections on float64 logs find the j whose
-    terms lie within e^-45 of the peak.  Only those are summed, in np.longdouble, since a float64
-    cumulative sum of the log-binomials drifts to 2e-8 relative at N = 1e6;
-    the rest add under N e^-45 relative."""
-
-    def log_term(j):
-        return (math.lgamma(N + 1) - math.lgamma(j + 1) - math.lgamma(N - j + 1)
-                + (N - j) * math.log(1.0 - d - j / N) + (j - 1) * math.log(d + j / N))
-
-    last = math.floor(N * (1.0 - d))  # the terms with 1 - d - j/N > 0 end at j = last
-    last -= not (1.0 - d - last / N > 0 and 1.0 - d - np.longdouble(last) / N > 0)
-    peak = _first(0, last - 1, lambda j: log_term(j + 1) < log_term(j))
-    floor = log_term(peak) - 45.0
-    lo = _first(0, peak, lambda j: log_term(j) >= floor)
-    hi = _first(peak, last, lambda j: log_term(j) < floor) - 1
-    j = np.arange(hi + 1, dtype=np.longdouble)  # from 0, for the cumulative sum
-    log_binom = np.cumsum(np.log(np.concatenate(([1.0], (N + 1 - j[1:]) / j[1:]))))[lo:]
-    j = j[lo:]
+    """P(D_N^+ >= d) = d sum_j C(N, j) (1 - d - j/N)^(N-j) (d + j/N)^(j-1), summed
+    in np.longdouble, since a float64 cumulative sum of the log-binomials drifts
+    to 2e-8 relative at N = 1e6."""
+    j = np.arange(math.floor(N * (1.0 - d)) + 1, dtype=np.longdouble)
+    j = j[1.0 - d - j / N > 0]
+    log_binom = np.cumsum(np.log(np.concatenate(([1.0], (N + 1 - j[1:]) / j[1:]))))
     log_terms = log_binom + (N - j) * np.log(1.0 - d - j / N) + (j - 1) * np.log(d + j / N)
     return float(d * np.exp(log_terms).sum())
 

@@ -32,12 +32,6 @@ MAX_EXACT_N = 20
 VOLUME_BLOCK = 49152
 
 
-def _check_dim(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
-    return int(n)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -51,10 +45,10 @@ class ProbVector:
     p: np.ndarray
 
     def __post_init__(self):
-        n = _check_dim(self.n)
+        check_count("dimension", self.n, 2)
         p = np.array(self.p, dtype=float)
-        if p.shape != (n,):
-            raise ValidationError(f"expected {n} probabilities, got shape {p.shape}")
+        if p.shape != (self.n,):
+            raise ValidationError(f"expected {self.n} probabilities, got shape {p.shape}")
         check_probs(p)
         object.__setattr__(self, "p", _frozen(p))
 
@@ -67,10 +61,10 @@ class GapVector:
     r: np.ndarray
 
     def __post_init__(self):
-        n = _check_dim(self.n)
+        check_count("dimension", self.n, 2)
         r = np.array(self.r, dtype=float)
-        if r.shape != (n - 1,):
-            raise ValidationError(f"expected {n - 1} gaps, got shape {r.shape}")
+        if r.shape != (self.n - 1,):
+            raise ValidationError(f"expected {self.n - 1} gaps, got shape {r.shape}")
         check_gaps(r)
         object.__setattr__(self, "r", _frozen(r))
 
@@ -83,7 +77,7 @@ class CoweightBasis:
     omega: tuple
 
     def __post_init__(self):
-        _check_dim(self.n)
+        check_count("dimension", self.n, 2)
         omega = tuple(_frozen(np.array(w, dtype=float)) for w in self.omega)
         if len(omega) != self.n - 1:
             raise ValidationError("coweight basis must contain n-1 matrices")
@@ -100,23 +94,21 @@ def gaps_from_probs(p: ProbVector) -> GapVector:
     return GapVector(p.n, gaps_stack(p.p))
 
 
-def sorted_probs(values, n=None) -> ProbVector:
+def sorted_probs(values) -> ProbVector:
     """Explicitly sort raw values in descending order into a ProbVector.
 
     gaps_from_probs rejects unordered input; use this when reordering is
     actually intended, so it never happens silently.
     """
     v = np.asarray(values, dtype=float)
-    if n is None:
-        n = v.size
-    return ProbVector(n, np.sort(v)[::-1])
+    return ProbVector(v.size, np.sort(v)[::-1])
 
 
 @functools.cache
 def jacobian_matrix(n: int) -> np.ndarray:
     """The n x (n-1) matrix M with p = 1/n + M r; column a is diag(omega_a).
     Built once per n, read-only."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     a = np.arange(1, n, dtype=float)
     k = np.arange(1, n + 1, dtype=float)
     return _frozen(np.where(k[:, None] <= a[None, :], 1.0 - a / n, -a / n))
@@ -142,7 +134,7 @@ def fundamental_coweights(n: int) -> CoweightBasis:
 
 def cartan_matrix(n: int) -> np.ndarray:
     """Type A_{n-1} Cartan matrix (integer, tridiagonal)."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     m = n - 1
     C = 2 * np.eye(m, dtype=int)
     C -= np.eye(m, k=1, dtype=int) + np.eye(m, k=-1, dtype=int)
@@ -159,7 +151,7 @@ def inverse_cartan(n: int) -> np.ndarray:
 def inverse_cartan_exact(n: int):
     """Inverse Cartan matrix as exact Fractions (nested lists): entries
     min(a,j)(n - max(a,j))/n."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     return [
         [Fraction(min(a, j) * (n - max(a, j)), n) for j in range(1, n)]
         for a in range(1, n)
@@ -173,7 +165,7 @@ def spectral_diagonal(r: GapVector) -> np.ndarray:
 
 def in_polytope(r, n: int) -> bool:
     """Membership in the weighted simplex R_{n-1} (boundary inclusive)."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     r = np.asarray(r, dtype=float)
     if r.shape != (n - 1,):
         raise ValidationError(f"expected {n - 1} gaps, got shape {r.shape}")
@@ -182,14 +174,14 @@ def in_polytope(r, n: int) -> bool:
 
 def polytope_vertices(n: int):
     """The n vertices of R_{n-1}: the origin and e_a / a for a = 1..n-1."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     rows = np.vstack([np.zeros(n - 1), np.diag(1.0 / np.arange(1, n))])
     return [GapVector(n, v) for v in rows]
 
 
 def ordered_simplex_volume(n: int) -> Fraction:
     """Euclidean volume of the ordered probability simplex: 1/(n! (n-1)!)."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     if n > MAX_EXACT_N:
         raise ValidationError(f"exact volumes limited to n <= {MAX_EXACT_N}")
     return Fraction(1, math.factorial(n) * math.factorial(n - 1))
@@ -197,7 +189,7 @@ def ordered_simplex_volume(n: int) -> Fraction:
 
 def weighted_simplex_volume(n: int) -> Fraction:
     """Euclidean volume of R_{n-1}: 1/((n-1)!)^2."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     if n > MAX_EXACT_N:
         raise ValidationError(f"exact volumes limited to n <= {MAX_EXACT_N}")
     return Fraction(1, math.factorial(n - 1) ** 2)
@@ -223,7 +215,7 @@ def rejection_volume_estimate(n: int, num_samples: int, seed: int):
     R_{n-1} when sum_a a x_a = sum_a u_a <= 1.  The u stream through one buffer of
     VOLUME_BLOCK rows in the generator's order, so memory stays bounded and the
     result is that of one whole draw.  Returns (estimate, standard_error)."""
-    n = _check_dim(n)
+    check_count("dimension", n, 2)
     check_count("num_samples", num_samples, 1)
     box_volume = float(np.prod(1.0 / np.arange(1, n, dtype=float)))
     rng, ones, hits = np.random.default_rng(seed), np.ones(n - 1), 0

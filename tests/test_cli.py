@@ -360,6 +360,25 @@ def test_evolve_dimension_mismatch_exits_2(capsys, tmp_path, method, n_model, n_
     assert "state and model dimensions disagree" in err
 
 
+@pytest.mark.parametrize("method", ["direct", "split", "both"])
+def test_evolve_one_level_input_exits_2(capsys, tmp_path, method):
+    # a model and a state of dimension 1 are input errors, not numpy's reduction traceback
+    (tmp_path / "model.json").write_text(
+        '{"n": 1, "H": [[[0.5, 0.0]]], "jumps": [[[[1.0, 0.0]]]], "rates": [1.0]}')
+    (tmp_path / "rho0.json").write_text('{"n": 1, "rho": [[[1.0, 0.0]]]}')
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(tmp_path / "model.json"),
+        "--rho0", str(tmp_path / "rho0.json"),
+        "--method", method,
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: dimension must be an integer >= 2, got 1\n"
+    assert not list(tmp_path.glob("run_*.csv"))
+
+
 @pytest.mark.parametrize(
     "name, content",
     [

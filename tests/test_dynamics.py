@@ -74,6 +74,8 @@ def test_model_validation():
         LindbladModel(2, np.zeros((2, 2)), (PAULI[0],), (-1.0,))  # negative rate
     with pytest.raises(ValidationError):
         LindbladModel(2, np.zeros((2, 2)), (PAULI[0],), (1.0, 2.0))  # count mismatch
+    with pytest.raises(ValidationError, match="^dimension must be an integer >= 2, got 1$"):
+        LindbladModel(1, [[0.5]], ([[1.0]],), (1.0,))  # one level: no gap, no frame
 
 
 def test_generator_structure(rng):
@@ -775,7 +777,7 @@ def test_trajectory_csv_schema(tmp_path):
     rho0 = random_density(3, seed=7)
     traj = integrate_direct(rho0, model, 0.1, 1e-3, record_every=20)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, traj, 3, {"method": "direct", "dt": 1e-3})
+    write_trajectory_csv(path, traj, {"method": "direct", "dt": 1e-3})
     lines = path.read_text().splitlines()
     header = [ln for ln in lines if ln.startswith("# ")]
     assert "# method = direct" in header
@@ -820,7 +822,7 @@ def test_trajectory_csv_matches_the_csv_module_on_signed_and_zero_gaps(tmp_path)
          "min_gap": np.array([0.25, -0.0, 0.0, 5e-324])},
     )
     header = {"version": "x", "method": "direct", "dt": 1e-3, "note": "a, b"}
-    write_trajectory_csv(tmp_path / "new.csv", traj, 3, header)
+    write_trajectory_csv(tmp_path / "new.csv", traj, header)
     ref_trajectory_csv(tmp_path / "ref.csv", traj, 3, header)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
@@ -832,6 +834,6 @@ def test_trajectory_csv_matches_the_csv_module_on_signed_and_zero_gaps(tmp_path)
 def test_trajectory_csv_is_byte_identical_to_the_csv_module(tmp_path, n, integrate):
     traj = integrate(random_density(n, seed=n), random_model(n, seed=n), 0.01, 1e-3)
     header = {"method": integrate.__name__, "dt": 1e-3, "t_end": 0.01}
-    write_trajectory_csv(tmp_path / "new.csv", traj, n, header)
+    write_trajectory_csv(tmp_path / "new.csv", traj, header)
     ref_trajectory_csv(tmp_path / "ref.csv", traj, n, header)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

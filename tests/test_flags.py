@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,13 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("cls", [DensityMatrix, UnitaryFrame])
+def test_one_level_matrices_are_rejected(cls):
+    # n = 1 has no gap vector and no flag, so neither a state nor a frame
+    with pytest.raises(ValidationError, match="^dimension must be an integer >= 2, got 1$"):
+        cls(1, [[1.0]])
+
+
 # --- invariant measure -------------------------------------------------------
 
 
@@ -350,12 +358,12 @@ def test_sample_flags_empty():
 
 
 def test_sample_flags_negative_count():
-    with pytest.raises(ValidationError, match="count must be >= 0"):
+    with pytest.raises(ValidationError, match="^count must be an integer >= 0, got -1$"):
         sample_flags(3, -1, seed=0)
 
 
 def test_sample_flags_count_must_be_an_integer():
-    with pytest.raises(ValidationError, match="count must be >= 0 and an integer, got 2.5"):
+    with pytest.raises(ValidationError, match="^count must be an integer >= 0, got 2.5$"):
         sample_flags(3, 2.5, seed=0)
 
 
@@ -473,7 +481,8 @@ def test_resolution_check_bad_column():
 @pytest.mark.parametrize("num_samples", [0, -1, 2.5])
 def test_resolution_check_needs_a_sample(num_samples):
     # an average over zero samples is NaN, not an estimate
-    with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+    message = f"num_samples must be an integer >= 1, got {num_samples!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         resolution_check(3, 1, num_samples, seed=0)
 
 
@@ -485,7 +494,7 @@ def test_quantize_constant_function(rng):
 
 
 def test_quantize_negative_sample_count(rng):
-    with pytest.raises(ValidationError, match="count must be >= 0"):
+    with pytest.raises(ValidationError, match="^count must be an integer >= 0, got -1$"):
         quantize(lambda U: 1.0, interior_gaps(3, rng), -1, seed=0)
 
 

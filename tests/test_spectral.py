@@ -1,6 +1,7 @@
 """Gap coordinates, coweight algebra, polytope geometry and exact volumes."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -295,7 +296,8 @@ def test_rejection_estimate_memory_does_not_grow_with_num_samples(num_samples):
 
 @pytest.mark.parametrize("num_samples", [0, -3, 2.5])
 def test_rejection_estimate_needs_a_sample(num_samples):
-    with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+    message = f"num_samples must be an integer >= 1, got {num_samples!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         rejection_volume_estimate(4, num_samples, seed=0)
 
 
