@@ -17,9 +17,13 @@ steps, in microseconds per record.
 
 The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
-of `resolution_check(n, n, 4000)`, and of `rejection_volume_estimate(4,
-750000)`: the Monte-Carlo calls behind `sample`, `verify identity` and
-`verify volumes`.  It also times the KS p-value of `sample --n 2`,
+of `resolution_check(n, n, 4000)`, of `rejection_volume_estimate(4,
+750000)`, of `flag_density_theta(3, theta)` on a fixed (2500, 3) stack of
+angles, and of `coset_unitaries(3, theta, phi)` and
+`qutrit_unitaries_closed_form(theta, phi)` on 200 fixed angle draws: the
+kernels behind `sample` and the five `verify` reports (identity, volumes,
+measure, unitarity, qutrit-matrix) at the benchmark's parameters.  It also
+times the KS p-value of `sample --n 2`,
 `kolmogorov_sf(N, 2/sqrt(N))` for N in 1e3, 1e4, 1e5 and 1e6: at N d^2 = 4
 it is the one-sided tail sum, whose cost grows with N.  Each call also gets
 two memory figures: the
@@ -38,9 +42,9 @@ The results, with the numpy, scipy and BLAS versions, are stored under
 records, `sampling` for sampling, `writing` for text output), so runs of
 two versions of the library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_18.json
+Usage: python3 scripts/step_costs.py --label change --out BENCH_19.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
-           --out BENCH_18.json
+           --out BENCH_19.json
 """
 
 import os
@@ -65,8 +69,9 @@ import numpy as np
 import scipy
 
 from specang import (
-    LindbladModel, cli, integrate_direct, integrate_split, rejection_volume_estimate,
-    resolution_check, sample_flags, write_trajectory_csv,
+    LindbladModel, cli, coset_unitaries, flag_density_theta, integrate_direct, integrate_split,
+    pair_indices, qutrit_unitaries_closed_form, rejection_volume_estimate, resolution_check,
+    sample_flags, write_trajectory_csv,
 )
 from specang.dynamics import random_density, random_model
 from specang.kolmogorov import kolmogorov_sf
@@ -76,6 +81,8 @@ DT = 1e-3
 SEED = 0
 COUNTS = (1, 1000, 4000)  # one frame (random_density), `sample`, `verify identity`
 VOLUME_CALL = (4, 750_000)  # the (n, num_samples) of `verify volumes` in the benchmark
+MEASURE_CALL = (3, 2500)  # the (n, N) of `verify measure` in the benchmark
+DRAWS = 200  # the --trials of `verify unitarity` and `verify qutrit-matrix` (n = 3)
 FRAMES = 1000  # frames per `sample` file, as in the benchmark
 CSV_STEPS = 50  # steps of the trajectory written to CSV, one record each
 
@@ -186,6 +193,16 @@ def sampling_table(dims, repeats):
     volume_n, volume_samples = VOLUME_CALL
     calls.append(("rejection_volume_estimate", {"n": volume_n, "num_samples": volume_samples},
                   lambda: rejection_volume_estimate(volume_n, volume_samples, SEED)))
+    measure_n, measure_samples = MEASURE_CALL
+    rng = np.random.default_rng(SEED)
+    thetas = rng.random((measure_samples, len(pair_indices(measure_n)))) * math.pi
+    calls.append(("flag_density_theta", {"n": measure_n, "stack": measure_samples},
+                  lambda: flag_density_theta(measure_n, thetas)))
+    theta, phi = rng.random((DRAWS, 3)) * math.pi, rng.random((DRAWS, 3)) * (2.0 * math.pi)
+    calls.append(("coset_unitaries", {"n": 3, "draws": DRAWS},
+                  lambda: coset_unitaries(3, theta, phi)))
+    calls.append(("qutrit_unitaries_closed_form", {"n": 3, "draws": DRAWS},
+                  lambda: qutrit_unitaries_closed_form(theta, phi)))
     calls += [("kolmogorov_sf", {"N": N, "d": 2.0 / math.sqrt(N)},
                lambda N=N: kolmogorov_sf(N, 2.0 / math.sqrt(N)))
               for N in (10**3, 10**4, 10**5, 10**6)]
@@ -260,6 +277,8 @@ def main():
             "repeats": args.repeats,
             "seed": SEED,
             "counts": COUNTS,
+            "measure_call": MEASURE_CALL,
+            "draws": DRAWS,
             "frames": FRAMES,
             "csv_steps": CSV_STEPS,
         },

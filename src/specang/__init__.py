@@ -49,6 +49,7 @@ from .geometry import (
     shannon_entropy,
 )
 from .flags import (
+    PAULI,
     AngleSet,
     DensityMatrix,
     UnitaryFrame,
@@ -74,7 +75,6 @@ from .flags import (
     state_space_volume,
 )
 from .dynamics import (
-    PAULI,
     LindbladModel,
     QubitAngles,
     QutritEuler,

@@ -22,7 +22,7 @@ from .errors import (
     NumericalBreakdownError, ValidationError, check_angle, check_count, check_gap_floor,
 )
 from .flags import (
-    DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
+    PAULI, DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
     eigendecompose_ordered, pair_indices, rotation_factor, sample_flag,
 )
 from .geometry import purity_spectrum
@@ -30,12 +30,6 @@ from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
 from .spectral import GapVector, gaps_stack, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
-
-PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 
 @dataclass(frozen=True)
@@ -341,14 +335,14 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     It starts on the split route if `split` is set and on the direct route
     otherwise, and records at step 0, at every step with
     step % record_every == 0 and at the last, at time step * dt.  A split
-    state with a gap below BREAKDOWN_TOL, or one whose step leaves the
-    chart in a stage, is a breakdown at its time; one outside R_{n-1} raises.
-    A breakdown raises unless `fallback_direct` is set.  Then the live
-    state becomes rho = U diag(p) U^dag, passes the direct record floor,
-    and the loop steps on from there on the direct route.  Direct records
-    are checked as a stack once they span RECORD_CHUNK steps and at every
-    exit (the end, an exception, the hand-over); the earliest failing record
-    raises ahead of a later step's exception.
+    state with a gap below BREAKDOWN_TOL or a rho0 with no eigenframe, or a
+    state whose step leaves the chart in a stage, is a breakdown at its time;
+    one outside R_{n-1} raises.  A breakdown raises unless `fallback_direct`
+    is set.  Then the live state (rho0 itself at step 0, U diag(p) U^dag
+    after it) passes the direct record floor and steps on the direct route.
+    Direct records are checked as a stack once they span RECORD_CHUNK steps
+    and at every exit (the end, an exception, the hand-over); the earliest
+    failing record raises ahead of a later step's exception.
     """
     steps = _step_count(t_end, dt, record_every)
     n = model.n
@@ -356,8 +350,6 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
         raise ValidationError("state and model dimensions disagree")
     rho, A, t_break, drift, defect = np.asarray(rho0.rho, dtype=complex), None, None, 0.0, 0.0
     if split:
-        r_vec, frame = eigendecompose_ordered(rho0)
-        r, U = np.array(r_vec.r), np.array(frame.U)
         weights = np.arange(1.0, n)  # R_{n-1} is sum_a a r_a <= 1 for r >= 0
         # H enters the frame rates only through its frame image, so r' does
         # not depend on H; the stages overwrite HD[1]
@@ -370,6 +362,9 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                     if step:
                         U, r, defect = _split_step(U, r, dt, LD, HD)
                         live = step
+                    else:
+                        r_vec, frame = eigendecompose_ordered(rho0)
+                        r, U = np.array(r_vec.r), np.array(frame.U)
                     check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
                     if not weights @ r <= 1.0 + TOL:
                         raise NumericalBreakdownError(
@@ -383,7 +378,8 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                     pending, raw, split = raw, [], False
                     if pending:
                         blocks.append(_split_records(pending))
-                    rho = density_stack(probs_stack(r), U)
+                    if live:  # at step 0 the true state is rho0 itself
+                        rho = density_stack(probs_stack(r), U)
                     _direct_records([(t_break, rho, drift)])  # the hand-over state, as a record
             if live < step:
                 if A is None:
@@ -607,7 +603,9 @@ def load_model(path) -> LindbladModel:
         n = _document_dimension(doc)
         H = matrix_from_pairs(doc["H"])
         jumps = tuple(matrix_from_pairs(L) for L in doc["jumps"])
-        rates = tuple(float(h) for h in doc["rates"])
+        rates = doc["rates"]
+        if type(rates) is not list or not all(type(h) in (int, float) for h in rates):
+            raise ValidationError(f"rates must be a JSON list of numbers, got {rates!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model document: {exc}") from exc
     return LindbladModel(n, H, jumps, rates)

@@ -40,8 +40,8 @@ SYMMETRY_TOL = 1e-13
 EIG_TOL = 1e-10
 # Breakdown along a flow: smallest gap of the split and Euler charts, the
 # trace drift of each direct step, the qubit and Euler chart sines.  Above
-# EIG_TOL so that a state whose smallest gap lies between the two has a
-# frame, and the split route hands it to the direct one at t = 0.
+# EIG_TOL so that every state the split chart accepts has a frame fixed well
+# above round-off; a start below either floor hands over at t = 0 from rho0.
 BREAKDOWN_TOL = 1e-8
 # Relative slack of t_end / dt against a whole number of steps.
 GRID_TOL = 1e-9

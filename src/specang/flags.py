@@ -29,6 +29,13 @@ def pair_indices(n: int) -> list:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
 def density_stack(p: np.ndarray, U: np.ndarray) -> np.ndarray:
     """U diag(p) U^dagger on stacks: p (..., n), U (..., n, n) -> (..., n, n).
 
@@ -104,16 +111,7 @@ def embedded_generator(n: int, i: int, j: int, k: int) -> np.ndarray:
     if k not in (1, 2, 3):
         raise ValidationError("k must be 1, 2 or 3")
     g = np.zeros((n, n), dtype=complex)
-    i -= 1
-    j -= 1
-    if k == 1:
-        g[i, j] = g[j, i] = 1.0
-    elif k == 2:
-        g[i, j] = -1j
-        g[j, i] = 1j
-    else:
-        g[i, i] = 1.0
-        g[j, j] = -1.0
+    g[np.ix_((i - 1, j - 1), (i - 1, j - 1))] = PAULI[int(k) - 1]  # k = 2.0 passes the check too
     return g
 
 
@@ -270,14 +268,11 @@ def flag_density_theta(n: int, theta) -> np.ndarray:
     prod dtheta_{i,j} dphi_{i,j}, on a stack theta (..., n(n-1)/2) of angles
     in pair_indices order:
 
-    (prod_m m!/(4 pi)^m) prod_{i<j} sin(theta_ij) cos^{2(j-i-1)}(theta_ij/2).
+    prod_{i<j} sin(theta_ij) cos^{2(j-i-1)}(theta_ij/2) / flag_volume(n).
     """
     theta = np.asarray(theta, dtype=float)
-    pref = 1.0
-    for m in range(1, n):
-        pref *= math.factorial(m) / (4.0 * math.pi) ** m
     powers = np.array([2 * (j - i - 1) for (i, j) in pair_indices(n)])
-    return pref * np.prod(np.sin(theta) * np.cos(theta / 2.0) ** powers, axis=-1)
+    return np.prod(np.sin(theta) * np.cos(theta / 2.0) ** powers, axis=-1) / flag_volume(n)
 
 
 def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
@@ -338,10 +333,9 @@ def quantize(f, r: GapVector, num_samples: int, seed: int) -> np.ndarray:
 
     `f` is called with each sampled frame as a plain (n, n) complex array.
     """
+    check_count("num_samples", num_samples, 1)
     n = r.n
     frames = sample_flags(n, num_samples, seed)
-    if num_samples == 0:
-        return np.zeros((n, n), dtype=complex)
     weights = np.array([f(U) for U in frames], dtype=complex)
     rhos = density_stack(probs_stack(r.r), frames)
     return n * np.einsum("b,bij->ij", weights, rhos) / num_samples

@@ -64,10 +64,9 @@ def fisher_metric_r(r: GapVector) -> MetricTensor:
 
 
 def kl_exact(p: ProbVector) -> float:
-    """Relative entropy to the uniform distribution, sum_k p_k ln(n p_k)."""
-    if not np.min(p.p) >= TOL:
-        raise NumericalBreakdownError("relative entropy undefined at zero probability")
-    return float(np.sum(p.p * np.log(p.n * p.p)))
+    """Relative entropy to the uniform distribution, sum_k p_k ln(n p_k), 0 ln 0 = 0."""
+    q = p.p[p.p > 0.0]
+    return float(np.sum(q * np.log(p.n * q)))
 
 
 def kl_quadratic(r: GapVector) -> float:
@@ -129,4 +128,4 @@ def purity_gap(r: GapVector) -> float:
 def shannon_entropy(p: ProbVector) -> float:
     """Shannon entropy -sum p_k log p_k, with zero entries contributing 0."""
     q = p.p[p.p > 0.0]
-    return float(-np.sum(q * np.log(q)))
+    return float(0.0 - np.sum(q * np.log(q)))  # +0.0, not -0.0, at a pure state

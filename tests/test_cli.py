@@ -106,6 +106,18 @@ def test_geometry_kl_pair(capsys):
     assert doc["kl_exact"] == pytest.approx(doc["kl_quadratic"], rel=0.05)
 
 
+def test_geometry_kl_at_a_pure_state(capsys):
+    code, out, _ = run(capsys, "geometry", "--n", "2", "--r", "1.0", "--kl")
+    assert code == 0
+    assert json.loads(out)["kl_exact"] == 0.6931471805599453
+
+
+def test_geometry_entropy_of_a_pure_state_prints_a_positive_zero(capsys):
+    code, out, _ = run(capsys, "geometry", "--n", "2", "--r", "1.0", "--entropy")
+    assert code == 0
+    assert '"entropy": 0.0' in out
+
+
 def test_geometry_singular_exit_code(capsys):
     # pure state: Fisher metric blows up -> numerical breakdown exit code
     code, _, err = run(capsys, "geometry", "--n", "2", "--r", "1.0", "--fisher")
@@ -322,6 +334,41 @@ def test_evolve_both_compares_matching_times_after_fallback(capsys, tmp_path, re
         for m in ("direct", "split")
     )
     assert split == direct
+
+
+def test_evolve_from_the_maximally_mixed_state_hands_over_at_t0(capsys, tmp_path):
+    # 1/3 has no eigenframe: the split run hands over at t = 0 from rho0 itself
+    save_model(tmp_path / "model.json", random_model(3, seed=1))
+    save_density(tmp_path / "rho0.json", DensityMatrix(3, np.eye(3) / 3.0))
+    argv = ["evolve", "--model", str(tmp_path / "model.json"),
+            "--rho0", str(tmp_path / "rho0.json"), "--t-end", "0.05",
+            "--out", str(tmp_path / "run")]
+    code, out, _ = run(capsys, *argv, "--method", "both", "--fallback")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["breakdown_time"] == 0.0 and doc["max_divergence"] == 0.0
+    code, out, err = run(capsys, *argv, "--method", "split")
+    assert code == 3 and out == ""
+    assert err == ("numerical breakdown: split integration broke down at t=0: "
+                   "spectral gap below 1e-10; eigenframe breaks down\n")
+
+
+@pytest.mark.parametrize("rates", ["12", {"1": 0, "2": 0}, ["0.5", 1], [True, 1]],
+                         ids=["string", "object", "string-item", "bool-item"])
+def test_evolve_rates_not_a_list_of_numbers_exits_2(capsys, model_files, rates):
+    path = model_files / "model.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "rates": rates}))
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(path),
+        "--rho0", str(model_files / "rho0.json"),
+        "--out", str(model_files / "run"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "rates" in err
+    assert not list(model_files.glob("run_*.csv"))
 
 
 @pytest.mark.parametrize("method", ["direct", "split"])

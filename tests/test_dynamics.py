@@ -1,7 +1,9 @@
 """GKLS integration: direct vs split, closed forms, factorization, IO."""
 
 import csv
+import json
 import math
+import re
 import time
 
 import numpy as np
@@ -363,6 +365,20 @@ def test_split_breakdown_and_fallback():
     traj = integrate_split(rho0, model, 0.2, 1e-3, fallback_direct=True)
     assert traj.breakdown_time == 0.0
     assert traj.times[-1] == pytest.approx(0.2)
+    # a hand-over at t = 0 resumes from rho0 itself
+    assert np.array_equal(traj.rho, integrate_direct(rho0, model, 0.2, 1e-3).rho)
+
+
+@pytest.mark.parametrize("rho0", [np.eye(3) / 3.0, np.diag([1.0, 0.0, 0.0])],
+                         ids=["maximally-mixed", "pure"])
+def test_start_with_no_eigenframe_hands_over_at_t0(rho0):
+    model, rho0 = random_model(3, seed=1), DensityMatrix(3, rho0)
+    traj = integrate_split(rho0, model, 0.05, 1e-3, fallback_direct=True)
+    assert traj.breakdown_time == 0.0
+    assert np.array_equal(traj.rho, integrate_direct(rho0, model, 0.05, 1e-3).rho)
+    msg = "split integration broke down at t=0: spectral gap below 1e-10; eigenframe breaks down"
+    with pytest.raises(DegenerateSpectrumError, match=f"^{re.escape(msg)}$"):
+        integrate_split(rho0, model, 0.05, 1e-3)
 
 
 def _amplitude_damped_qubit():
@@ -769,6 +785,18 @@ def test_malformed_model_document(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "H": "nope", "jumps": [], "rates": []}\n')
     with pytest.raises(ValidationError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("rates", ["12", {"1": 0, "2": 0}, ["0.5", 1], [True, 1]],
+                         ids=["string", "object", "string-item", "bool-item"])
+def test_model_rates_must_be_a_list_of_numbers(tmp_path, rates):
+    # a string or an object would iterate as characters or keys, read as (1.0, 2.0)
+    path = tmp_path / "model.json"
+    save_model(path, random_model(2, seed=3))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "rates": rates}))
+    with pytest.raises(ValidationError, match="rates must be a JSON list of numbers"):
         load_model(path)
 
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+import specang
 from specang import (
+    PAULI,
     AngleSet,
     DegenerateSpectrumError,
     DensityMatrix,
@@ -60,6 +62,23 @@ def test_embedded_generators_are_pauli_algebra():
             assert abs(np.trace(s)) < 1e-15
         # [s1, s2] = 2i s3 within the embedded plane
         assert np.allclose(s1 @ s2 - s2 @ s1, 2j * s3, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_embedded_generator_places_the_pauli_matrix(n):
+    # sigma_k on rows and columns (i, j), zero everywhere else
+    for (i, j) in pair_indices(n):
+        plane = np.ix_((i - 1, j - 1), (i - 1, j - 1))
+        for k in (1, 2, 3):
+            g = embedded_generator(n, i, j, k)
+            assert np.array_equal(g[plane], PAULI[k - 1])
+            assert np.array_equal(embedded_generator(n, i, j, float(k)), g)
+            g[plane] = 0.0
+            assert not g.any()
+
+
+def test_pauli_is_one_object():
+    assert specang.PAULI is specang.flags.PAULI is specang.dynamics.PAULI
 
 
 def test_embedded_generator_validation():
@@ -494,8 +513,14 @@ def test_quantize_constant_function(rng):
 
 
 def test_quantize_negative_sample_count(rng):
-    with pytest.raises(ValidationError, match="^count must be an integer >= 0, got -1$"):
+    with pytest.raises(ValidationError, match="^num_samples must be an integer >= 1, got -1$"):
         quantize(lambda U: 1.0, interior_gaps(3, rng), -1, seed=0)
+
+
+def test_quantize_needs_a_sample(rng):
+    # a mean over no frames is no estimate, as in resolution_check
+    with pytest.raises(ValidationError, match="^num_samples must be an integer >= 1, got 0$"):
+        quantize(lambda U: 1.0, interior_gaps(3, rng), 0, seed=0)
 
 
 def test_quantize_linear_in_f(rng):

@@ -93,6 +93,12 @@ def test_kl_zero_at_uniform():
     assert kl_quadratic(GapVector(4, np.zeros(3))) == 0.0
 
 
+def test_kl_finite_at_zero_probability():
+    # 0 ln 0 = 0: the relative entropy is finite on the boundary
+    assert kl_exact(ProbVector(2, np.array([1.0, 0.0]))) == math.log(2.0)
+    assert kl_exact(ProbVector(3, np.array([0.75, 0.25, 0.0]))) == 0.5362771440493014
+
+
 @given(dims, st.data())
 @settings(max_examples=40)
 def test_kl_nonnegative(n, data):
@@ -234,6 +240,11 @@ def test_entropy_bounds(n, data):
     r = data.draw(interior_strategy(n))
     s = shannon_entropy(probs_from_gaps(r))
     assert -1e-12 <= s <= math.log(n) + 1e-12
+
+
+def test_entropy_of_a_pure_state_is_a_positive_zero():
+    s = shannon_entropy(ProbVector(2, np.array([1.0, 0.0])))
+    assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
 
 def test_entropy_handles_zero_eigenvalues():
