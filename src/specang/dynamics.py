@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .flags import (
 )
 from .geometry import purity_spectrum
 from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
-from .spectral import GapVector, gaps_stack, probs_stack
+from .spectral import GapVector, _frozen, gaps_stack, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
 
@@ -54,7 +54,10 @@ class LindbladModel:
             raise ValidationError("H and jump operators must be finite")
         if not np.linalg.norm(H - H.conj().T) <= MATRIX_TOL:
             raise ValidationError("H must be Hermitian")
-        rates = tuple(float(h) for h in self.rates)
+        try:
+            rates = tuple(float(h) for h in self.rates)
+        except OverflowError as exc:  # an integer beyond float range
+            raise ValidationError(f"rates must be finite and non-negative: {exc}") from exc
         if len(rates) != len(jumps):
             raise ValidationError("need one rate per jump operator")
         if not all(0.0 <= h < math.inf for h in rates):
@@ -212,6 +215,14 @@ def integrate_direct(
     return _run(rho0, model, t_end, dt, record_every, split=False)
 
 
+@cache
+def stage_constants(n: int):
+    """(1, off, -i off) of the split stage at dimension n: the identity, the
+    off-diagonal mask 1 - delta_ij and -i times it.  Built once per n, read-only."""
+    off = 1.0 - np.eye(n)
+    return _frozen(1.0 - off), _frozen(off), _frozen(-1j * off)
+
+
 def _split_stage(V, r, LD, HD, checked=True):
     """The split flow (V Omega_tilde, r_dot) at frame V and gaps r.
 
@@ -220,21 +231,19 @@ def _split_stage(V, r, LD, HD, checked=True):
     p = probs_stack(r), and rotates both into the frame in one product,
     Ht, Lt = V^dag [H, D] V, with the gap floor checked if `checked`.  V
     need not be unitary: RK4 stages sit at U + O(dt).  r_dot holds adjacent
-    differences of diag Lt; Omega_tilde = V^dag dV/dt has zero diagonal
-    (torus gauge) and off-diagonal entries -i Ht_ij - Lt_ij / (p_i - p_j).
+    differences of diag Lt; Omega_tilde = V^dag dV/dt, zero on the diagonal
+    (torus gauge), is Ht o (-i off) - Lt o (off / (p_i - p_j + delta_ij)).
     """
     n = V.shape[-1]
-    p = probs_stack(r)
-    if checked:
+    eye, off, neg_i_off = stage_constants(n)
+    if checked and not r.min() >= BREAKDOWN_TOL:
         check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
+    p = probs_stack(r)
     np.matmul(LD, density_stack(p, V).ravel(), out=HD[1].reshape(n * n))
     Ht, Lt = V.conj().T @ HD @ V
-    d = Lt.diagonal().real
-    denom = p[:, None] - p
-    denom.flat[:: n + 1] = 1.0
-    Omega_t = -1j * Ht - Lt / denom
-    Omega_t.flat[:: n + 1] = 0.0
-    return V @ Omega_t, gaps_stack(d)
+    Omega_t = Ht * neg_i_off
+    Omega_t -= Lt * (off / (p[:, None] - p + eye))
+    return V @ Omega_t, gaps_stack(Lt.diagonal().real)
 
 
 def split_rhs(state: SplitState, model: LindbladModel):
@@ -259,7 +268,8 @@ def polar_special(U):
     runs to round-off, POLAR_TOL, so the update from e <= sqrt(POLAR_TOL) is
     the last.  From e >= 1/2, where it need not converge, the SVD gives Q."""
     U = np.array(U, dtype=complex)  # a copy: the determinant fix works in place
-    F = U.conj().T @ U - np.eye(len(U))
+    eye = stage_constants(len(U))[0]
+    F = U.conj().T @ U - eye
     defect = err = np.linalg.norm(F)
     if not defect < 0.5:
         X, _, Yh = np.linalg.svd(U)
@@ -268,7 +278,7 @@ def polar_special(U):
         U = U - 0.5 * (U @ F)
         if err * err <= POLAR_TOL:
             break
-        F = U.conj().T @ U - np.eye(len(U))
+        F = U.conj().T @ U - eye
         err = np.linalg.norm(F)
     return _unit_determinant(U), defect
 
@@ -295,13 +305,15 @@ def integrate_split(
 
 def _split_step(U, r, dt, LD, HD):
     """One RK4 step of the pair (U, r) under _split_stage (the run has checked
-    (U, r), so stage 1 does not), then polar_special: (U, r, frame defect)."""
-    U1, r1 = _split_stage(U, r, LD, HD, checked=False)
-    U2, r2 = _split_stage(U + 0.5 * dt * U1, r + 0.5 * dt * r1, LD, HD)
-    U3, r3 = _split_stage(U + 0.5 * dt * U2, r + 0.5 * dt * r2, LD, HD)
-    U4, r4 = _split_stage(U + dt * U3, r + dt * r3, LD, HD)
-    U, defect = polar_special(U + dt / 6.0 * (U1 + 2.0 * U2 + 2.0 * U3 + U4))
-    return U, r + dt / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4), defect
+    (U, r), so stage 1 does not), then polar_special: (U, r, frame defect).
+    The sums K1 + 2 K2 + 2 K3 + K4 and k1 + ... accumulate in place in K1, k1."""
+    K, k = S, s = _split_stage(U, r, LD, HD, checked=False)
+    for c in (0.5, 0.5, 1.0):
+        K, k = _split_stage(U + c * dt * K, r + c * dt * k, LD, HD)
+        S += K + K if c < 1.0 else K  # weights 2, 2, 1; K + K is 2 K exactly
+        s += k + k if c < 1.0 else k
+    U, defect = polar_special(U + dt / 6.0 * S)
+    return U, r + dt / 6.0 * s, defect
 
 
 def _split_records(records):
@@ -365,7 +377,8 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                     else:
                         r_vec, frame = eigendecompose_ordered(rho0)
                         r, U = np.array(r_vec.r), np.array(frame.U)
-                    check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
+                    if not r.min() >= BREAKDOWN_TOL:
+                        check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
                     if not weights @ r <= 1.0 + TOL:
                         raise NumericalBreakdownError(
                             f"split state left R_{{n-1}} at t={step * dt:.6g}")

@@ -41,7 +41,7 @@ def density_stack(p: np.ndarray, U: np.ndarray) -> np.ndarray:
 
     The one assembly of a density matrix from its spectrum and eigenframe.
     """
-    return (U * p[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
+    return (U * p[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,12 @@ def frame_lines(frames):
 
 
 def matrix_from_pairs(data) -> np.ndarray:
-    """Inverse of matrix_to_pairs."""
+    """Inverse of matrix_to_pairs; each entry must be a JSON number (not a bool) in float range."""
     try:
         rows = [[complex(re, im) for re, im in row] for row in data]
-    except (TypeError, ValueError) as exc:
+        if not {type(x) for row in data for pair in row for x in pair} <= {int, float}:
+            raise TypeError("entries must be JSON numbers")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed [re, im] matrix payload: {exc}") from exc
     M = np.array(rows, dtype=complex)
     if M.ndim != 2:

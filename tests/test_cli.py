@@ -371,6 +371,36 @@ def test_evolve_rates_not_a_list_of_numbers_exits_2(capsys, model_files, rates):
     assert not list(model_files.glob("run_*.csv"))
 
 
+def _set_entry(doc, key, value):
+    """Put value at the first real part of a matrix of doc, or as its first rate."""
+    if key == "rates":
+        doc["rates"][0] = value
+    else:
+        (doc["jumps"][0] if key == "jumps" else doc[key])[0][0][0] = value
+
+
+@pytest.mark.parametrize("value", [10**400, True], ids=["beyond-float-range", "bool"])
+@pytest.mark.parametrize("name, key", [("model.json", "rates"), ("model.json", "H"),
+                                       ("model.json", "jumps"), ("rho0.json", "rho")])
+def test_evolve_entry_that_is_not_a_float_exits_2(capsys, model_files, name, key, value):
+    # a JSON integer beyond float range raised OverflowError (exit 1, a traceback),
+    # and a bool was read as 1.0; a bool rate was already rejected
+    path = model_files / name
+    doc = json.loads(path.read_text())
+    _set_entry(doc, key, value)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(model_files / "model.json"),
+        "--rho0", str(model_files / "rho0.json"),
+        "--out", str(model_files / "run"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(model_files.glob("run_*.csv"))
+
+
 @pytest.mark.parametrize("method", ["direct", "split"])
 def test_evolve_nan_rate_is_rejected(capsys, model_files, method):
     path = model_files / "model.json"

@@ -49,6 +49,7 @@ from specang.dynamics import (
     random_density,
     random_model,
     so3_euler,
+    stage_constants,
 )
 from specang.geometry import purity_spectrum
 from specang.spectral import jacobian_matrix, probs_stack, spectral_diagonal
@@ -182,7 +183,7 @@ def test_rhs_reconstruction_identity(n):
         assert np.max(np.abs(recon - lindblad_rhs(rho, model))) < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_spectral_flow_ignores_hamiltonian(n):
     model = random_model(n, seed=3)
     _, state = split_point(n, 7)
@@ -193,6 +194,18 @@ def test_spectral_flow_ignores_hamiltonian(n):
         other = LindbladModel(n, 0.5 * (A + A.conj().T), model.jumps, model.rates)
         r_dot2, _ = split_rhs(state, other)
         assert np.array_equal(r_dot, r_dot2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_stage_constants_are_cached_and_read_only(n):
+    eye, off, neg_i_off = stage_constants(n)
+    assert stage_constants(n) is stage_constants(n)
+    assert np.array_equal(eye, np.eye(n)) and np.array_equal(off, 1.0 - np.eye(n))
+    assert np.array_equal(neg_i_off, -1j * (1.0 - np.eye(n)))
+    for a in (eye, off, neg_i_off):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 2.0
 
 
 def test_split_rhs_degenerate_raises():
@@ -260,7 +273,7 @@ def svd_polar_special(U):
     return Q
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
 def test_split_matches_reference_rk4(n):
     # RK4 on (U, r) with the rotated-operator form of the split RHS and the
     # same polar correction, against the dissipator-superoperator stages;
@@ -797,6 +810,18 @@ def test_model_rates_must_be_a_list_of_numbers(tmp_path, rates):
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({**doc, "rates": rates}))
     with pytest.raises(ValidationError, match="rates must be a JSON list of numbers"):
+        load_model(path)
+
+
+def test_rate_beyond_float_range_is_a_validation_error(tmp_path):
+    # float(10**400) raises OverflowError; a JSON integer can be that large
+    with pytest.raises(ValidationError, match="rates must be finite and non-negative"):
+        LindbladModel(2, np.zeros((2, 2)), (PAULI[0],), (10**400,))
+    path = tmp_path / "model.json"
+    save_model(path, random_model(2, seed=3))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "rates": [10**400, 1]}))
+    with pytest.raises(ValidationError, match="rates must be finite and non-negative"):
         load_model(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specang import NumericalBreakdownError
+from specang import NumericalBreakdownError, ValidationError
 from specang.serialize import frame_lines, matrix_from_pairs, matrix_to_pairs
 
 
@@ -79,3 +79,21 @@ def test_frame_lines_reject_a_non_finite_entry(entry):
 
 def test_frame_lines_of_no_frames():
     assert list(frame_lines(np.zeros((0, 3, 3), dtype=complex))) == []
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[True, 0.0], [0.0, False], [10**400, 0], [0, -(10**400)], ["1", 0.0], [None, 0.0]],
+    ids=["bool-re", "bool-im", "huge-re", "huge-im", "string", "null"],
+)
+def test_matrix_from_pairs_rejects_an_entry_that_is_not_a_float(pair):
+    # complex(True, 0) is 1 + 0j and complex(10**400, 0) raises OverflowError
+    data = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], pair]]
+    with pytest.raises(ValidationError, match=r"^malformed \[re, im\] matrix payload: "):
+        matrix_from_pairs(data)
+
+
+def test_matrix_from_pairs_reads_ints_and_floats():
+    M = matrix_from_pairs([[[1, 0], [0.5, -2]], [[0.5, 2], [-1, 0.0]]])
+    assert M.dtype == complex
+    assert np.array_equal(M, np.array([[1, 0.5 - 2j], [0.5 + 2j, -1]]))
