@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import TOL, NumericalBreakdownError, ValidationError
+from .errors import TOL, NumericalBreakdownError, ValidationError, check_memory
 from .spectral import (
     GapVector,
     ProbVector,
@@ -64,30 +64,20 @@ def _floats(text: str) -> np.ndarray:
         raise ValidationError(f"could not parse float list {text!r}") from exc
 
 
-def _at_least(minimum: int):
-    """argparse type for a count: an integer >= minimum, else exit code 2."""
+def _bounded(kind, minimum, strict=False):
+    """argparse type: a `kind` (int or float), finite, >= minimum (> if strict), else exit 2."""
+    what = ("an integer" if kind is int else "a finite float") + (" > " if strict else " >= ")
 
-    def count(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+            value = math.nan  # fails the bound
+        if not (minimum < value < math.inf if strict else minimum <= value < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {what}{minimum}, got {text!r}")
         return value
 
-    return count
-
-
-def _positive(text: str) -> float:
-    """argparse type for a tolerance: a finite float > 0, else exit code 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite float > 0, got {value}")
-    return value
+    return parse
 
 
 def _provenance(args, **extra) -> dict:
@@ -146,14 +136,8 @@ def cmd_geometry(args) -> int:
     return 0
 
 
-def _report(lines, passed) -> int:
-    for line in lines:
-        print(line)
-    print("RESULT:", "PASS" if passed else "FAIL")
-    return 0 if passed else 3
-
-
 def _verify_identity(args):
+    check_memory(args.N + 1, args.n)
     lines, ok = [], True
     for i in range(1, args.n + 1):
         _, err = resolution_check(args.n, i, args.N, args.seed + i)
@@ -169,6 +153,7 @@ def _verify_identity(args):
 def _verify_measure(args):
     if not args.N >= 2:  # the standard error needs two samples
         raise ValidationError("measure needs N >= 2")
+    check_memory(args.N + 1, args.n)
     rng = np.random.default_rng(args.seed)
     n = args.n
     m = len(pair_indices(n))
@@ -206,6 +191,7 @@ def _verify_volumes(args):
 
 def _angle_draws(n, trials, seed):
     """(theta, phi) stacks (trials, m): per trial m draws for theta, then m for phi."""
+    check_memory(trials + 1, n)
     x = np.random.default_rng(seed).random((trials, 2, len(pair_indices(n))))
     return x[:, 0] * math.pi, x[:, 1] * (2.0 * math.pi)
 
@@ -241,7 +227,9 @@ def cmd_verify(args) -> int:
     dispatch = {"identity": _verify_identity, "measure": _verify_measure,
                 "volumes": _verify_volumes, "unitarity": _verify_unitarity,
                 "qutrit-matrix": _verify_qutrit_matrix}
-    return _report(*dispatch[args.which](args))
+    lines, passed = dispatch[args.which](args)
+    print(*lines, f"RESULT: {'PASS' if passed else 'FAIL'}", sep="\n")
+    return 0 if passed else 3
 
 
 def cmd_evolve(args) -> int:
@@ -271,6 +259,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_memory(args.N + 1, args.n)
     frames = sample_flags(args.n, args.N, args.seed)
     lines = frame_lines(frames)
     header = _provenance(args)
@@ -317,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         choices=["identity", "measure", "volumes", "unitarity", "qutrit-matrix"],
     )
-    p.add_argument("--n", type=_at_least(2), default=3)
-    p.add_argument("--N", type=_at_least(1), default=100000)
-    p.add_argument("--trials", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=_at_least(0))
-    p.add_argument("--tol", type=_positive, default=0.05)
+    p.add_argument("--n", type=_bounded(int, 2), default=3)
+    p.add_argument("--N", type=_bounded(int, 1), default=100000)
+    p.add_argument("--trials", type=_bounded(int, 0), default=1000)
+    p.add_argument("--seed", type=_bounded(int, 0))
+    p.add_argument("--tol", type=_bounded(float, 0, strict=True), default=0.05)
 
     p = sub.add_parser("evolve", help="integrate a GKLS model")
     p.add_argument("--model", required=True)
@@ -329,30 +318,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["direct", "split", "both"], default="both")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
-    p.add_argument("--record-every", dest="record_every", type=_at_least(1), default=10)
+    p.add_argument("--record-every", dest="record_every", type=_bounded(int, 1), default=10)
     p.add_argument("--fallback", action="store_true",
                    help="fall back to direct integration on spectral degeneracy")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--seed", type=_bounded(int, 0))
 
     p = sub.add_parser("sample", help="sample invariantly distributed frames")
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--N", type=_at_least(0), required=True)
-    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--n", type=_bounded(int, 2), required=True)
+    p.add_argument("--N", type=_bounded(int, 0), required=True)
+    p.add_argument("--seed", type=_bounded(int, 0))
     p.add_argument("--out", required=True)
 
     return parser
 
 
 _parser = functools.cache(build_parser)  # one parser per process, reused by every main()
-
-
-def _env_seed() -> int:
-    text = os.environ.get("SPECANG_SEED", "0")
-    try:
-        return _at_least(0)(text)
-    except argparse.ArgumentTypeError:
-        raise ValidationError(f"SPECANG_SEED must be an integer >= 0, got {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -362,7 +343,10 @@ def main(argv=None) -> int:
                "evolve": cmd_evolve, "sample": cmd_sample}[args.command]
     try:
         if getattr(args, "seed", 0) is None:  # read on every call, not at parser build
-            args.seed = _env_seed()
+            try:
+                args.seed = _bounded(int, 0)(os.environ.get("SPECANG_SEED", "0"))
+            except argparse.ArgumentTypeError as exc:
+                raise ValidationError(f"SPECANG_SEED {exc}") from None
         return handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

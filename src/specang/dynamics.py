@@ -20,13 +20,14 @@ import numpy as np
 from .errors import (
     BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL, DegenerateSpectrumError,
     NumericalBreakdownError, ValidationError, check_angle, check_count, check_gap_floor,
+    check_memory,
 )
 from .flags import (
     PAULI, DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
     eigendecompose_ordered, pair_indices, rotation_factor, sample_flag,
 )
 from .geometry import purity_spectrum
-from .serialize import matrix_from_pairs, matrix_to_pairs, dump_json, load_json
+from .serialize import dump_json, matrix_to_pairs, read_document
 from .spectral import GapVector, _frozen, gaps_stack, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
@@ -182,8 +183,8 @@ def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     return _matvec(model.liouvillian, rho, model)
 
 
-def _step_count(t_end, dt, record_every):
-    """Number of RK4 steps of a run, after checking its parameters."""
+def _step_count(t_end, dt, record_every, n):
+    """Number of RK4 steps of a run, after checking its parameters and its records' memory."""
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
         raise ValidationError("t_end and dt must be positive and finite")
     if not dt <= t_end:
@@ -196,6 +197,7 @@ def _step_count(t_end, dt, record_every):
             f"t_end = {t_end:g} is not a multiple of dt = {dt:g}; the nearest grid ends are "
             f"{math.floor(ratio) * dt:g} and {math.ceil(ratio) * dt:g}")
     check_count("record_every", record_every, 1)
+    check_memory(-(-round(ratio) // record_every) + 1, n)  # steps 0, record_every, ..., the last
     return round(ratio)
 
 
@@ -356,8 +358,8 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     and at every exit (the end, an exception, the hand-over); the earliest
     failing record raises ahead of a later step's exception.
     """
-    steps = _step_count(t_end, dt, record_every)
     n = model.n
+    steps = _step_count(t_end, dt, record_every, n)
     if rho0.n != n:
         raise ValidationError("state and model dimensions disagree")
     rho, A, t_break, drift, defect = np.asarray(rho0.rho, dtype=complex), None, None, 0.0, 0.0
@@ -593,14 +595,6 @@ def random_density(n: int, seed: int, fill: float = 0.75) -> DensityMatrix:
 # --- model / trajectory IO -------------------------------------------------
 
 
-def _document_dimension(doc: dict) -> int:
-    """The dimension "n" of a model or state document, which must be a JSON integer."""
-    n = doc["n"]
-    if type(n) is not int:  # not a float, and not a bool
-        raise ValidationError(f"dimension must be a JSON integer, got {n!r}")
-    return n
-
-
 def save_model(path, model: LindbladModel) -> None:
     dump_json(path, {
         "n": model.n,
@@ -611,17 +605,8 @@ def save_model(path, model: LindbladModel) -> None:
 
 
 def load_model(path) -> LindbladModel:
-    doc = load_json(path)
-    try:
-        n = _document_dimension(doc)
-        H = matrix_from_pairs(doc["H"])
-        jumps = tuple(matrix_from_pairs(L) for L in doc["jumps"])
-        rates = doc["rates"]
-        if type(rates) is not list or not all(type(h) in (int, float) for h in rates):
-            raise ValidationError(f"rates must be a JSON list of numbers, got {rates!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model document: {exc}") from exc
-    return LindbladModel(n, H, jumps, rates)
+    fields = read_document(path, "model", H="matrix", jumps="matrices", rates="rates")
+    return LindbladModel(**fields)
 
 
 def save_density(path, rho: DensityMatrix) -> None:
@@ -629,12 +614,7 @@ def save_density(path, rho: DensityMatrix) -> None:
 
 
 def load_density(path) -> DensityMatrix:
-    doc = load_json(path)
-    try:
-        n, rho = _document_dimension(doc), matrix_from_pairs(doc["rho"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed state document: {exc}") from exc
-    return DensityMatrix(n, rho)
+    return DensityMatrix(**read_document(path, "state", rho="matrix"))
 
 
 def write_trajectory_csv(path, traj: Trajectory, header_fields: dict) -> None:

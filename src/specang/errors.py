@@ -47,6 +47,8 @@ BREAKDOWN_TOL = 1e-8
 GRID_TOL = 1e-9
 # Round-off of ||U^dag U - 1||_F for a unitary frame: the polar iteration's stop.
 POLAR_TOL = 1e-14
+# Bytes of the complex n x n matrices that one run records or one draw makes.
+MEMORY_LIMIT = 2**30
 
 
 def check_probs(p: np.ndarray) -> None:
@@ -71,6 +73,13 @@ def check_count(name: str, value, minimum: int) -> None:
     """Raise ValidationError unless value is an integer >= minimum."""
     if not (isinstance(value, numbers.Integral) and value >= minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_memory(count: int, n: int) -> None:
+    """Raise ValidationError unless count complex n x n matrices fit in MEMORY_LIMIT."""
+    if not count * n * n * 16 <= MEMORY_LIMIT:
+        raise ValidationError(
+            f"{count} complex {n} x {n} matrices exceed the memory limit of {MEMORY_LIMIT} B")
 
 
 def check_gap_floor(gaps, floor: float, chart: str) -> None:

@@ -298,6 +298,7 @@ def sample_flags(n: int, count: int, seed: int) -> np.ndarray:
     diagonal, by Gram-Schmidt), which is invariant by construction; each
     frame then gets the deterministic phase section of eigendecompose_ordered.
     """
+    check_count("dimension", n, 2)
     check_count("count", count, 0)
     return _fix_column_phases(_ginibre_columns(n, count, seed, n).transpose(1, 2, 0).copy())
 

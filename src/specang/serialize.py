@@ -32,18 +32,36 @@ def frame_lines(frames):
     return (line % tuple(U.tolist()) for U in frames.reshape(len(frames), n * n).view(float))
 
 
-def matrix_from_pairs(data) -> np.ndarray:
-    """Inverse of matrix_to_pairs; each entry must be a JSON number (not a bool) in float range."""
+# The layouts of a document value: what its JSON must be, what its numbers must be
+LAYOUTS = {"rates": ("a JSON list of numbers", "finite and non-negative"),
+           "matrix": ("a square JSON matrix of [re, im] number pairs", "finite"),
+           "matrices": ("a JSON list of matrices", "finite")}
+
+
+def _numbers(data, layout: str, what: str):
+    """data in a layout of LAYOUTS: a float vector, a complex matrix or a list
+    of matrices, else a ValidationError "<what> must be ...".  The one rule for
+    a number in a document: an int or a float, not a bool, in float range and finite."""
+    form, rule = LAYOUTS[layout]
+    if layout == "matrices" and type(data) is list:
+        return [_numbers(M, "matrix", what) for M in data]
+    a = np.array(data, dtype=object)
+    k = len(a) if a.ndim else -1
+    if a.shape != {"rates": (k,), "matrix": (k, k, 2)}.get(layout) or not set(
+            map(type, a.flat)) <= {int, float}:
+        raise ValidationError(f"{what} must be {form}")
     try:
-        rows = [[complex(re, im) for re, im in row] for row in data]
-        if not {type(x) for row in data for pair in row for x in pair} <= {int, float}:
-            raise TypeError("entries must be JSON numbers")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed [re, im] matrix payload: {exc}") from exc
-    M = np.array(rows, dtype=complex)
-    if M.ndim != 2:
-        raise ValidationError("matrix payload must be two-dimensional")
-    return M
+        a = a.astype(float)
+    except OverflowError:
+        raise ValidationError(f"{what} must be {rule}, got a number beyond float range") from None
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} must be {rule}, got the entry {a[~np.isfinite(a)][0]}")
+    return a.view(complex)[..., 0] if layout == "matrix" else a
+
+
+def matrix_from_pairs(data) -> np.ndarray:
+    """Inverse of matrix_to_pairs on a square matrix of document numbers."""
+    return _numbers(data, "matrix", "malformed [re, im] matrix payload: data")
 
 
 def dump_json(path, document) -> None:
@@ -52,10 +70,17 @@ def dump_json(path, document) -> None:
         fh.write("\n")
 
 
-def load_json(path):
-    """Parsed JSON document at path; unreadable text or JSON is a ValidationError."""
+def read_document(path, kind: str, **layouts) -> dict:
+    """The fields of the model or state document at path: "n" as it stands, for
+    the dataclass built from them to check, and each key of `layouts` read in its
+    layout.  Bad JSON, JSON nested too deep or a missing key is a ValidationError."""
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    keys = ["n", *layouts]
+    if type(doc) is not dict or not doc.keys() >= set(keys):
+        raise ValidationError(f"malformed {kind} document: need a JSON object with keys {keys}")
+    return {"n": doc["n"], **{key: _numbers(doc[key], layout, f"malformed {kind} document: {key}")
+                              for key, layout in layouts.items()}}

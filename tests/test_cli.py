@@ -1,19 +1,26 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from specang import DensityMatrix, LindbladModel, __version__, sample_flags
 from specang.cli import main
 from specang.dynamics import random_density, random_model, save_density, save_model
+from specang.errors import MEMORY_LIMIT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -485,6 +492,180 @@ def test_evolve_malformed_input_file_exits_2(capsys, model_files, name, content)
     assert err.startswith("error:")
 
 
+def evolve_argv(files, *extra):
+    return ["evolve", "--model", str(files / "model.json"), "--rho0", str(files / "rho0.json"),
+            "--out", str(files / "run"), *extra]
+
+
+def test_evolve_deeply_nested_document_exits_2(capsys, model_files):
+    # json.load raised RecursionError: a traceback and exit 1.  The text is
+    # written raw: json.dumps of such a list would recurse itself
+    depth = 10**5
+    (model_files / "rho0.json").write_text('{"n": 2, "rho": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, *evolve_argv(model_files))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed JSON in ") and "recursion" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# JSON tokens that Python's json reads as non-finite floats, and their repr
+NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e400": "inf"}
+
+
+def _write_token(path, doc, token):
+    """Write doc with its "TOKEN" string replaced by the raw JSON token."""
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+
+
+@pytest.mark.parametrize("token", list(NON_FINITE))
+def test_evolve_non_finite_state_entry_exits_2(capsys, model_files, token):
+    # such a rho used to fail later, and as "density matrix is not Hermitian"
+    path = model_files / "rho0.json"
+    doc = json.loads(path.read_text())
+    doc["rho"][1][0][1] = "TOKEN"
+    _write_token(path, doc, token)
+    code, out, err = run(capsys, *evolve_argv(model_files))
+    assert code == 2 and out == ""
+    assert err == ("error: malformed state document: rho must be finite, "
+                   f"got the entry {NON_FINITE[token]}\n")
+    assert not list(model_files.glob("run_*.csv"))
+
+
+@pytest.mark.parametrize("token", list(NON_FINITE))
+@pytest.mark.parametrize("key", ["H", "jumps"])
+def test_evolve_non_finite_model_entry_exits_2(capsys, model_files, key, token):
+    path = model_files / "model.json"
+    doc = json.loads(path.read_text())
+    _set_entry(doc, key, "TOKEN")
+    _write_token(path, doc, token)
+    code, out, err = run(capsys, *evolve_argv(model_files))
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed model document: {key} must be finite, "
+                   f"got the entry {NON_FINITE[token]}\n")
+
+
+def test_evolve_records_beyond_the_memory_limit_exit_2(capsys, model_files):
+    # t_end / dt = 1e299 steps is finite, so the run started and could only
+    # end by exhausting memory; its record count is checked before any step
+    code, out, err = run(capsys, *evolve_argv(model_files, "--dt", "1e-300", "--t-end", "0.1"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 1") and err.count("\n") == 1
+    assert err.endswith(f" complex 2 x 2 matrices exceed the memory limit of {MEMORY_LIMIT} B\n")
+    assert not list(model_files.glob("run_*.csv"))
+
+
+# Each draw is checked before it is made, so none of these allocates.  With
+# no check, each would fail at once on its first allocation, or (--N 0) loop
+# over a million empty Gram-Schmidt columns, rather than fill memory slowly
+@pytest.mark.parametrize(
+    "argv, count, n",
+    [
+        (("sample", "--n", "1000000", "--N", "1"), 2, 1000000),
+        (("sample", "--n", "1000000", "--N", "0"), 1, 1000000),
+        (("sample", "--n", "2", "--N", "10000000000"), 10000000001, 2),
+        (("verify", "identity", "--n", "1000000", "--N", "1"), 2, 1000000),
+        (("verify", "measure", "--n", "3", "--N", "10000000000"), 10000000001, 3),
+        (("verify", "unitarity", "--n", "3", "--trials", "10000000000"), 10000000001, 3),
+        (("verify", "qutrit-matrix", "--trials", "10000000000"), 10000000001, 3),
+    ],
+    ids=["sample-n", "sample-n-no-frames", "sample-N", "verify-identity", "verify-measure",
+         "verify-unitarity", "verify-qutrit-matrix"],
+)
+def test_draws_beyond_the_memory_limit_exit_2(capsys, tmp_path, argv, count, n):
+    out_file = tmp_path / "frames.jsonl"
+    extra = ("--out", str(out_file)) if argv[0] == "sample" else ()
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2 and out == ""
+    assert err == (f"error: {count} complex {n} x {n} matrices exceed the memory limit "
+                   f"of {MEMORY_LIMIT} B\n")
+    assert not out_file.exists()
+
+
+# --- the document boundary, fuzzed --------------------------------------------
+
+FUZZ_MODEL = {
+    "n": 2,
+    "H": [[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [-0.5, 0.0]]],
+    "jumps": [[[[0.3, 0.0], [0.2, 0.1]], [[0.0, 0.0], [-0.3, 0.0]]]],
+    "rates": [1],
+}
+FUZZ_STATE = {"n": 2, "rho": [[[0.6, 0.0], [0.1, 0.1]], [[0.1, -0.1], [0.4, 0.0]]]}
+DEEP = "\u0000deep"  # a value written as a list nested 10**5 deep
+SWAPS = [True, False, None, "0.5", 10**400, -(10**400), math.nan, math.inf, -math.inf,
+         1e308, 0, 0.25, -1, 3, 2.0, [], {}, [0.5], [[0.5, 0.0]], DEEP]
+
+
+@st.composite
+def mutated_documents(draw):
+    """(model, state) after up to three edits at random places: a value
+    swapped for one of SWAPS, an item or key deleted, an item duplicated or
+    an extra key added, or a value wrapped in one more list."""
+    docs = copy.deepcopy((FUZZ_MODEL, FUZZ_STATE))
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(docs))
+        if not isinstance(node, dict) or not node:
+            continue
+        key = draw(st.sampled_from(sorted(node)))
+        while isinstance(node[key], list) and node[key] and draw(st.booleans()):
+            node, key = node[key], draw(st.integers(0, len(node[key]) - 1))
+        edit = draw(st.sampled_from(["swap", "delete", "add", "wrap"]))
+        if edit == "swap":
+            node[key] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+        elif edit == "delete":
+            del node[key]
+        elif edit == "add" and isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+        elif edit == "add":
+            node["extra"] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+        else:
+            node[key] = [node[key]]
+    return docs
+
+
+def _document_text(doc):
+    deep = "[" * 10**5 + "]" * 10**5
+    return json.dumps(doc).replace(json.dumps(DEEP), deep)
+
+
+def _with(doc, key, value):
+    return {**copy.deepcopy(doc), key: value}
+
+
+def _rho_entry(token_value):
+    return _with(FUZZ_STATE, "rho", [[[token_value, 0.0], [0.1, 0.1]], [[0.1, -0.1], [0.4, 0.0]]])
+
+
+@given(mutated_documents(), st.sampled_from(["0.001", "0.005", "0.01", "1e-300"]))
+@example((FUZZ_MODEL, _with(FUZZ_STATE, "rho", DEEP)), "0.001")  # RecursionError, exit 1
+@example((FUZZ_MODEL, _rho_entry(math.nan)), "0.001")  # "not Hermitian"
+@example((FUZZ_MODEL, _rho_entry(math.inf)), "0.001")
+@example((FUZZ_MODEL, _rho_entry(-math.inf)), "0.001")
+@example((FUZZ_MODEL, _rho_entry(10**400)), "0.001")
+@example((_with(FUZZ_MODEL, "rates", [math.nan]), FUZZ_STATE), "0.001")
+@example((_with(FUZZ_MODEL, "n", True), FUZZ_STATE), "0.001")
+@example((FUZZ_MODEL, _with(FUZZ_STATE, "n", 3)), "0.001")
+@example((FUZZ_MODEL, FUZZ_STATE), "1e-300")  # a run that could not end
+@example((_with(FUZZ_MODEL, "rates", [1e308]), FUZZ_STATE), "0.001")  # exit 3
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_every_document_exits_with_one_line(docs, dt):
+    # whatever the documents hold, evolve ends in 0, 2 or 3 and at most one
+    # stderr line, never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp)
+        for name, doc in zip(("model.json", "rho0.json"), docs):
+            (files / name).write_text(_document_text(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(evolve_argv(files, "--dt", dt, "--t-end", "0.01", "--fallback"))
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and json.loads(out.getvalue())["files"]
+    else:
+        prefix = {2: "error: ", 3: "numerical breakdown: "}[code]
+        assert err.startswith(prefix) and err.count("\n") == 1 and out.getvalue() == ""
+
+
 def test_evolve_dt_above_t_end_exits_2(capsys, model_files):
     code, out, err = run(
         capsys,
@@ -748,11 +929,12 @@ def test_sample_non_finite_frame_exits_3(capsys, tmp_path, monkeypatch):
         ("evolve", "--model", "m.json", "--rho0", "r.json", "--seed", "-1", "--out", "x"),
         ("sample", "--n", "2", "--N", "5", "--seed", "-1", "--out", "x"),
         ("verify", "volumes", "--n", "4", "--N", "10", "--seed", "-1"),
+        ("sample", "--n", "1", "--N", "5", "--out", "x"),
     ],
     ids=["evolve-record-every", "sample-N", "sample-n", "verify-measure-N",
          "verify-volumes-N", "verify-unitarity-trials", "verify-measure-n",
          "verify-unitarity-n", "verify-identity-n", "evolve-seed", "sample-seed",
-         "verify-volumes-seed"],
+         "verify-volumes-seed", "sample-n-one-level"],
 )
 def test_count_below_its_bound_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

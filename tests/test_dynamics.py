@@ -51,6 +51,7 @@ from specang.dynamics import (
     so3_euler,
     stage_constants,
 )
+from specang.errors import MEMORY_LIMIT
 from specang.geometry import purity_spectrum
 from specang.spectral import jacobian_matrix, probs_stack, spectral_diagonal
 
@@ -584,6 +585,17 @@ def test_step_count_overflow_is_a_validation_error(integrate):
     # t_end / dt overflows to inf although both are finite
     with pytest.raises(ValidationError, match="overflows the step count"):
         integrate(random_density(2, seed=1), random_model(2, seed=0), 1e300, 1e-10)
+
+
+@pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])
+def test_records_beyond_the_memory_limit_are_a_validation_error(integrate):
+    # 1e299 steps: t_end / dt is finite, and the run could only end by
+    # exhausting memory.  Its records are counted before the first step
+    model, rho0 = random_model(2, seed=0), random_density(2, seed=1)
+    with pytest.raises(ValidationError, match=f"exceed the memory limit of {MEMORY_LIMIT} B$"):
+        integrate(rho0, model, 0.1, 1e-300, 10)
+    # what is bounded is the records, not the steps: one record per 10**12 steps
+    assert len(integrate(rho0, model, 0.01, 1e-3, 10**12).times) == 2
 
 
 @pytest.mark.parametrize("integrate", [integrate_direct, integrate_split])

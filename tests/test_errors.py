@@ -19,11 +19,13 @@ from specang import (
 )
 from specang.dynamics import integrate_direct, random_density, random_model
 from specang.errors import (
+    MEMORY_LIMIT,
     check_angle,
     check_density,
     check_frame,
     check_gap_floor,
     check_gaps,
+    check_memory,
     check_probs,
 )
 
@@ -146,3 +148,14 @@ def test_input_checks_run_only_in_validating_constructors():
             and id(node) not in inside
         ]
     assert outside == []
+
+
+def test_memory_check_bounds_count_times_n_squared_complex_entries():
+    check_memory(MEMORY_LIMIT // 64, 2)  # 16 B per entry of a 2 x 2 matrix: at the limit
+    check_memory(0, 10**6)
+    with pytest.raises(ValidationError, match=(
+            f"^{MEMORY_LIMIT // 64 + 1} complex 2 x 2 matrices exceed the memory limit "
+            f"of {MEMORY_LIMIT} B$")):
+        check_memory(MEMORY_LIMIT // 64 + 1, 2)
+    with pytest.raises(ValidationError, match="^2 complex 100000 x 100000 matrices"):
+        check_memory(2, 10**5)

@@ -376,6 +376,12 @@ def test_sample_flags_empty():
     assert sample_flags(3, 0, seed=0).shape == (0, 3, 3)
 
 
+def test_sample_flags_one_level():
+    # a 1 x 1 "frame" is no flag: it was sampled as 0.9999999999999999
+    with pytest.raises(ValidationError, match="^dimension must be an integer >= 2, got 1$"):
+        sample_flags(1, 3, seed=0)
+
+
 def test_sample_flags_negative_count():
     with pytest.raises(ValidationError, match="^count must be an integer >= 0, got -1$"):
         sample_flags(3, -1, seed=0)

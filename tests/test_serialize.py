@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specang import NumericalBreakdownError, ValidationError
-from specang.serialize import frame_lines, matrix_from_pairs, matrix_to_pairs
+from specang.serialize import frame_lines, matrix_from_pairs, matrix_to_pairs, read_document
 
 
 def ref_matrix_to_pairs(M):
@@ -97,3 +97,66 @@ def test_matrix_from_pairs_reads_ints_and_floats():
     M = matrix_from_pairs([[[1, 0], [0.5, -2]], [[0.5, 2], [-1, 0.0]]])
     assert M.dtype == complex
     assert np.array_equal(M, np.array([[1, 0.5 - 2j], [0.5 + 2j, -1]]))
+
+
+@pytest.mark.parametrize("entry, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_matrix_from_pairs_rejects_a_non_finite_entry(entry, shown):
+    data = [[[0.5, 0.0], [0.0, entry]], [[0.0, 0.0], [0.5, 0.0]]]
+    with pytest.raises(ValidationError, match=(
+            rf"^malformed \[re, im\] matrix payload: data must be finite, got the entry {shown}$")):
+        matrix_from_pairs(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[[[1.0, 0.0]], [[0.0, 1.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0]]],
+     [[[1.0, 0.0, 0.0]]], [[[1.0]]], [[1.0, 0.0]], [[[[1.0, 0.0]]]], [], 1.0, "x",
+     {"re": 1.0}, [[[1.0, [0.0]]]]],
+    ids=["2x1", "ragged", "triple", "single", "too-shallow", "too-deep", "empty", "number",
+         "string", "object", "list-entry"],
+)
+def test_matrix_from_pairs_rejects_what_is_not_a_square_matrix_of_pairs(data):
+    with pytest.raises(ValidationError, match=(
+            r"^malformed \[re, im\] matrix payload: data must be a square JSON matrix of "
+            r"\[re, im\] number pairs$")):
+        matrix_from_pairs(data)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[1, 2]', "malformed state document: need a JSON object with keys ['n', 'rho']"),
+        ('{"n": 2}', "malformed state document: need a JSON object with keys ['n', 'rho']"),
+        ('{"n": 2, "rho": ' + "[" * 10**5 + "]" * 10**5 + "}", "malformed JSON in "),
+        ('{"n": 2, "rho": [[[1, 0]]], "rates": "x"}', None),
+    ],
+    ids=["not-an-object", "missing-key", "nested-too-deep", "extra-key"],
+)
+def test_read_document_reads_an_object_with_its_keys(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    if message is None:  # a key the document kind does not read is ignored
+        fields = read_document(path, "state", rho="matrix")
+        assert fields["n"] == 2 and np.array_equal(fields["rho"], [[1.0]])
+        return
+    with pytest.raises(ValidationError) as exc:
+        read_document(path, "state", rho="matrix")
+    assert str(exc.value).startswith(message)
+
+
+def test_read_document_names_the_key_and_the_rule(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"n": 2, "H": [[[1, 0]]], "jumps": 5, "rates": [1e999, 1]}')
+    layouts = {"H": "matrix", "jumps": "matrices", "rates": "rates"}
+    with pytest.raises(ValidationError, match="^malformed model document: jumps must be a JSON "
+                                              "list of matrices$"):
+        read_document(path, "model", **layouts)
+    path.write_text('{"n": 2, "H": [[[1, 0]]], "jumps": [], "rates": [1e999, 1]}')
+    with pytest.raises(ValidationError, match="^malformed model document: rates must be finite "
+                                              "and non-negative, got the entry inf$"):
+        read_document(path, "model", **layouts)
+    path.write_text('{"n": 2.5, "H": [[[1, 0]]], "jumps": [], "rates": [2, 0.5]}')
+    fields = read_document(path, "model", **layouts)
+    # "n" is left to the dataclass; the numbers are floats and the matrices complex
+    assert fields["n"] == 2.5 and fields["jumps"] == []
+    assert fields["rates"].dtype == float and fields["H"].dtype == complex
