@@ -347,7 +347,8 @@ def main(argv=None) -> int:
                 args.seed = _bounded(int, 0)(os.environ.get("SPECANG_SEED", "0"))
             except argparse.ArgumentTypeError as exc:
                 raise ValidationError(f"SPECANG_SEED {exc}") from None
-        return handler(args)
+        with np.errstate(all="ignore"):  # a guard reports the NaN a numpy warning would announce
+            return handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (
     BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL, DegenerateSpectrumError,
-    NumericalBreakdownError, ValidationError, check_angle, check_count, check_gap_floor,
-    check_memory,
+    NumericalBreakdownError, ValidationError, _frozen, check_angle, check_count,
+    check_gap_floor, check_memory, checked_array,
 )
 from .flags import (
     PAULI, DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
@@ -28,7 +28,7 @@ from .flags import (
 )
 from .geometry import purity_spectrum
 from .serialize import dump_json, matrix_to_pairs, read_document
-from .spectral import GapVector, _frozen, gaps_stack, probs_stack
+from .spectral import GapVector, gaps_stack, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
 
@@ -44,15 +44,9 @@ class LindbladModel:
 
     def __post_init__(self):
         check_count("dimension", self.n, 2)
-        H = np.array(self.H, dtype=complex)
-        if H.shape != (self.n, self.n):
-            raise ValidationError(f"H must be {self.n} x {self.n}")
-        jumps = tuple(np.array(L, dtype=complex) for L in self.jumps)
-        for L in jumps:
-            if L.shape != (self.n, self.n):
-                raise ValidationError("jump operator dimension mismatch")
-        if not all(np.all(np.isfinite(a)) for a in (H, *jumps)):
-            raise ValidationError("H and jump operators must be finite")
+        H = checked_array("H", self.H, complex, (self.n, self.n))
+        jumps = tuple(checked_array("jump operator", L, complex, (self.n, self.n))
+                      for L in self.jumps)
         if not np.linalg.norm(H - H.conj().T) <= MATRIX_TOL:
             raise ValidationError("H must be Hermitian")
         try:
@@ -66,8 +60,6 @@ class LindbladModel:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "rates", rates)
-        for a in (H, *jumps):
-            a.setflags(write=False)
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
@@ -160,8 +152,7 @@ def _liouvillian(model: LindbladModel, hamiltonian: bool) -> np.ndarray:
     for a in range(n):
         blocks[:, a, :, a] += G
         blocks[a, :, a, :] += G.conj()
-    out.setflags(write=False)
-    return out
+    return _frozen(out)
 
 
 def _matvec(superop, rho, model):

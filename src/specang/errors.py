@@ -51,6 +51,29 @@ POLAR_TOL = 1e-14
 MEMORY_LIMIT = 2**30
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only: the one freeze of an array the library hands out."""
+    a.setflags(write=False)
+    return a
+
+
+def checked_array(name: str, value, dtype, shape: tuple) -> np.ndarray:
+    """value as a read-only array of dtype and shape with finite entries, else a
+    ValidationError naming `name`: the one reading of an array field of a dataclass."""
+    try:
+        a = np.array(value, dtype=dtype)
+    except OverflowError:  # an integer beyond float range
+        raise ValidationError(f"{name} must be finite, got a number beyond float range") from None
+    except (TypeError, ValueError) as exc:  # ragged nesting, a string, an object
+        raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
+    if a.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
+    x = a.view(float)  # a complex entry is reported by its non-finite part
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} must be finite, got the entry {x[~np.isfinite(x)][0]}")
+    return _frozen(a)
+
+
 def check_probs(p: np.ndarray) -> None:
     """Raise ValidationError unless p is descending, non-negative and sums to 1."""
     if not np.all(np.diff(p) <= TOL):

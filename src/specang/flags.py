@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     EIG_TOL, ValidationError, check_angle, check_count, check_density, check_frame,
-    check_gap_floor,
+    check_gap_floor, checked_array,
 )
 from .spectral import GapVector, gaps_stack, probs_stack, weighted_simplex_volume
 
@@ -79,11 +79,8 @@ class UnitaryFrame:
 
     def __post_init__(self):
         check_count("dimension", self.n, 2)
-        U = np.array(self.U, dtype=complex)
-        if U.shape != (self.n, self.n):
-            raise ValidationError(f"frame must be {self.n} x {self.n}")
+        U = checked_array("frame", self.U, complex, (self.n, self.n))
         check_frame(U)
-        U.setflags(write=False)
         object.__setattr__(self, "U", U)
 
 
@@ -96,11 +93,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         check_count("dimension", self.n, 2)
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (self.n, self.n):
-            raise ValidationError(f"density matrix must be {self.n} x {self.n}")
+        rho = checked_array("density matrix", self.rho, complex, (self.n, self.n))
         check_density(rho)
-        rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
 

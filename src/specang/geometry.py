@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    SYMMETRY_TOL, TOL, NumericalBreakdownError, ValidationError, check_gap_floor,
+    SYMMETRY_TOL, TOL, NumericalBreakdownError, ValidationError, check_count, check_gap_floor,
+    checked_array,
 )
 from .flags import pair_indices
 from .spectral import (
@@ -34,13 +35,10 @@ class MetricTensor:
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=float)
-        m = self.n - 1
-        if g.shape != (m, m):
-            raise ValidationError(f"metric must be {m} x {m}, got {g.shape}")
-        if not np.max(np.abs(g - g.T), initial=0.0) <= SYMMETRY_TOL:
+        check_count("dimension", self.n, 2)
+        g = checked_array("metric", self.g, float, (self.n - 1, self.n - 1))
+        if not np.max(np.abs(g - g.T)) <= SYMMETRY_TOL:
             raise ValidationError("metric components must be symmetric")
-        g.setflags(write=False)
         object.__setattr__(self, "g", g)
 
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    TOL, CrossoverDegeneracyError, ValidationError, check_count, check_gaps, check_probs,
+    TOL, CrossoverDegeneracyError, ValidationError, _frozen, check_count, check_gaps,
+    check_probs, checked_array,
 )
 
 # Exact (rational) volume formulas use factorials; keep them well inside the
@@ -30,11 +31,6 @@ MAX_EXACT_N = 20
 # Rows per uniform draw of rejection_volume_estimate (1.1 MB at n = 4); freed, it lifts
 # glibc's mmap and trim thresholds, so later MB-sized temporaries reuse heap pages.
 VOLUME_BLOCK = 49152
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -46,11 +42,9 @@ class ProbVector:
 
     def __post_init__(self):
         check_count("dimension", self.n, 2)
-        p = np.array(self.p, dtype=float)
-        if p.shape != (self.n,):
-            raise ValidationError(f"expected {self.n} probabilities, got shape {p.shape}")
+        p = checked_array("probabilities", self.p, float, (self.n,))
         check_probs(p)
-        object.__setattr__(self, "p", _frozen(p))
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
@@ -62,11 +56,9 @@ class GapVector:
 
     def __post_init__(self):
         check_count("dimension", self.n, 2)
-        r = np.array(self.r, dtype=float)
-        if r.shape != (self.n - 1,):
-            raise ValidationError(f"expected {self.n - 1} gaps, got shape {r.shape}")
+        r = checked_array("gaps", self.r, float, (self.n - 1,))
         check_gaps(r)
-        object.__setattr__(self, "r", _frozen(r))
+        object.__setattr__(self, "r", r)
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,7 @@ class CoweightBasis:
 
     def __post_init__(self):
         check_count("dimension", self.n, 2)
-        omega = tuple(_frozen(np.array(w, dtype=float)) for w in self.omega)
+        omega = tuple(checked_array("coweight", w, float, (self.n, self.n)) for w in self.omega)
         if len(omega) != self.n - 1:
             raise ValidationError("coweight basis must contain n-1 matrices")
         object.__setattr__(self, "omega", omega)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from specang import AngleSet, GapVector, pair_indices
+from specang import AngleSet, pair_indices
+from specang.dynamics import random_interior_gaps as interior_gaps
 
 
 def random_angles(n, rng, with_torus=False):
@@ -12,12 +13,6 @@ def random_angles(n, rng, with_torus=False):
     phi = {k: float(rng.random() * 2.0 * math.pi) for k in pairs}
     torus = tuple(rng.random(n - 1) * 2.0 * math.pi) if with_torus else None
     return AngleSet(n, theta, phi, torus)
-
-
-def interior_gaps(n, rng, fill=0.75):
-    """Gap vector with every component bounded away from zero."""
-    x = 0.5 + rng.random(n - 1)
-    return GapVector(n, x * fill / float(np.arange(1, n) @ x))
 
 
 @pytest.fixture

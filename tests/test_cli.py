@@ -81,7 +81,7 @@ def test_nan_input_is_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "error" in err
+    assert err.startswith("error: ") and "must be finite, got the entry nan" in err
 
 
 # --- geometry ---------------------------------------------------------------
@@ -552,6 +552,24 @@ def test_evolve_records_beyond_the_memory_limit_exit_2(capsys, model_files):
     assert err.startswith("error: 1") and err.count("\n") == 1
     assert err.endswith(f" complex 2 x 2 matrices exceed the memory limit of {MEMORY_LIMIT} B\n")
     assert not list(model_files.glob("run_*.csv"))
+
+
+@pytest.mark.parametrize("method", ["direct", "split", "both"])
+def test_evolve_blow_up_writes_one_stderr_line(model_files, method):
+    # a rate of 1e308 overflows the first step; numpy's overflow warnings went to
+    # stderr ahead of the breakdown line, which only a fresh interpreter shows
+    (model_files / "model.json").write_text(json.dumps({
+        "n": 2, "H": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+        "jumps": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]], "rates": [1e308]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "specang.cli",
+         *evolve_argv(model_files, "--method", method, "--fallback")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("numerical breakdown: ") and proc.stderr.count("\n") == 1
 
 
 # Each draw is checked before it is made, so none of these allocates.  With

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import tokenize
 from pathlib import Path
 
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from specang import (
+    CoweightBasis,
     DegenerateSpectrumError,
     DensityMatrix,
     GapVector,
     LindbladModel,
+    MetricTensor,
     ProbVector,
     UnitaryFrame,
     ValidationError,
@@ -59,26 +62,66 @@ def nan_matrix():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: GapVector(3, [NAN, 0.1]),
-        lambda: ProbVector(2, [NAN, NAN]),
-        lambda: DensityMatrix(2, nan_matrix()),
-        lambda: UnitaryFrame(2, nan_matrix()),
-        lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (NAN,)),
-        lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (INF,)),
-        lambda: LindbladModel(2, nan_matrix(), (), ()),
-        lambda: LindbladModel(2, np.zeros((2, 2)), (np.array([[0.0, INF], [0.0, 0.0]]),), (1.0,)),
-        lambda: integrate_direct(random_density(2, seed=1), random_model(2, seed=0), 1.0, NAN),
-        lambda: integrate_direct(random_density(2, seed=1), random_model(2, seed=0), INF, 1e-3),
+        (lambda: GapVector(3, [NAN, 0.1]), "gaps must be finite, got the entry nan"),
+        (lambda: ProbVector(2, [NAN, NAN]), "probabilities must be finite, got the entry nan"),
+        (lambda: DensityMatrix(2, nan_matrix()), "density matrix must be finite, got the entry nan"),
+        (lambda: UnitaryFrame(2, nan_matrix()), "frame must be finite, got the entry nan"),
+        (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (NAN,)),
+         "rates must be finite and non-negative"),
+        (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (INF,)),
+         "rates must be finite and non-negative"),
+        (lambda: LindbladModel(2, nan_matrix(), (), ()), "H must be finite, got the entry nan"),
+        (lambda: LindbladModel(
+            2, np.zeros((2, 2)), (np.array([[0.0, INF], [0.0, 0.0]]),), (1.0,)),
+         "jump operator must be finite, got the entry inf"),
+        (lambda: LindbladModel(2, [[10**400, 0], [0, 0]], (), ()),
+         "H must be finite, got a number beyond float range"),
+        (lambda: integrate_direct(random_density(2, seed=1), random_model(2, seed=0), 1.0, NAN),
+         "t_end and dt must be positive and finite"),
+        (lambda: integrate_direct(random_density(2, seed=1), random_model(2, seed=0), INF, 1e-3),
+         "t_end and dt must be positive and finite"),
     ],
     ids=[
         "gaps", "probs", "density", "frame", "nan-rate", "inf-rate", "nan-H", "inf-jump",
-        "nan-dt", "inf-t_end",
+        "huge-H", "nan-dt", "inf-t_end",
     ],
 )
-def test_non_finite_input_is_rejected(build):
-    with pytest.raises(ValidationError):
+def test_non_finite_input_is_rejected(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GapVector(3, [0.1, 0.1, 0.1]), "gaps must have shape (2,), got (3,)"),
+        (lambda: ProbVector(3, [0.5, 0.5]), "probabilities must have shape (3,), got (2,)"),
+        (lambda: CoweightBasis(2, ([[1.0, 2.0, 3.0]],)),
+         "coweight must have shape (2, 2), got (1, 3)"),
+        (lambda: UnitaryFrame(3, np.eye(2)), "frame must have shape (3, 3), got (2, 2)"),
+        (lambda: DensityMatrix(3, np.eye(2) / 2.0),
+         "density matrix must have shape (3, 3), got (2, 2)"),
+        (lambda: MetricTensor(3, np.eye(3)), "metric must have shape (2, 2), got (3, 3)"),
+        (lambda: LindbladModel(2, np.zeros((3, 3)), (), ()),
+         "H must have shape (2, 2), got (3, 3)"),
+        (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(3),), (1.0,)),
+         "jump operator must have shape (2, 2), got (3, 3)"),
+        (lambda: GapVector(3, [[0.1], [0.1, 0.2]]), "gaps must be an array of numbers: "),
+        (lambda: DensityMatrix(2, [["a", 0.0], [0.0, 0.5]]),
+         "density matrix must be an array of numbers: "),
+        (lambda: LindbladModel(2, {"H": 1.0}, (), ()), "H must be an array of numbers: "),
+    ],
+    ids=[
+        "gaps", "probs", "coweight", "frame", "density", "metric", "H", "jump",
+        "ragged", "string", "object",
+    ],
+)
+def test_array_fields_name_their_shape_and_entries(build, message):
+    # a full message is matched whole; one ending ": " is followed by numpy's reason
+    pattern = re.escape(message) + ("" if message.endswith(": ") else "$")
+    with pytest.raises(ValidationError, match=f"^{pattern}"):
         build()
 
 
@@ -124,7 +167,9 @@ def test_each_check_names_its_first_failing_test(check, value, message):
             check(value)
 
 
-INPUT_CHECKS = {"check_probs", "check_gaps", "check_frame", "check_density", "check_angle"}
+INPUT_CHECKS = {
+    "check_probs", "check_gaps", "check_frame", "check_density", "check_angle", "checked_array",
+}
 
 
 def test_input_checks_run_only_in_validating_constructors():

@@ -17,6 +17,7 @@ from specang import (
     DegenerateSpectrumError,
     DensityMatrix,
     GapVector,
+    MetricTensor,
     ProbVector,
     UnitaryFrame,
     ValidationError,
@@ -295,9 +296,9 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
 
 
-@pytest.mark.parametrize("cls", [DensityMatrix, UnitaryFrame])
+@pytest.mark.parametrize("cls", [DensityMatrix, UnitaryFrame, MetricTensor])
 def test_one_level_matrices_are_rejected(cls):
-    # n = 1 has no gap vector and no flag, so neither a state nor a frame
+    # n = 1 has no gap vector and no flag, so neither a state, a frame nor a metric
     with pytest.raises(ValidationError, match="^dimension must be an integer >= 2, got 1$"):
         cls(1, [[1.0]])
 
