@@ -51,7 +51,7 @@ class LindbladModel:
             raise ValidationError("H must be Hermitian")
         try:
             rates = tuple(float(h) for h in self.rates)
-        except OverflowError as exc:  # an integer beyond float range
+        except (OverflowError, TypeError, ValueError) as exc:  # beyond float range, not a number
             raise ValidationError(f"rates must be finite and non-negative: {exc}") from exc
         if len(rates) != len(jumps):
             raise ValidationError("need one rate per jump operator")

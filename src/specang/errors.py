@@ -68,7 +68,7 @@ def checked_array(name: str, value, dtype, shape: tuple) -> np.ndarray:
         raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
     if a.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
-    x = a.view(float)  # a complex entry is reported by its non-finite part
+    x = a.ravel().view(float)  # a complex entry as its (re, im); ravel: C order, as view needs
     if not np.isfinite(x).all():
         raise ValidationError(f"{name} must be finite, got the entry {x[~np.isfinite(x)][0]}")
     return _frozen(a)

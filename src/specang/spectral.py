@@ -160,7 +160,7 @@ def in_polytope(r, n: int) -> bool:
     check_count("dimension", n, 2)
     r = np.asarray(r, dtype=float)
     if r.shape != (n - 1,):
-        raise ValidationError(f"expected {n - 1} gaps, got shape {r.shape}")
+        raise ValidationError(f"gaps must have shape {(n - 1,)}, got {r.shape}")
     return bool(np.all(r >= -TOL)) and float(np.arange(1, n) @ r) <= 1.0 + TOL
 
 

@@ -112,10 +112,14 @@ def test_non_finite_input_is_rejected(build, message):
         (lambda: DensityMatrix(2, [["a", 0.0], [0.0, 0.5]]),
          "density matrix must be an array of numbers: "),
         (lambda: LindbladModel(2, {"H": 1.0}, (), ()), "H must be an array of numbers: "),
+        (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), ("abc",)),
+         "rates must be finite and non-negative: "),
+        (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (None,)),
+         "rates must be finite and non-negative: "),
     ],
     ids=[
         "gaps", "probs", "coweight", "frame", "density", "metric", "H", "jump",
-        "ragged", "string", "object",
+        "ragged", "string", "object", "string-rate", "none-rate",
     ],
 )
 def test_array_fields_name_their_shape_and_entries(build, message):
@@ -123,6 +127,19 @@ def test_array_fields_name_their_shape_and_entries(build, message):
     pattern = re.escape(message) + ("" if message.endswith(": ") else "$")
     with pytest.raises(ValidationError, match=f"^{pattern}"):
         build()
+
+
+def test_transposed_complex_arrays_are_read_as_given():
+    # a Fortran-ordered complex input is checked like any other and kept as it is
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    U = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    L = np.array([[0.0, 1.0 + 2.0j], [0.0, 0.0]])
+    assert np.array_equal(DensityMatrix(2, rho.T).rho, rho.T)
+    assert np.array_equal(UnitaryFrame(2, U.conj().T).U, U.conj().T)
+    assert np.array_equal(LindbladModel(2, np.diag([1.0, -1.0]), (L.T,), (1.0,)).jumps[0], L.T)
+    bad = np.array([[0.0, complex(0.0, INF)], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="^jump operator must be finite, got the entry inf$"):
+        LindbladModel(2, np.zeros((2, 2)), (bad.T,), (1.0,))
 
 
 @pytest.mark.parametrize(

@@ -223,6 +223,8 @@ def test_in_polytope_boundary_and_outside():
     assert in_polytope(np.array([1.0, 0.0]), 3)
     assert not in_polytope(np.array([1.0, 0.1]), 3)
     assert not in_polytope(np.array([-0.1, 0.1]), 3)
+    with pytest.raises(ValidationError, match=re.escape("gaps must have shape (2,), got (3,)")):
+        in_polytope(np.zeros(3), 3)
 
 
 # --- volumes ---------------------------------------------------------------
