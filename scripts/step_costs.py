@@ -17,9 +17,10 @@ steps, in microseconds per record.
 
 The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
-of `resolution_check(n, n, 4000)`, of `rejection_volume_estimate(4,
-750000)`, of `flag_density_theta(3, theta)` on a fixed (2500, 3) stack of
-angles, and of `coset_unitaries(3, theta, phi)` and
+of the whole `verify identity --n n --N 4000` command in this process (one
+frame draw and the error of every column, its report discarded), of
+`rejection_volume_estimate(4, 750000)`, of `flag_density_theta(3, theta)`
+on a fixed (2500, 3) stack of angles, and of `coset_unitaries(3, theta, phi)` and
 `qutrit_unitaries_closed_form(theta, phi)` on 200 fixed angle draws: the
 kernels behind `sample` and the five `verify` reports (identity, volumes,
 measure, unitarity, qutrit-matrix) at the benchmark's parameters.  It also
@@ -70,8 +71,8 @@ import scipy
 
 from specang import (
     LindbladModel, cli, coset_unitaries, flag_density_theta, integrate_direct, integrate_split,
-    pair_indices, qutrit_unitaries_closed_form, rejection_volume_estimate, resolution_check,
-    sample_flags, write_trajectory_csv,
+    pair_indices, qutrit_unitaries_closed_form, rejection_volume_estimate, sample_flags,
+    write_trajectory_csv,
 )
 from specang.dynamics import random_density, random_model
 from specang.kolmogorov import kolmogorov_sf
@@ -184,12 +185,19 @@ def record_table(dims, steps, repeats):
     return results
 
 
+def verify_identity(n):
+    """`verify identity --n n --N 4000` through cli.main, its report discarded."""
+    argv = ["verify", "identity", "--n", str(n), "--N", str(COUNTS[-1]), "--seed", str(SEED)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+
+
 def sampling_table(dims, repeats):
     calls = [("sample_flags", {"n": n, "count": count},
               lambda n=n, count=count: sample_flags(n, count, SEED))
              for n in dims for count in COUNTS]
-    calls += [("resolution_check", {"n": n, "i": n, "num_samples": COUNTS[-1]},
-               lambda n=n: resolution_check(n, n, COUNTS[-1], SEED)) for n in dims]
+    calls += [("verify identity", {"n": n, "N": COUNTS[-1]}, lambda n=n: verify_identity(n))
+              for n in dims]
     volume_n, volume_samples = VOLUME_CALL
     calls.append(("rejection_volume_estimate", {"n": volume_n, "num_samples": volume_samples},
                   lambda: rejection_volume_estimate(volume_n, volume_samples, SEED)))

@@ -38,12 +38,12 @@ from .geometry import (
     shannon_entropy,
 )
 from .flags import (
-    _column_averages,
+    _column_errors,
+    _ginibre_columns,
     coset_unitaries,
     flag_density_theta,
     pair_indices,
     qutrit_unitaries_closed_form,
-    resolution_check,
     sample_flags,
 )
 from .kolmogorov import ks_uniform
@@ -138,16 +138,13 @@ def cmd_geometry(args) -> int:
 
 def _verify_identity(args):
     check_memory(args.N + 1, args.n)
-    lines, ok = [], True
-    for i in range(1, args.n + 1):
-        _, err = resolution_check(args.n, i, args.N, args.seed + i)
-        good = err < args.tol
-        ok &= good
-        lines.append(
-            f"identity column {i}: frobenius_error={err:.4f} "
-            f"(N={args.N}) {'PASS' if good else 'FAIL'}"
-        )
-    return lines, ok
+    _, errors = _column_errors(_ginibre_columns(args.n, args.N, args.seed, args.n))
+    lines = [
+        f"identity column {i}: frobenius_error={err:.4f} "
+        f"(N={args.N}) {'PASS' if err < args.tol else 'FAIL'}"
+        for i, err in enumerate(errors, 1)
+    ]
+    return lines, bool(np.all(errors < args.tol))
 
 
 def _verify_measure(args):
@@ -269,9 +266,9 @@ def cmd_sample(args) -> int:
     elif args.N > 0:
         # column i averages n u_i u_i^dag to 1 only under the invariant measure;
         # their mean, mean_b U U^dag, is 1 for any unitary frames
-        dev = _column_averages(frames) - np.eye(args.n)
-        header["resolution_error"] = float(np.linalg.norm(dev.mean(axis=0)))
-        header["column_resolution_error"] = float(np.linalg.norm(dev, axis=(1, 2)).max())
+        avg, errors = _column_errors(frames.transpose(2, 0, 1))
+        header["resolution_error"] = float(np.linalg.norm((avg - np.eye(args.n)).mean(axis=0)))
+        header["column_resolution_error"] = float(errors.max())
     with open(args.out, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.writelines(lines)

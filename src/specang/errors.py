@@ -113,8 +113,10 @@ def check_gap_floor(gaps, floor: float, chart: str) -> None:
 
 
 def check_angle(name: str, value: float, full_turn: bool) -> None:
-    """Raise ValidationError unless the angle lies in [0, 2pi) (full_turn)
-    or in [0, pi], with slack TOL at the closed ends."""
+    """Raise ValidationError unless the angle is a real number in [0, 2pi)
+    (full_turn) or in [0, pi], with slack TOL at the closed ends."""
+    if not isinstance(value, numbers.Real):  # a string, None, a complex number
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     ok = -TOL <= value < 2.0 * math.pi if full_turn else -TOL <= value <= math.pi + TOL
     if not ok:
         raise ValidationError(f"{name} = {value} outside [0, {'2pi)' if full_turn else 'pi]'}")

@@ -64,10 +64,10 @@ class AngleSet:
             check_angle(f"theta{key}", self.theta[key], full_turn=False)
             check_angle(f"phi{key}", self.phi[key], full_turn=True)
         if self.torus is not None:
-            torus = tuple(float(x) for x in self.torus)
-            if len(torus) != self.n - 1:
+            if len(self.torus) != self.n - 1:
                 raise ValidationError("torus phases must have length n-1")
-            object.__setattr__(self, "torus", torus)
+            torus = checked_array("torus phases", self.torus, float, (self.n - 1,))
+            object.__setattr__(self, "torus", tuple(torus.tolist()))
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,16 @@ def resolution_check(n: int, i: int, num_samples: int, seed: int):
     if not 1 <= i <= n:
         raise ValidationError(f"column index must be in 1..{n}")
     check_count("num_samples", num_samples, 1)
-    avg = _column_averages(_ginibre_columns(n, num_samples, seed, i)[-1][:, :, None])[0]
+    avg = _column_errors(_ginibre_columns(n, num_samples, seed, i)[-1:])[0][0]
     return avg, float(np.linalg.norm(avg - np.eye(n)))
 
 
-def _column_averages(frames: np.ndarray) -> np.ndarray:
-    """n * mean_b u_i u_i^dag for each column u_i of a (B, n, k) frame stack:
-    a (k, n, n) stack from one batched product."""
-    cols = frames.transpose(2, 1, 0)
-    return frames.shape[1] * (cols @ cols.conj().swapaxes(-1, -2)) / frames.shape[0]
+def _column_errors(cols: np.ndarray):
+    """n * mean_b u_i u_i^dag for each column stack u_i of cols (k, B, n), by one batched
+    product, and its ||. - 1||_F: (k, n, n) and (k,) stacks.  Column i of a draw is
+    resolution_check's average bit for bit, its error (a stacked norm) to an ulp."""
+    avg = cols.shape[-1] * (cols.swapaxes(-1, -2) @ cols.conj()) / cols.shape[1]
+    return avg, np.linalg.norm(avg - np.eye(cols.shape[-1]), axis=(-2, -1))
 
 
 def quantize(f, r: GapVector, num_samples: int, seed: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from specang import DensityMatrix, LindbladModel, __version__, sample_flags
+from specang import DensityMatrix, LindbladModel, __version__, resolution_check, sample_flags
 from specang.cli import main
 from specang.dynamics import random_density, random_model, save_density, save_model
 from specang.errors import MEMORY_LIMIT
@@ -251,6 +251,43 @@ def test_verify_identity_small(capsys):
     )
     assert code == 0
     assert out.count("PASS") >= 2
+
+
+def identity_errors(out):
+    """The frobenius_error of each column line of a `verify identity` report."""
+    return [line.split("frobenius_error=")[1].split()[0] for line in out.splitlines()[:-1]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_identity_is_one_draw_at_the_seed(capsys, n):
+    # every column comes from one frame draw at --seed: column i is
+    # resolution_check's column i at that same seed
+    N, seed = 3000, 7
+    code, out, _ = run(capsys, "verify", "identity", "--n", str(n), "--N", str(N),
+                       "--seed", str(seed), "--tol", "0.5")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == n + 1 and lines[-1] == "RESULT: PASS"
+    assert all(line.startswith(f"identity column {i}: ") for i, line in enumerate(lines[:-1], 1))
+    assert identity_errors(out) == [
+        f"{resolution_check(n, i, N, seed)[1]:.4f}" for i in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_identity_matches_sample_column_error(capsys, tmp_path, n):
+    # the phase section of `sample` leaves each u_i u_i^dag unchanged, so the
+    # largest column error of the report is the header's, up to print precision
+    N, seed = 2000, 5
+    _, out, _ = run(capsys, "verify", "identity", "--n", str(n), "--N", str(N),
+                    "--seed", str(seed), "--tol", "0.5")
+    path = tmp_path / "frames.jsonl"
+    code, _, _ = run(capsys, "sample", "--n", str(n), "--N", str(N), "--seed", str(seed),
+                     "--out", str(path))
+    assert code == 0
+    header = json.loads(path.read_text().splitlines()[0])
+    worst = max(map(float, identity_errors(out)))
+    assert worst == pytest.approx(header["column_resolution_error"], abs=5e-5)
 
 
 def test_verify_measure(capsys):

@@ -129,6 +129,28 @@ def test_angle_set_validation():
         AngleSet(3, {(1, 2): 0.5}, phi)  # missing keys
 
 
+@pytest.mark.parametrize(
+    "theta, phi, torus, message",
+    [
+        (0.3, 0.2, (math.nan,), "^torus phases must be finite, got the entry nan$"),
+        (0.3, 0.2, (-math.inf,), "^torus phases must be finite, got the entry -inf$"),
+        (0.3, 0.2, ("abc",), "^torus phases must be an array of numbers: "),
+        (0.3, 0.2, (0.1, 0.2), "^torus phases must have length n-1$"),
+        ("x", 0.2, None, r"^theta\(1, 2\) must be a real number, got 'x'$"),
+        (None, 0.2, None, r"^theta\(1, 2\) must be a real number, got None$"),
+        (np.array([0.1, 0.2]), 0.2, None, r"^theta\(1, 2\) must be a real number, got array"),
+        (0.3, 1j, None, r"^phi\(1, 2\) must be a real number, got 1j$"),
+        (0.3, 7.0, None, r"^phi\(1, 2\) = 7.0 outside \[0, 2pi\)$"),
+    ],
+    ids=["torus-nan", "torus-inf", "torus-string", "torus-length", "theta-string",
+         "theta-none", "theta-array", "phi-complex", "phi-range"],
+)
+def test_angle_set_names_the_bad_field(theta, phi, torus, message):
+    # a bad torus phase fails here, not later in full_unitary as a non-finite frame
+    with pytest.raises(ValidationError, match=message):
+        AngleSet(2, {(1, 2): theta}, {(1, 2): phi}, torus)
+
+
 def test_coset_unitary_is_ordered_product(rng):
     angles = random_angles(4, rng)
     U = np.eye(4, dtype=complex)
