@@ -1,7 +1,7 @@
-"""Per-step and per-record cost of the two GKLS integrators and per-call
-cost of sampling.
+"""Per-step and per-record cost of the two GKLS integrators, per-call cost
+of the kernels of a step, and per-call cost of sampling.
 
-Every run prints and stores four tables.  The step table times
+Every run prints and stores five tables.  The step table times
 `integrate_direct` and `integrate_split` on one random model and state per
 dimension, at dt = 1e-3, over a fixed number of steps with records only at
 the two ends, and gives the median and interquartile range of the cost in
@@ -14,6 +14,13 @@ The record table gives the cost of a record on each route: the same run
 with `record_every=1` minus the run with `record_every=steps`, each on a
 fresh model, timed back to back in each repeat and divided by the number of
 steps, in microseconds per record.
+
+The kernels table gives the same statistics in microseconds per call of
+the layers one RK4 step is made of: `split_rhs` at the split state of the
+random state (its frame and gaps), `polar_special` on the frame that one
+step of `integrate_split` hands to it (one RK4 step off SU(n), so its
+Newton-Schulz updates run as in a run), and `lindblad_rhs` at the state.
+Each timed sample is KERNEL_CALLS calls on a warm model.
 
 The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
@@ -40,8 +47,8 @@ a recorded 50-step run, divided by its 51 rows), for every dimension.
 
 The results, with the numpy, scipy and BLAS versions, are stored under
 `runs[<label>]` of the JSON output (`results` for steps, `records` for
-records, `sampling` for sampling, `writing` for text output), so runs of
-two versions of the library can share one file.
+records, `kernels` for kernels, `sampling` for sampling, `writing` for text
+output), so runs of two versions of the library can share one file.
 
 Usage: python3 scripts/step_costs.py --label change --out BENCH_19.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
@@ -70,11 +77,12 @@ import numpy as np
 import scipy
 
 from specang import (
-    LindbladModel, cli, coset_unitaries, flag_density_theta, integrate_direct, integrate_split,
-    pair_indices, qutrit_unitaries_closed_form, rejection_volume_estimate, sample_flags,
+    LindbladModel, SplitState, cli, coset_unitaries, dynamics, eigendecompose_ordered,
+    flag_density_theta, integrate_direct, integrate_split, lindblad_rhs, pair_indices,
+    qutrit_unitaries_closed_form, rejection_volume_estimate, sample_flags, split_rhs,
     write_trajectory_csv,
 )
-from specang.dynamics import random_density, random_model
+from specang.dynamics import polar_special, random_density, random_model
 from specang.kolmogorov import kolmogorov_sf
 
 INTEGRATORS = {"direct": integrate_direct, "split": integrate_split}
@@ -86,6 +94,7 @@ MEASURE_CALL = (3, 2500)  # the (n, N) of `verify measure` in the benchmark
 DRAWS = 200  # the --trials of `verify unitarity` and `verify qutrit-matrix` (n = 3)
 FRAMES = 1000  # frames per `sample` file, as in the benchmark
 CSV_STEPS = 50  # steps of the trajectory written to CSV, one record each
+KERNEL_CALLS = 100  # kernel calls per timed sample
 
 
 def _blas():
@@ -185,6 +194,41 @@ def record_table(dims, steps, repeats):
     return results
 
 
+def off_frame(rho0, model):
+    """The frame one RK4 step of integrate_split hands to polar_special."""
+    frames = []
+
+    def capture(U):
+        frames.append(np.array(U))
+        return polar_special(U)
+
+    with mock.patch.object(dynamics, "polar_special", capture):
+        integrate_split(rho0, model, DT, DT)
+    return frames[0]
+
+
+def kernel_table(dims, repeats):
+    results = []
+    for n in dims:
+        model = random_model(n, seed=SEED + n)
+        rho0 = random_density(n, seed=SEED + 100 + n)
+        state = SplitState(*eigendecompose_ordered(rho0), 0.0)
+        U = off_frame(rho0, model)
+        calls = {"split_rhs": lambda: split_rhs(state, model),
+                 "polar_special": lambda: polar_special(U),
+                 "lindblad_rhs": lambda: lindblad_rhs(rho0, model)}
+        for kernel, call in calls.items():
+            def batch(call=call):
+                for _ in range(KERNEL_CALLS):
+                    call()
+
+            stats = summary(np.array(timings(batch, repeats)) / KERNEL_CALLS, "us_per_call")
+            results.append({"n": n, "kernel": kernel, **stats})
+            print(f"n={n:2d} {kernel:13s} median {stats['us_per_call_median']:8.2f} us/call  "
+                  f"IQR {stats['us_per_call_iqr']:6.2f} ({repeats} repeats x {KERNEL_CALLS})")
+    return results
+
+
 def verify_identity(n):
     """`verify identity --n n --N 4000` through cli.main, its report discarded."""
     argv = ["verify", "identity", "--n", str(n), "--N", str(COUNTS[-1]), "--seed", str(SEED)]
@@ -261,6 +305,7 @@ def main():
 
     results = step_table(args.dims, args.steps, args.repeats)
     records = record_table(args.dims, args.steps, args.repeats)
+    kernels = kernel_table(args.dims, args.repeats)
     sampling = sampling_table(args.dims, args.repeats)
     writing = writing_table(args.dims, args.repeats)
 
@@ -273,9 +318,9 @@ def main():
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault(
         "description",
-        "microseconds per RK4 step (results), per record (records), per sampling call "
-        "with its traced peak and page faults (sampling) and per written frame line or "
-        "CSV row (writing), see scripts/step_costs.py",
+        "microseconds per RK4 step (results), per record (records), per kernel call "
+        "(kernels), per sampling call with its traced peak and page faults (sampling) and "
+        "per written frame line or CSV row (writing), see scripts/step_costs.py",
     )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": prov,
@@ -289,9 +334,11 @@ def main():
             "draws": DRAWS,
             "frames": FRAMES,
             "csv_steps": CSV_STEPS,
+            "kernel_calls": KERNEL_CALLS,
         },
         "results": results,
         "records": records,
+        "kernels": kernels,
         "sampling": sampling,
         "writing": writing,
     }

@@ -90,8 +90,7 @@ def _provenance(args, **extra) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, default=str) + "\n")
 
 
 def cmd_convert(args) -> int:
@@ -103,14 +102,7 @@ def cmd_convert(args) -> int:
     else:
         r = GapVector(args.n, _floats(args.r))
         p = probs_from_gaps(r)
-    _emit(
-        _provenance(
-            args,
-            p=list(p.p),
-            r=list(r.r),
-            in_polytope=in_polytope(r.r, args.n),
-        )
-    )
+    _emit(_provenance(args, p=list(p.p), r=list(r.r), in_polytope=in_polytope(r.r, args.n)))
     return 0
 
 

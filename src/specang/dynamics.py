@@ -28,7 +28,7 @@ from .flags import (
 )
 from .geometry import purity_spectrum
 from .serialize import dump_json, matrix_to_pairs, read_document
-from .spectral import GapVector, gaps_stack, probs_stack
+from .spectral import GapVector, gaps_stack, jacobian_matrix, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
 
@@ -227,16 +227,17 @@ def _split_stage(V, r, LD, HD, checked=True):
     differences of diag Lt; Omega_tilde = V^dag dV/dt, zero on the diagonal
     (torus gauge), is Ht o (-i off) - Lt o (off / (p_i - p_j + delta_ij)).
     """
-    n = V.shape[-1]
+    n = len(V)
     eye, off, neg_i_off = stage_constants(n)
-    if checked and not r.min() >= BREAKDOWN_TOL:
+    if checked and not np.minimum.reduce(r) >= BREAKDOWN_TOL:
         check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
-    p = probs_stack(r)
-    np.matmul(LD, density_stack(p, V).ravel(), out=HD[1].reshape(n * n))
-    Ht, Lt = V.conj().T @ HD @ V
-    Omega_t = Ht * neg_i_off
-    Omega_t -= Lt * (off / (p[:, None] - p + eye))
-    return V @ Omega_t, gaps_stack(Lt.diagonal().real)
+    p = 1.0 / n + jacobian_matrix(n) @ r  # probs_stack(r) bit for bit, without its reshapes
+    Vh = V.conj().T  # one conjugate for rho = density_stack(p, V) and for the rotation
+    np.matmul(LD, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
+    HLt = Vh @ HD @ V  # (Ht, Lt), read by index: cheaper than unpacking
+    Omega_t = HLt[0] * neg_i_off
+    Omega_t -= HLt[1] * (off / (p[:, None] - p + eye))
+    return V @ Omega_t, gaps_stack(HLt[1].diagonal().real)
 
 
 def split_rhs(state: SplitState, model: LindbladModel):
@@ -254,6 +255,12 @@ def split_rhs(state: SplitState, model: LindbladModel):
     return r_dot, U_Omega @ U.conj().T
 
 
+def _frobenius(F):
+    """||F||_F by np.linalg.norm's own two dot products, bit for bit, without its checks."""
+    f = F.ravel()
+    return math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag))
+
+
 def polar_special(U):
     """(Q, e): the polar factor Q of U with det pushed back to 1 on the last
     column, and the defect e = ||U^dag U - 1||_F.  Newton-Schulz
@@ -263,7 +270,7 @@ def polar_special(U):
     U = np.array(U, dtype=complex)  # a copy: the determinant fix works in place
     eye = stage_constants(len(U))[0]
     F = U.conj().T @ U - eye
-    defect = err = np.linalg.norm(F)
+    defect = err = _frobenius(F)
     if not defect < 0.5:
         X, _, Yh = np.linalg.svd(U)
         return _unit_determinant(X @ Yh), defect
@@ -272,7 +279,7 @@ def polar_special(U):
         if err * err <= POLAR_TOL:
             break
         F = U.conj().T @ U - eye
-        err = np.linalg.norm(F)
+        err = _frobenius(F)
     return _unit_determinant(U), defect
 
 
@@ -370,7 +377,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                     else:
                         r_vec, frame = eigendecompose_ordered(rho0)
                         r, U = np.array(r_vec.r), np.array(frame.U)
-                    if not r.min() >= BREAKDOWN_TOL:
+                    if not np.minimum.reduce(r) >= BREAKDOWN_TOL:
                         check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
                     if not weights @ r <= 1.0 + TOL:
                         raise NumericalBreakdownError(

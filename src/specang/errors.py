@@ -57,21 +57,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def checked_array(name: str, value, dtype, shape: tuple) -> np.ndarray:
-    """value as a read-only array of dtype and shape with finite entries, else a
-    ValidationError naming `name`: the one reading of an array field of a dataclass."""
+def _finite(name: str, value, dtype, shape: tuple, rule: str) -> np.ndarray:
+    """value as an array of dtype and shape with finite entries, else a ValidationError
+    "<name> must ...": the one float-range and finiteness rule of every array read."""
     try:
         a = np.array(value, dtype=dtype)
     except OverflowError:  # an integer beyond float range
-        raise ValidationError(f"{name} must be finite, got a number beyond float range") from None
+        raise ValidationError(f"{name} must be {rule}, got a number beyond float range") from None
     except (TypeError, ValueError) as exc:  # ragged nesting, a string, an object
         raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
     if a.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
     x = a.ravel().view(float)  # a complex entry as its (re, im); ravel: C order, as view needs
     if not np.isfinite(x).all():
-        raise ValidationError(f"{name} must be finite, got the entry {x[~np.isfinite(x)][0]}")
-    return _frozen(a)
+        raise ValidationError(f"{name} must be {rule}, got the entry {x[~np.isfinite(x)][0]}")
+    return a
+
+
+def checked_array(name: str, value, dtype, shape: tuple) -> np.ndarray:
+    """value as a read-only array of dtype and shape with finite entries, else a
+    ValidationError naming `name`: the one reading of an array field of a dataclass."""
+    return _frozen(_finite(name, value, dtype, shape, "finite"))
 
 
 def check_probs(p: np.ndarray) -> None:

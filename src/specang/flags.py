@@ -222,8 +222,8 @@ def assemble_density(r: GapVector, frame) -> DensityMatrix:
 
 def _unit_determinant(U: np.ndarray) -> np.ndarray:
     """Scale the last column of each unitary in U (..., n, n) by conj(det)/|det|, in place."""
-    det = np.linalg.det(U)
-    U[..., :, -1] *= (det.conjugate() / np.hypot(det.real, det.imag))[..., None]
+    det = np.linalg.det(U)[..., None]  # an array even for one matrix: no scalar arithmetic
+    U[..., -1] *= det.conjugate() / np.hypot(det.real, det.imag)
     return U
 
 

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import NumericalBreakdownError, ValidationError
+from .errors import NumericalBreakdownError, ValidationError, _finite
 
 
 def matrix_to_pairs(M) -> list:
@@ -50,12 +50,7 @@ def _numbers(data, layout: str, what: str):
     if a.shape != {"rates": (k,), "matrix": (k, k, 2)}.get(layout) or not set(
             map(type, a.flat)) <= {int, float}:
         raise ValidationError(f"{what} must be {form}")
-    try:
-        a = a.astype(float)
-    except OverflowError:
-        raise ValidationError(f"{what} must be {rule}, got a number beyond float range") from None
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what} must be {rule}, got the entry {a[~np.isfinite(a)][0]}")
+    a = _finite(what, a, float, a.shape, rule)
     return a.view(complex)[..., 0] if layout == "matrix" else a
 
 

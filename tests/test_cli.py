@@ -534,6 +534,38 @@ def evolve_argv(files, *extra):
             "--out", str(files / "run"), *extra]
 
 
+class CountedWrites(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["convert", "--n", "3", "--p", "0.5,0.3,0.2"], ["convert", "--n", "3", "--r", "0.2,0.1"]]
+    + [["geometry", "--n", "3", "--r", "0.2,0.1", f"--{which}"]
+       for which in ("fisher", "bures", "purity", "kl", "entropy")]
+    + [["--t-end", "0.05", "--method", method] for method in ("direct", "split", "both")],
+    ids=["convert-p", "convert-r", "fisher", "bures", "purity", "kl", "entropy",
+         "evolve-direct", "evolve-split", "evolve-both"],
+)
+def test_a_json_document_is_one_write_in_the_indented_layout(monkeypatch, model_files, argv):
+    # the document is written whole, in json.dumps(..., indent=2) layout and a newline,
+    # the bytes json.dump wrote chunk by chunk
+    if argv[0].startswith("--"):
+        argv = evolve_argv(model_files, *argv)
+    stdout = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    out = stdout.getvalue()
+    assert stdout.writes == 1
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_evolve_deeply_nested_document_exits_2(capsys, model_files):
     # json.load raised RecursionError: a traceback and exit 1.  The text is
     # written raw: json.dumps of such a list would recurse itself

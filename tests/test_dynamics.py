@@ -330,6 +330,7 @@ def test_polar_special_matches_the_svd_polar_factor(n, seed, exponent):
     U = sample_flag(n, seed).U @ (np.eye(n) + 10.0**exponent / np.linalg.norm(E, 2) * E)
     Q, defect = polar_special(U)
     assert np.max(np.abs(Q - svd_polar_special(U))) <= 1e-14
+    assert abs(np.linalg.det(Q) - 1.0) <= 1e-14
     assert defect == np.linalg.norm(U.conj().T @ U - np.eye(n))
 
 

@@ -21,6 +21,7 @@ from specang import (
     ValidationError,
 )
 from specang.dynamics import integrate_direct, random_density, random_model
+from specang.serialize import read_document
 from specang.errors import (
     MEMORY_LIMIT,
     check_angle,
@@ -91,6 +92,33 @@ def nan_matrix():
 def test_non_finite_input_is_rejected(build, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "value, token, got",
+    [(10**400, "1" + "0" * 400, "a number beyond float range"),
+     (-(10**400), "-1" + "0" * 400, "a number beyond float range"),
+     (NAN, "NaN", "the entry nan"), (INF, "Infinity", "the entry inf"),
+     (-INF, "-Infinity", "the entry -inf")],
+    ids=["huge", "-huge", "nan", "inf", "-inf"],
+)
+def test_documents_and_dataclasses_share_one_finiteness_rule(tmp_path, value, token, got):
+    # the same entry as a JSON token in a document and as a Python number in a
+    # dataclass field: one rule, one wording after each reader's own prefix
+    state, model = tmp_path / "state.json", tmp_path / "model.json"
+    state.write_text('{"n": 2, "rho": [[[0.5, 0], [0, 0]], [[0, 0], [%s, 0]]]}' % token)
+    model.write_text('{"n": 2, "H": [[[0, 0]]], "jumps": [], "rates": [1, %s]}' % token)
+    cases = [
+        (lambda: read_document(state, "state", rho="matrix"),
+         "malformed state document: rho must be finite"),
+        (lambda: read_document(model, "model", H="matrix", jumps="matrices", rates="rates"),
+         "malformed model document: rates must be finite and non-negative"),
+        (lambda: DensityMatrix(2, [[0.5, 0], [0, value]]), "density matrix must be finite"),
+        (lambda: LindbladModel(2, [[0, 0], [0, value]], (), ()), "H must be finite"),
+    ]
+    for build, prefix in cases:
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{prefix}, got {got}')}$"):
+            build()
 
 
 @pytest.mark.parametrize(

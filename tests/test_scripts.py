@@ -1,5 +1,6 @@
 """Smoke test: every script in scripts/ runs to completion on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +37,9 @@ def test_script_runs(script, args, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if script == "step_costs.py":  # a kernels row per kernel and dimension, with its median
+        kernels = json.loads((tmp_path / "bench.json").read_text())["runs"]["run"]["kernels"]
+        rows = {(row["n"], row["kernel"]): row["us_per_call_median"] for row in kernels}
+        assert rows.keys() == {(n, kernel) for n in (2, 3)
+                               for kernel in ("split_rhs", "polar_special", "lindblad_rhs")}
+        assert all(cost > 0.0 for cost in rows.values())

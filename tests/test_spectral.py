@@ -86,6 +86,14 @@ def test_probs_are_affine_in_gaps(n, data):
     assert abs(p.sum() - 1.0) < 1e-12
 
 
+@given(st.integers(2, 16), st.data())
+def test_the_jacobian_product_is_probs_stack_bit_for_bit(n, data):
+    # the split stage forms p = 1/n + M r from jacobian_matrix(n) itself, with no
+    # reshapes; its records equal probs_stack's only if the two agree bit for bit
+    r = data.draw(gap_vectors(n)).r
+    assert np.array_equal(1.0 / n + jacobian_matrix(n) @ r, probs_stack(r))
+
+
 @given(dims, st.data())
 def test_stacked_kernels_match_the_per_vector_maps(n, data):
     r = np.array([g.r for g in data.draw(st.lists(gap_vectors(n), min_size=1, max_size=6))])
