@@ -1,19 +1,21 @@
 """Per-step and per-record cost of the two GKLS integrators, per-call cost
 of the kernels of a step, and per-call cost of sampling.
 
-Every run prints and stores five tables.  The step table times
-`integrate_direct` and `integrate_split` on one random model and state per
-dimension, at dt = 1e-3, over a fixed number of steps with records only at
-the two ends, and gives the median and interquartile range of the cost in
-microseconds per RK4 step over the repeats.  Each timed call includes its
-own set-up: it builds a fresh `LindbladModel`, so the route's superoperator
-(the Liouvillian or the dissipator alone), which a model caches on first
-use, is built once per call.
+Every run prints and stores five tables through one harness, `table`.  A
+table is a list of rows; a row is its identity fields, a call or the list of
+its costs already measured, and the number of items one cost stands for.  A
+call is timed `--repeats` times after one warm-up, and every row gets the
+median, quartiles and interquartile range of its cost per item.
 
-The record table gives the cost of a record on each route: the same run
-with `record_every=1` minus the run with `record_every=steps`, each on a
-fresh model, timed back to back in each repeat and divided by the number of
-steps, in microseconds per record.
+The step and record tables share one set of runs.  Per dimension and route
+(`integrate_direct`, `integrate_split`; one random model and state, dt = 1e-3,
+a fixed number of steps) each repeat is a pair of runs back to back: one
+recording only at the two ends, one with `record_every=1`.  A warm-up pair
+comes first: 2 * repeats + 2 runs.  Each run builds a fresh `LindbladModel`,
+so the route's superoperator (the Liouvillian or the dissipator alone), which
+a model caches on first use, is built, and timed, once per run.  The step
+table gives the end-recording run per RK4 step, the record table the
+difference of a pair per step, both in microseconds.
 
 The kernels table gives the same statistics in microseconds per call of
 the layers one RK4 step is made of: `split_rhs` at the split state of the
@@ -26,18 +28,17 @@ The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
 of the whole `verify identity --n n --N 4000` command in this process (one
 frame draw and the error of every column, its report discarded), of
-`rejection_volume_estimate(4, 750000)`, of `flag_density_theta(3, theta)`
-on a fixed (2500, 3) stack of angles, and of `coset_unitaries(3, theta, phi)` and
-`qutrit_unitaries_closed_form(theta, phi)` on 200 fixed angle draws: the
+`rejection_volume_estimate(4, 750000)`, of `flag_density_theta(3, theta)` on
+a fixed (2500, 3) stack of angles, and of `coset_unitaries(3, theta, phi)`
+and `qutrit_unitaries_closed_form(theta, phi)` on 200 fixed angle draws: the
 kernels behind `sample` and the five `verify` reports (identity, volumes,
 measure, unitarity, qutrit-matrix) at the benchmark's parameters.  It also
-times the KS p-value of `sample --n 2`,
-`kolmogorov_sf(N, 2/sqrt(N))` for N in 1e3, 1e4, 1e5 and 1e6: at N d^2 = 4
-it is the one-sided tail sum, whose cost grows with N.  Each call also gets
-two memory figures: the
-`tracemalloc` peak of one call, in KiB, and the minor page faults per call
-(`ru_minflt` of this process) over the repeats, after the timed ones, so
-the heap is as warm as in a long-running process.
+times the KS p-value of `sample --n 2`, `kolmogorov_sf(N, 2/sqrt(N))` for N
+in 1e3, 1e4, 1e5 and 1e6: at N d^2 = 4 it is the one-sided tail sum, whose
+cost grows with N.  Each call also gets two memory figures: the `tracemalloc`
+peak of one call, in KiB, and the minor page faults per call (`ru_minflt` of
+this process) over the repeats, after the timed ones, so the heap is as warm
+as in a long-running process.
 
 The writing table gives microseconds per line of the text files: per frame
 line of `sample` (the whole `sample --n n --N 1000` command on a fixed frame
@@ -97,26 +98,15 @@ CSV_STEPS = 50  # steps of the trajectory written to CSV, one record each
 KERNEL_CALLS = 100  # kernel calls per timed sample
 
 
-def _blas():
+def provenance():
+    """The numpy, scipy and BLAS versions and the BLAS thread count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        return f"{blas.get('name')} {blas.get('version')}"
+        blas = f"{blas.get('name')} {blas.get('version')}"
     except (KeyError, TypeError):
-        return "unknown"
-
-
-def provenance():
-    return {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": _blas(),
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-    }
-
-
-def fresh(model):
-    """A new model with the same operators, so no superoperator is cached on it."""
-    return LindbladModel(model.n, model.H, model.jumps, model.rates)
+        blas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 
 def timings(call, repeats):
@@ -153,94 +143,89 @@ def summary(costs, unit):
             f"{unit}_iqr": q75 - q25}
 
 
-def step_table(dims, steps, repeats):
+def table(unit, rows, repeats, with_memory=False):
+    """Time, summarize, print and return the rows of one table.
+
+    A row is (identity, cost, items): cost is a call, timed by `timings`, or
+    the list of its costs already measured, in microseconds; items is what one
+    cost stands for, so the statistics, keyed by unit, are per item.  With
+    with_memory each row also gets the `memory` figures of its call."""
     results = []
-    for n in dims:
-        model = random_model(n, seed=SEED + n)
-        rho0 = random_density(n, seed=SEED + 100 + n)
-        for method, integrate in INTEGRATORS.items():
-            costs = timings(
-                lambda: integrate(rho0, fresh(model), steps * DT, DT, record_every=steps), repeats)
-            stats = summary(np.array(costs) / steps, "us_per_step")
-            results.append({"n": n, "method": method, **stats})
-            print(
-                f"n={n:2d} {method:6s} median {stats['us_per_step_median']:8.1f} us/step  "
-                f"IQR {stats['us_per_step_iqr']:7.1f} "
-                f"({repeats} repeats x {steps} steps, dt {DT:g})"
-            )
+    for identity, cost, items in rows:
+        with contextlib.redirect_stdout(io.StringIO()):  # a timed command's report
+            costs = timings(cost, repeats) if callable(cost) else cost
+            extra = memory(cost, repeats) if with_memory else {}
+        stats = summary(np.array(costs) / items, unit)
+        results.append({**identity, **stats, **extra})
+        fields = " ".join(f"{key}={value}" for key, value in identity.items())
+        print(f"{fields:44s} median {stats[f'{unit}_median']:10.2f} "
+              f"{unit.replace('_per_', '/')}  IQR {stats[f'{unit}_iqr']:8.2f} "
+              f"({repeats} repeats x {items})"
+              + "".join(f"  {key} {value:.1f}" for key, value in extra.items()))
     return results
 
 
-def record_table(dims, steps, repeats):
-    results = []
+def case(n):
+    """The random model and state of dimension n."""
+    return random_model(n, seed=SEED + n), random_density(n, seed=SEED + 100 + n)
+
+
+def route_rows(dims, steps, repeats):
+    """Rows of the step and record tables, from one set of paired runs per (n, route):
+    a run recording only at its two ends and one recording every step, back to back,
+    each on a fresh model, after one warm-up pair."""
+    step_rows, record_rows = [], []
     for n in dims:
-        model = random_model(n, seed=SEED + n)
-        rho0 = random_density(n, seed=SEED + 100 + n)
+        model, rho0 = case(n)
         for method, integrate in INTEGRATORS.items():
             def run(every):
                 t0 = time.perf_counter()
-                integrate(rho0, fresh(model), steps * DT, DT, record_every=every)
-                return time.perf_counter() - t0
+                fresh = LindbladModel(n, model.H, model.jumps, model.rates)  # nothing cached
+                integrate(rho0, fresh, steps * DT, DT, record_every=every)
+                return (time.perf_counter() - t0) * 1e6
 
-            run(1)
-            run(steps)
-            costs = [(run(1) - run(steps)) * 1e6 / steps for _ in range(repeats)]
-            stats = summary(costs, "us_per_record")
-            results.append({"n": n, "method": method, **stats})
-            print(
-                f"n={n:2d} {method:6s} median {stats['us_per_record_median']:8.1f} us/record  "
-                f"IQR {stats['us_per_record_iqr']:7.1f} ({repeats} repeats x {steps} records)"
-            )
-    return results
+            run(1), run(steps)  # the warm-up pair
+            pairs = [(run(1), run(steps)) for _ in range(repeats)]
+            identity = {"n": n, "method": method}
+            step_rows.append((identity, [ends for _, ends in pairs], steps))
+            record_rows.append((identity, [every - ends for every, ends in pairs], steps))
+    return step_rows, record_rows
 
 
 def off_frame(rho0, model):
     """The frame one RK4 step of integrate_split hands to polar_special."""
-    frames = []
-
-    def capture(U):
-        frames.append(np.array(U))
-        return polar_special(U)
-
-    with mock.patch.object(dynamics, "polar_special", capture):
+    with mock.patch.object(dynamics, "polar_special", wraps=polar_special) as spy:
         integrate_split(rho0, model, DT, DT)
-    return frames[0]
+    return spy.call_args.args[0]
 
 
-def kernel_table(dims, repeats):
-    results = []
-    for n in dims:
-        model = random_model(n, seed=SEED + n)
-        rho0 = random_density(n, seed=SEED + 100 + n)
-        state = SplitState(*eigendecompose_ordered(rho0), 0.0)
-        U = off_frame(rho0, model)
-        calls = {"split_rhs": lambda: split_rhs(state, model),
-                 "polar_special": lambda: polar_special(U),
-                 "lindblad_rhs": lambda: lindblad_rhs(rho0, model)}
-        for kernel, call in calls.items():
-            def batch(call=call):
-                for _ in range(KERNEL_CALLS):
-                    call()
-
-            stats = summary(np.array(timings(batch, repeats)) / KERNEL_CALLS, "us_per_call")
-            results.append({"n": n, "kernel": kernel, **stats})
-            print(f"n={n:2d} {kernel:13s} median {stats['us_per_call_median']:8.2f} us/call  "
-                  f"IQR {stats['us_per_call_iqr']:6.2f} ({repeats} repeats x {KERNEL_CALLS})")
-    return results
+def batched(call):
+    """KERNEL_CALLS calls of call() as one call."""
+    def batch():
+        for _ in range(KERNEL_CALLS):
+            call()
+    return batch
 
 
-def verify_identity(n):
-    """`verify identity --n n --N 4000` through cli.main, its report discarded."""
-    argv = ["verify", "identity", "--n", str(n), "--N", str(COUNTS[-1]), "--seed", str(SEED)]
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(argv)
+def kernel_calls(n):
+    """The layers of one RK4 step at n, each batched: split_rhs at the random
+    state's split state, polar_special on the frame one step hands it and
+    lindblad_rhs at the state."""
+    model, rho0 = case(n)
+    state = SplitState(*eigendecompose_ordered(rho0), 0.0)
+    U = off_frame(rho0, model)
+    return {"split_rhs": batched(lambda: split_rhs(state, model)),
+            "polar_special": batched(lambda: polar_special(U)),
+            "lindblad_rhs": batched(lambda: lindblad_rhs(rho0, model))}
 
 
-def sampling_table(dims, repeats):
+def sampling_rows(dims):
     calls = [("sample_flags", {"n": n, "count": count},
               lambda n=n, count=count: sample_flags(n, count, SEED))
              for n in dims for count in COUNTS]
-    calls += [("verify identity", {"n": n, "N": COUNTS[-1]}, lambda n=n: verify_identity(n))
+    calls += [("verify identity", {"n": n, "N": COUNTS[-1]},
+               lambda n=n: cli.main(["verify", "identity", "--n", str(n), "--N",
+                                     str(COUNTS[-1]), "--seed", str(SEED)]))
               for n in dims]
     volume_n, volume_samples = VOLUME_CALL
     calls.append(("rejection_volume_estimate", {"n": volume_n, "num_samples": volume_samples},
@@ -258,21 +243,13 @@ def sampling_table(dims, repeats):
     calls += [("kolmogorov_sf", {"N": N, "d": 2.0 / math.sqrt(N)},
                lambda N=N: kolmogorov_sf(N, 2.0 / math.sqrt(N)))
               for N in (10**3, 10**4, 10**5, 10**6)]
-    results = []
-    for name, params, call in calls:
-        stats = summary(timings(call, repeats), "us_per_call")
-        mem = memory(call, repeats)
-        results.append({"call": name, **params, **stats, **mem})
-        args = ", ".join(f"{key}={value}" for key, value in params.items())
-        print(f"{name}({args}) median {stats['us_per_call_median']:10.1f} us/call  "
-              f"IQR {stats['us_per_call_iqr']:8.1f} ({repeats} repeats)  "
-              f"peak {mem['traced_peak_kib']:9.1f} KiB  "
-              f"{mem['minor_faults_per_call']:7.1f} faults/call")
-    return results
+    return [({"call": name, **params}, call, 1) for name, params, call in calls]
 
 
-def writing_table(dims, repeats):
-    results = []
+def writing_rows(dims, repeats):
+    """Rows of the writing table, their costs measured here while their temporary
+    files and the patched frame draw exist."""
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for n in dims:
             frames = sample_flags(n, FRAMES, SEED)
@@ -281,17 +258,14 @@ def writing_table(dims, repeats):
             with mock.patch.object(cli, "sample_flags", lambda *_: frames), \
                     contextlib.redirect_stdout(io.StringIO()):
                 line = timings(lambda: cli.main(argv), repeats)
-            traj = integrate_direct(random_density(n, seed=SEED + 100 + n),
-                                    random_model(n, seed=SEED + n), CSV_STEPS * DT, DT)
+            model, rho0 = case(n)
+            traj = integrate_direct(rho0, model, CSV_STEPS * DT, DT)
             path = Path(tmp) / "traj.csv"
             row = timings(lambda: write_trajectory_csv(path, traj, {"dt": DT}), repeats)
-            for kind, costs, count in (("sample_line", line, FRAMES),
-                                       ("csv_row", row, len(traj.times))):
-                stats = summary(np.array(costs) / count, "us_per_item")
-                results.append({"n": n, "output": kind, "items": count, **stats})
-                print(f"n={n:2d} {kind:11s} median {stats['us_per_item_median']:8.2f} us/item  "
-                      f"IQR {stats['us_per_item_iqr']:6.2f} ({repeats} repeats x {count})")
-    return results
+            rows += [({"n": n, "output": "sample_line", "items": FRAMES}, line, FRAMES),
+                     ({"n": n, "output": "csv_row", "items": len(traj.times)}, row,
+                      len(traj.times))]
+    return rows
 
 
 def main():
@@ -303,17 +277,22 @@ def main():
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
-    results = step_table(args.dims, args.steps, args.repeats)
-    records = record_table(args.dims, args.steps, args.repeats)
-    kernels = kernel_table(args.dims, args.repeats)
-    sampling = sampling_table(args.dims, args.repeats)
-    writing = writing_table(args.dims, args.repeats)
+    step_rows, record_rows = route_rows(args.dims, args.steps, args.repeats)
+    tables = {
+        "results": table("us_per_step", step_rows, args.repeats),
+        "records": table("us_per_record", record_rows, args.repeats),
+        "kernels": table("us_per_call", [({"n": n, "kernel": kernel}, batch, KERNEL_CALLS)
+                                         for n in args.dims
+                                         for kernel, batch in kernel_calls(n).items()],
+                         args.repeats),
+        "sampling": table("us_per_call", sampling_rows(args.dims), args.repeats,
+                          with_memory=True),
+        "writing": table("us_per_item", writing_rows(args.dims, args.repeats), args.repeats),
+    }
 
     prov = provenance()
-    print(
-        f"numpy {prov['numpy']}, scipy {prov['scipy']}, BLAS {prov['blas']} "
-        f"({prov['blas_threads']} thread)"
-    )
+    print(f"numpy {prov['numpy']}, scipy {prov['scipy']}, BLAS {prov['blas']} "
+          f"({prov['blas_threads']} thread)")
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault(
@@ -324,23 +303,10 @@ def main():
     )
     doc.setdefault("runs", {})[args.label] = {
         "provenance": prov,
-        "params": {
-            "dt": DT,
-            "steps": args.steps,
-            "repeats": args.repeats,
-            "seed": SEED,
-            "counts": COUNTS,
-            "measure_call": MEASURE_CALL,
-            "draws": DRAWS,
-            "frames": FRAMES,
-            "csv_steps": CSV_STEPS,
-            "kernel_calls": KERNEL_CALLS,
-        },
-        "results": results,
-        "records": records,
-        "kernels": kernels,
-        "sampling": sampling,
-        "writing": writing,
+        "params": {"dt": DT, "steps": args.steps, "repeats": args.repeats, "seed": SEED,
+                   "counts": COUNTS, "measure_call": MEASURE_CALL, "draws": DRAWS,
+                   "frames": FRAMES, "csv_steps": CSV_STEPS, "kernel_calls": KERNEL_CALLS},
+        **tables,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote runs[{args.label!r}] to {out}")

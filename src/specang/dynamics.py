@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (
     BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL, DegenerateSpectrumError,
     NumericalBreakdownError, ValidationError, _frozen, check_angle, check_count,
-    check_gap_floor, check_memory, checked_array,
+    check_gap_floor, check_memory, check_real, checked_array,
 )
 from .flags import (
     PAULI, DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
@@ -90,6 +90,7 @@ class QubitAngles:
     phi: float
 
     def __post_init__(self):
+        check_real("r", self.r)
         if not 0.0 <= self.r <= 1.0 + TOL:
             raise ValidationError("qubit radius must lie in [0, 1]")
         check_angle("theta", self.theta, full_turn=False)
@@ -108,6 +109,7 @@ class QutritEuler:
 
     def __post_init__(self):
         GapVector(3, np.array([self.r1, self.r2]))
+        check_real("beta", self.beta)
         if not 0.0 < self.beta < math.pi:
             raise ValidationError("beta must lie in (0, pi)")
         check_angle("alpha", self.alpha, full_turn=True)
@@ -546,6 +548,8 @@ def secular_factorization_test(
     spread of its ratio.
     """
     check_count("num_r_samples", num_r_samples, 2)
+    if model.n != state.r.n:
+        raise ValidationError("state and model dimensions disagree")
     n = model.n
     U = state.U.U
     rng = np.random.default_rng(seed)

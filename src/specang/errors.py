@@ -118,11 +118,17 @@ def check_gap_floor(gaps, floor: float, chart: str) -> None:
         raise DegenerateSpectrumError(f"spectral gap below {floor}; {chart} breaks down")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ValidationError unless value is a real number, not a string, None,
+    a complex number or an array."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 def check_angle(name: str, value: float, full_turn: bool) -> None:
     """Raise ValidationError unless the angle is a real number in [0, 2pi)
     (full_turn) or in [0, pi], with slack TOL at the closed ends."""
-    if not isinstance(value, numbers.Real):  # a string, None, a complex number
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    check_real(name, value)
     ok = -TOL <= value < 2.0 * math.pi if full_turn else -TOL <= value <= math.pi + TOL
     if not ok:
         raise ValidationError(f"{name} = {value} outside [0, {'2pi)' if full_turn else 'pi]'}")

@@ -12,6 +12,7 @@ volumes of the flag manifold and of the nondegenerate state space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,20 @@ class DensityMatrix:
         object.__setattr__(self, "rho", rho)
 
 
+def _integers(*values) -> bool:
+    """Whether every value is an integer (a float such as 2.0 is not an index)."""
+    return all(isinstance(v, numbers.Integral) for v in values)
+
+
+def _check_pair(n: int, i: int, j: int) -> None:
+    """Raise ValidationError unless (i, j) is a pair 1 <= i < j <= n of C^n."""
+    if not (_integers(n, i, j) and 1 <= i < j <= n):
+        raise ValidationError(f"need 1 <= i < j <= n, got ({i},{j}) for n={n}")
+
+
 def embedded_generator(n: int, i: int, j: int, k: int) -> np.ndarray:
     """Pauli matrix sigma_k embedded in the (i,j)-plane of C^n (1-based)."""
-    if not 1 <= i < j <= n:
-        raise ValidationError(f"need 1 <= i < j <= n, got ({i},{j}) for n={n}")
+    _check_pair(n, i, j)
     if k not in (1, 2, 3):
         raise ValidationError("k must be 1, 2 or 3")
     g = np.zeros((n, n), dtype=complex)
@@ -111,7 +122,7 @@ def embedded_generator(n: int, i: int, j: int, k: int) -> np.ndarray:
 
 def cartan_generator(n: int, ell: int) -> np.ndarray:
     """Trace-orthonormal diagonal generator H_ell of su(n) (1-based)."""
-    if not 1 <= ell <= n - 1:
+    if not (_integers(n, ell) and 1 <= ell <= n - 1):
         raise ValidationError(f"need 1 <= ell <= n-1, got {ell} for n={n}")
     d = np.zeros(n)
     d[:ell] = 1.0
@@ -126,8 +137,7 @@ def rotation_factor(n: int, i: int, j: int, theta: float, phi: float) -> Unitary
     exp(-i phi sigma3/2) exp(-i theta sigma2/2) exp(i phi sigma3/2),
     written in closed form with cos/sin; identity elsewhere.
     """
-    if not 1 <= i < j <= n:
-        raise ValidationError(f"need 1 <= i < j <= n, got ({i},{j}) for n={n}")
+    _check_pair(n, i, j)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     U = np.eye(n, dtype=complex)
     i -= 1
@@ -264,9 +274,10 @@ def flag_density_theta(n: int, theta) -> np.ndarray:
 
     prod_{i<j} sin(theta_ij) cos^{2(j-i-1)}(theta_ij/2) / flag_volume(n).
     """
+    volume = flag_volume(n)  # first: it checks n
     theta = np.asarray(theta, dtype=float)
     powers = np.array([2 * (j - i - 1) for (i, j) in pair_indices(n)])
-    return np.prod(np.sin(theta) * np.cos(theta / 2.0) ** powers, axis=-1) / flag_volume(n)
+    return np.prod(np.sin(theta) * np.cos(theta / 2.0) ** powers, axis=-1) / volume
 
 
 def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
@@ -308,7 +319,7 @@ def resolution_check(n: int, i: int, num_samples: int, seed: int):
     |u_i><u_i| unchanged.  Returns (average matrix, Frobenius distance to the
     identity); the error is expected to scale like 1/sqrt(num_samples).
     """
-    if not 1 <= i <= n:
+    if not (_integers(n, i) and 1 <= i <= n):
         raise ValidationError(f"column index must be in 1..{n}")
     check_count("num_samples", num_samples, 1)
     avg = _column_errors(_ginibre_columns(n, num_samples, seed, i)[-1:])[0][0]
@@ -339,6 +350,7 @@ def quantize(f, r: GapVector, num_samples: int, seed: int) -> np.ndarray:
 
 def flag_volume(n: int) -> float:
     """Total volume (4 pi)^{n(n-1)/2} / prod_m m! of the flag manifold."""
+    check_count("dimension", n, 2)
     log_vol = n * (n - 1) / 2.0 * math.log(4.0 * math.pi)
     for m in range(1, n):
         log_vol -= math.lgamma(m + 1)

@@ -613,6 +613,32 @@ def test_state_and_model_dimensions_must_agree(integrate, n_state, n_model):
         integrate(random_density(n_state, seed=1), random_model(n_model, seed=0), 0.01, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [split_rhs, lambda state, model: secular_factorization_test(model, state, 1e-10)],
+    ids=["split_rhs", "secular_factorization_test"],
+)
+def test_split_kernels_need_matching_dimensions(kernel):
+    _, state = split_point(3, 18)
+    with pytest.raises(ValidationError, match="^state and model dimensions disagree$"):
+        kernel(state, random_model(2, seed=0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QubitAngles(r="a", theta=1.0, phi=0.0), "r must be a real number, got 'a'"),
+        (lambda: QubitAngles(r=1.5, theta=1.0, phi=0.0), "qubit radius must lie in [0, 1]"),
+        (lambda: QutritEuler(0.2, 0.1, 0.0, "x", 0.0), "beta must be a real number, got 'x'"),
+        (lambda: QutritEuler(0.2, 0.1, 0.0, 0.0, 0.0), "beta must lie in (0, pi)"),
+    ],
+    ids=["radius-string", "radius-range", "beta-string", "beta-range"],
+)
+def test_chart_coordinates_name_the_bad_field(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_trajectory_validation():
     with pytest.raises(ValidationError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), np.zeros((2, 2, 2)))
@@ -671,9 +697,14 @@ def test_qubit_chart_singularities():
 
 
 def test_qubit_requires_pauli_jumps():
-    model = random_model(2, seed=0)
-    with pytest.raises(ValidationError):
-        qubit_rhs(QubitAngles(r=0.5, theta=1.0, phi=0.0), model)
+    state = QubitAngles(r=0.5, theta=1.0, phi=0.0)
+    message = "qubit closed form needs n=2 with jumps sigma_1..3"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        qubit_rhs(state, random_model(2, seed=0))
+    jumps = tuple(sigma.T for sigma in PAULI)  # three jumps, sigma_2 transposed
+    model = LindbladModel(2, np.zeros((2, 2)), jumps, (1.0, 1.0, 1.0))
+    with pytest.raises(ValidationError, match="^qubit closed form needs Pauli jump operators$"):
+        qubit_rhs(state, model)
 
 
 # --- real qutrit -------------------------------------------------------------------
@@ -744,6 +775,13 @@ def test_real_qutrit_validation(rng):
     with pytest.raises(DegenerateSpectrumError):
         real_qutrit_rhs(
             QutritEuler(r1=1e-9, r2=0.2, alpha=0.1, beta=1.0, gamma=0.1),
+            A,
+            lambda rho: dissipator(rho, model),
+        )
+    with pytest.raises(NumericalBreakdownError,
+                       match=r"^Euler chart singular at beta in \{0, pi\}$"):
+        real_qutrit_rhs(
+            QutritEuler(r1=0.2, r2=0.2, alpha=0.1, beta=1e-9, gamma=0.1),
             A,
             lambda rho: dissipator(rho, model),
         )

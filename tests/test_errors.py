@@ -144,10 +144,13 @@ def test_documents_and_dataclasses_share_one_finiteness_rule(tmp_path, value, to
          "rates must be finite and non-negative: "),
         (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (None,)),
          "rates must be finite and non-negative: "),
+        (lambda: MetricTensor(3, [[1.0, 0.5], [0.0, 1.0]]), "metric components must be symmetric"),
+        (lambda: CoweightBasis(3, (np.zeros((3, 3)),)), "coweight basis must contain n-1 matrices"),
     ],
     ids=[
         "gaps", "probs", "coweight", "frame", "density", "metric", "H", "jump",
-        "ragged", "string", "object", "string-rate", "none-rate",
+        "ragged", "string", "object", "string-rate", "none-rate", "asymmetric-metric",
+        "coweight-count",
     ],
 )
 def test_array_fields_name_their_shape_and_entries(build, message):
@@ -201,6 +204,8 @@ def test_every_check_rejects_nan(check, error):
         (check_density, np.array([[1.0, 2.0], [0.0, -1.5]]), "not Hermitian"),
         (check_density, np.diag([1.2, -0.7]), "trace is not 1"),
         (check_density, np.diag([1.2, -0.2]), "negative eigenvalue"),
+        (check_probs, np.array([1.2, -0.1]), "^probabilities must be non-negative$"),
+        (check_probs, np.array([0.6, 0.3]), "^probabilities must sum to 1$"),
     ],
 )
 def test_each_check_names_its_first_failing_test(check, value, message):

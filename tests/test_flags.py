@@ -89,6 +89,31 @@ def test_embedded_generator_validation():
         embedded_generator(3, 1, 2, 4)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: flag_volume(-3), "dimension must be an integer >= 2, got -3"),
+        (lambda: flag_volume(1.5), "dimension must be an integer >= 2, got 1.5"),
+        (lambda: flag_density_theta(1.5, [0.3]), "dimension must be an integer >= 2, got 1.5"),
+        (lambda: rotation_factor(3, 1, 2.0, 0.3, 0.2), "need 1 <= i < j <= n, got (1,2.0) for n=3"),
+        (lambda: rotation_factor(3, 2, 2, 0.3, 0.2), "need 1 <= i < j <= n, got (2,2) for n=3"),
+        (lambda: embedded_generator(3, 1.0, 2, 1), "need 1 <= i < j <= n, got (1.0,2) for n=3"),
+        (lambda: cartan_generator(3, 1.5), "need 1 <= ell <= n-1, got 1.5 for n=3"),
+        (lambda: cartan_generator(3, 3), "need 1 <= ell <= n-1, got 3 for n=3"),
+        (lambda: resolution_check(3, 1.5, 10, 0), "column index must be in 1..3"),
+        (lambda: torus_element(3, [0.1]), "torus phases must have length n-1"),
+    ],
+    ids=[
+        "volume-negative", "volume-float", "density-float", "rotation-float",
+        "rotation-range", "generator-float", "cartan-float", "cartan-range",
+        "column-float", "torus-length",
+    ],
+)
+def test_index_arguments_are_integers_in_range(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cartan_generators_trace_orthonormal(n):
     gens = [cartan_generator(n, ell) for ell in range(1, n)]

@@ -1,6 +1,7 @@
 """Smoke test: every script in scripts/ runs to completion on small inputs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,9 +38,42 @@ def test_script_runs(script, args, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-    if script == "step_costs.py":  # a kernels row per kernel and dimension, with its median
-        kernels = json.loads((tmp_path / "bench.json").read_text())["runs"]["run"]["kernels"]
-        rows = {(row["n"], row["kernel"]): row["us_per_call_median"] for row in kernels}
-        assert rows.keys() == {(n, kernel) for n in (2, 3)
-                               for kernel in ("split_rhs", "polar_special", "lindblad_rhs")}
-        assert all(cost > 0.0 for cost in rows.values())
+    if script == "step_costs.py":
+        check_step_costs_schema(json.loads((tmp_path / "bench.json").read_text()))
+
+
+def check_step_costs_schema(doc):
+    """The five tables of one step_costs.py run at --dims 2 3: table names, each row's
+    identity fields in order, its statistic keys, and a positive median but for records."""
+    dims = (2, 3)
+    identities = {
+        "results": [{"n": n, "method": m} for n in dims for m in ("direct", "split")],
+        "records": [{"n": n, "method": m} for n in dims for m in ("direct", "split")],
+        "kernels": [{"n": n, "kernel": k} for n in dims
+                    for k in ("split_rhs", "polar_special", "lindblad_rhs")],
+        "sampling": [{"call": "sample_flags", "n": n, "count": c} for n in dims
+                     for c in (1, 1000, 4000)]
+        + [{"call": "verify identity", "n": n, "N": 4000} for n in dims]
+        + [{"call": "rejection_volume_estimate", "n": 4, "num_samples": 750000},
+           {"call": "flag_density_theta", "n": 3, "stack": 2500},
+           {"call": "coset_unitaries", "n": 3, "draws": 200},
+           {"call": "qutrit_unitaries_closed_form", "n": 3, "draws": 200}]
+        + [{"call": "kolmogorov_sf", "N": N, "d": 2.0 / math.sqrt(N)}
+           for N in (10**3, 10**4, 10**5, 10**6)],
+        "writing": [{"n": n, "output": o, "items": i} for n in dims
+                    for o, i in (("sample_line", 1000), ("csv_row", 51))],
+    }
+    units = {"results": "us_per_step", "records": "us_per_record", "kernels": "us_per_call",
+             "sampling": "us_per_call", "writing": "us_per_item"}
+    run = doc["runs"]["run"]
+    assert list(run) == ["provenance", "params", *identities]
+    for table, expected in identities.items():
+        unit = units[table]
+        stats = [f"{unit}_{s}" for s in ("median", "q25", "q75", "iqr")]
+        extra = ["traced_peak_kib", "minor_faults_per_call"] if table == "sampling" else []
+        assert len(run[table]) == len(expected), table
+        for row, ident in zip(run[table], expected):
+            assert {k: row[k] for k in ident} == ident, table
+            assert list(row) == [*ident, *stats, *extra], table
+            assert table == "records" or row[f"{unit}_median"] > 0.0, (table, ident)
+            assert all(row[key] >= 0.0 for key in extra), (table, ident)

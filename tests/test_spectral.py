@@ -250,8 +250,9 @@ def test_volume_ratio_is_n(n):
 
 
 def test_volume_cap():
-    with pytest.raises(ValidationError):
-        weighted_simplex_volume(21)
+    for volume in (weighted_simplex_volume, ordered_simplex_volume):
+        with pytest.raises(ValidationError, match="^exact volumes limited to n <= 20$"):
+            volume(21)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
