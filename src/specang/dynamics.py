@@ -1,7 +1,7 @@
 """GKLS open-system evolution in direct and split spectral-angular form.
 
 The direct route integrates the master equation on the density matrix with
-fixed-step RK4.  The split route evolves the gap vector r (driven by the
+fixed-step RK4.  The split route evolves the spectrum p (driven by the
 dissipator alone) coupled to an eigenframe rotation U' = Omega U, where the
 off-diagonal generator entries in the moving frame carry both Hamiltonian
 and dissipative contributions divided by the eigenvalue gaps.  Closed-form
@@ -23,12 +23,12 @@ from .errors import (
     check_gap_floor, check_memory, check_real, checked_array,
 )
 from .flags import (
-    PAULI, DensityMatrix, UnitaryFrame, _unit_determinant, assemble_density, density_stack,
+    PAULI, DensityMatrix, UnitaryFrame, assemble_density, density_stack,
     eigendecompose_ordered, pair_indices, rotation_factor, sample_flag,
 )
 from .geometry import purity_spectrum
 from .serialize import dump_json, matrix_to_pairs, read_document
-from .spectral import GapVector, gaps_stack, jacobian_matrix, probs_stack
+from .spectral import GapVector, gaps_stack, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
 
@@ -218,28 +218,28 @@ def stage_constants(n: int):
     return _frozen(1.0 - off), _frozen(off), _frozen(-1j * off)
 
 
-def _split_stage(V, r, LD, HD, checked=True):
-    """The split flow (V Omega_tilde, r_dot) at frame V and gaps r.
+def _split_stage(V, p, LD, HD, checked=True):
+    """The split flow (V Omega_tilde, p_dot) at frame V and spectrum p.
 
     HD is a (2, n, n) buffer whose first slice is H.  The stage writes
-    D(rho) = LD vec(rho) into its second slice, at rho = V diag(p) V^dag,
-    p = probs_stack(r), and rotates both into the frame in one product,
-    Ht, Lt = V^dag [H, D] V, with the gap floor checked if `checked`.  V
-    need not be unitary: RK4 stages sit at U + O(dt).  r_dot holds adjacent
-    differences of diag Lt; Omega_tilde = V^dag dV/dt, zero on the diagonal
-    (torus gauge), is Ht o (-i off) - Lt o (off / (p_i - p_j + delta_ij)).
+    D(rho) = LD vec(rho) into its second slice, at rho = V diag(p) V^dag, and
+    rotates both into the frame in one product, Ht, Lt = V^dag [H, D] V, with
+    the gap floor checked if `checked`.  V need not be unitary: RK4 stages
+    sit at U + O(dt).  p_dot is diag Lt less its mean, so sum(p) stays 1 to
+    round-off; Omega_tilde = V^dag dV/dt, zero on the diagonal (torus gauge),
+    is Ht o (-i off) - Lt o (off / (p_i - p_j + delta_ij)).
     """
     n = len(V)
     eye, off, neg_i_off = stage_constants(n)
-    if checked and not np.minimum.reduce(r) >= BREAKDOWN_TOL:
-        check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
-    p = 1.0 / n + jacobian_matrix(n) @ r  # probs_stack(r) bit for bit, without its reshapes
+    if checked and not np.minimum.reduce(gaps_stack(p)) >= BREAKDOWN_TOL:
+        check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
     Vh = V.conj().T  # one conjugate for rho = density_stack(p, V) and for the rotation
     np.matmul(LD, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
     HLt = Vh @ HD @ V  # (Ht, Lt), read by index: cheaper than unpacking
     Omega_t = HLt[0] * neg_i_off
     Omega_t -= HLt[1] * (off / (p[:, None] - p + eye))
-    return V @ Omega_t, gaps_stack(HLt[1].diagonal().real)
+    d = HLt[1].diagonal().real
+    return V @ Omega_t, d - np.add.reduce(d) / n
 
 
 def split_rhs(state: SplitState, model: LindbladModel):
@@ -253,8 +253,8 @@ def split_rhs(state: SplitState, model: LindbladModel):
     if model.n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
     U, HD = state.U.U, np.array([model.H, model.H])  # the stage overwrites HD[1]
-    U_Omega, r_dot = _split_stage(U, state.r.r, model.dissipator_superoperator, HD)
-    return r_dot, U_Omega @ U.conj().T
+    U_Omega, p_dot = _split_stage(U, probs_stack(state.r.r), model.dissipator_superoperator, HD)
+    return gaps_stack(p_dot), U_Omega @ U.conj().T
 
 
 def _frobenius(F):
@@ -264,25 +264,25 @@ def _frobenius(F):
 
 
 def polar_special(U):
-    """(Q, e): the polar factor Q of U with det pushed back to 1 on the last
-    column, and the defect e = ||U^dag U - 1||_F.  Newton-Schulz
+    """(Q, e): the unitary polar factor Q of U, with U's determinant phase (a gauge
+    no split record sees), and the defect e = ||U^dag U - 1||_F.  Newton-Schulz
     X <- X (1 - F/2), F = X^dag X - 1, maps a defect e < 1 to below e^2; it
     runs to round-off, POLAR_TOL, so the update from e <= sqrt(POLAR_TOL) is
     the last.  From e >= 1/2, where it need not converge, the SVD gives Q."""
-    U = np.array(U, dtype=complex)  # a copy: the determinant fix works in place
+    U = np.array(U, dtype=complex)  # a copy: a U unitary to round-off comes back as Q
     eye = stage_constants(len(U))[0]
     F = U.conj().T @ U - eye
     defect = err = _frobenius(F)
     if not defect < 0.5:
         X, _, Yh = np.linalg.svd(U)
-        return _unit_determinant(X @ Yh), defect
+        return X @ Yh, defect
     while err > POLAR_TOL:
         U = U - 0.5 * (U @ F)
         if err * err <= POLAR_TOL:
             break
         F = U.conj().T @ U - eye
         err = _frobenius(F)
-    return _unit_determinant(U), defect
+    return U, defect
 
 
 def integrate_split(
@@ -293,9 +293,9 @@ def integrate_split(
     record_every: int = 1,
     fallback_direct: bool = False,
 ) -> Trajectory:
-    """Fixed-step RK4 on the coupled system (r' = adjacent dissipator
-    differences, U' = U Omega_tilde); after every step polar_special takes
-    U back to SU(n), and its defect before that is the frame_defect record.
+    """Fixed-step RK4 on the coupled system (p' = diagonal of the rotated
+    dissipator less its mean, U' = U Omega_tilde); after every step polar_special
+    takes U back to U(n), and its defect before that is the frame_defect record.
 
     On spectral degeneracy, a state with a gap below BREAKDOWN_TOL or a step
     whose stage leaves the chart, the integration stops with the breakdown
@@ -305,27 +305,25 @@ def integrate_split(
     return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
 
 
-def _split_step(U, r, dt, LD, HD):
-    """One RK4 step of the pair (U, r) under _split_stage (the run has checked
-    (U, r), so stage 1 does not), then polar_special: (U, r, frame defect).
+def _split_step(U, p, dt, LD, HD):
+    """One RK4 step of the pair (U, p) under _split_stage (the run has checked
+    (U, p), so stage 1 does not), then polar_special: (U, p, frame defect).
     The sums K1 + 2 K2 + 2 K3 + K4 and k1 + ... accumulate in place in K1, k1."""
-    K, k = S, s = _split_stage(U, r, LD, HD, checked=False)
+    K, k = S, s = _split_stage(U, p, LD, HD, checked=False)
     for c in (0.5, 0.5, 1.0):
-        K, k = _split_stage(U + c * dt * K, r + c * dt * k, LD, HD)
+        K, k = _split_stage(U + c * dt * K, p + c * dt * k, LD, HD)
         S += K + K if c < 1.0 else K  # weights 2, 2, 1; K + K is 2 K exactly
         s += k + k if c < 1.0 else k
     U, defect = polar_special(U + dt / 6.0 * S)
-    return U, r + dt / 6.0 * s, defect
+    return U, p + dt / 6.0 * s, defect
 
 
 def _split_records(records):
-    """Columns (t, r, rho, trace error, min eigenvalue, frame defect) of raw
-    split records (t, r, U, defect), unchecked: every r passed the gap floor
-    and the weighted sum bound at its step, and every U is the validated
-    frame at t = 0 or a polar_special factor."""
-    t, R, Us, defects = map(np.array, zip(*records))
-    P = probs_stack(R)
-    return t, R, density_stack(P, Us), abs(P.sum(axis=-1) - 1.0), P[:, -1], defects
+    """Columns (t, r, rho, trace drift |sum p - 1|, min eigenvalue, frame defect) of raw
+    split records (t, p, U, defect), unchecked: every p passed the gap floor and
+    p_n >= -TOL/n at its step, and U is the validated frame or a polar_special factor."""
+    t, P, Us, defects = map(np.array, zip(*records))
+    return t, gaps_stack(P), density_stack(P, Us), abs(P.sum(axis=-1) - 1.0), P[:, -1], defects
 
 
 def _direct_records(records):
@@ -364,8 +362,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
         raise ValidationError("state and model dimensions disagree")
     rho, A, t_break, drift, defect = np.asarray(rho0.rho, dtype=complex), None, None, 0.0, 0.0
     if split:
-        weights = np.arange(1.0, n)  # R_{n-1} is sum_a a r_a <= 1 for r >= 0
-        # H enters the frame rates only through its frame image, so r' does
+        # H enters the frame rates only through its frame image, so p' does
         # not depend on H; the stages overwrite HD[1]
         LD, HD = model.dissipator_superoperator, np.array([model.H, model.H])
     raw, blocks, live = [], [], 0  # this route's raw records, checked columns, live step
@@ -374,14 +371,13 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
             if split:
                 try:
                     if step:
-                        U, r, defect = _split_step(U, r, dt, LD, HD)
+                        U, p, defect = _split_step(U, p, dt, LD, HD)
                         live = step
                     else:
                         r_vec, frame = eigendecompose_ordered(rho0)
-                        r, U = np.array(r_vec.r), np.array(frame.U)
-                    if not np.minimum.reduce(r) >= BREAKDOWN_TOL:
-                        check_gap_floor(r, BREAKDOWN_TOL, "angular chart")
-                    if not weights @ r <= 1.0 + TOL:
+                        p, U = probs_stack(r_vec.r), np.array(frame.U)
+                    check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
+                    if not p[-1] >= -TOL / n:  # R_{n-1}'s sum_a a r_a <= 1 + TOL
                         raise NumericalBreakdownError(
                             f"split state left R_{{n-1}} at t={step * dt:.6g}")
                 except DegenerateSpectrumError as exc:
@@ -394,7 +390,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                     if pending:
                         blocks.append(_split_records(pending))
                     if live:  # at step 0 the true state is rho0 itself
-                        rho = density_stack(probs_stack(r), U)
+                        rho = density_stack(p, U)
                     _direct_records([(t_break, rho, drift)])  # the hand-over state, as a record
             if live < step:
                 if A is None:
@@ -414,7 +410,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                 rho = rho / tr
                 live = step
             if step % record_every == 0 or step == steps:
-                raw.append((step * dt, r, U, defect) if split else (step * dt, rho, drift))
+                raw.append((step * dt, p, U, defect) if split else (step * dt, rho, drift))
                 if len(raw) * record_every >= RECORD_CHUNK:
                     pending, raw = raw, []
                     blocks.append((_split_records if split else _direct_records)(pending))
@@ -570,6 +566,8 @@ def secular_factorization_test(
 
 def random_model(n: int, seed: int, jump_scale: float = 0.3) -> LindbladModel:
     """Gaussian Hermitian H, two Gaussian complex jump operators, unit rates."""
+    check_count("dimension", n, 2)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     jumps = tuple(
@@ -589,9 +587,10 @@ def random_interior_gaps(n: int, rng, fill: float = 0.75) -> GapVector:
 
 def random_density(n: int, seed: int, fill: float = 0.75) -> DensityMatrix:
     """Nondegenerate random state: interior gaps + invariantly sampled frame."""
-    rng = np.random.default_rng(seed)
-    r = random_interior_gaps(n, rng, fill)
-    return assemble_density(r, sample_flag(n, seed + 1))
+    check_count("seed", seed, 0)
+    frame = sample_flag(n, seed + 1)  # first: it checks n
+    r = random_interior_gaps(n, np.random.default_rng(seed), fill)
+    return assemble_density(r, frame)
 
 
 # --- model / trajectory IO -------------------------------------------------

@@ -114,7 +114,7 @@ def check_memory(count: int, n: int) -> None:
 def check_gap_floor(gaps, floor: float, chart: str) -> None:
     """Raise DegenerateSpectrumError unless every gap is at least `floor`,
     below which the named chart breaks down."""
-    if not np.asarray(gaps).min() >= floor:
+    if not np.minimum.reduce(gaps) >= floor:  # the ufunc, without .min()'s Python wrapper
         raise DegenerateSpectrumError(f"spectral gap below {floor}; {chart} breaks down")
 
 

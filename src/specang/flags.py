@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EIG_TOL, ValidationError, check_angle, check_count, check_density, check_frame,
+    EIG_TOL, ValidationError, _finite, check_angle, check_count, check_density, check_frame,
     check_gap_floor, checked_array,
 )
 from .spectral import GapVector, gaps_stack, probs_stack, weighted_simplex_volume
@@ -27,6 +27,7 @@ from .spectral import GapVector, gaps_stack, probs_stack, weighted_simplex_volum
 def pair_indices(n: int) -> list:
     """The pairs (i, j), 1 <= i < j <= n, i ascending outer and j ascending
     inner: the order of the coset product and of every per-pair stack."""
+    check_count("dimension", n, 2)
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
@@ -65,10 +66,14 @@ class AngleSet:
             check_angle(f"theta{key}", self.theta[key], full_turn=False)
             check_angle(f"phi{key}", self.phi[key], full_turn=True)
         if self.torus is not None:
-            if len(self.torus) != self.n - 1:
-                raise ValidationError("torus phases must have length n-1")
-            torus = checked_array("torus phases", self.torus, float, (self.n - 1,))
-            object.__setattr__(self, "torus", tuple(torus.tolist()))
+            object.__setattr__(self, "torus", tuple(_torus_phases(self.n, self.torus).tolist()))
+
+
+def _torus_phases(n: int, phases) -> np.ndarray:
+    """The n-1 torus phases after the length test, by checked_array's rule and messages."""
+    if not (np.iterable(phases) and len(phases) == n - 1):
+        raise ValidationError("torus phases must have length n-1")
+    return _finite("torus phases", phases, float, (n - 1,), "finite")
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,7 @@ def coset_unitaries(n: int, theta, phi) -> np.ndarray:
     (..., n(n-1)/2) in pair_indices order: a (..., n, n) stack.  Each factor
     R_{i,j} mixes only columns i and j, so it is one two-column update.
     """
+    check_count("dimension", n, 2)
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     c, se = np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)
     U = np.broadcast_to(np.eye(n, dtype=complex), theta.shape[:-1] + (n, n)).copy()
@@ -176,9 +182,7 @@ def coset_unitary(angles: AngleSet) -> UnitaryFrame:
 
 def torus_element(n: int, phases) -> np.ndarray:
     """Diagonal torus factor exp(i sum_ell phi_ell H_ell)."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n - 1,):
-        raise ValidationError("torus phases must have length n-1")
+    phases = _torus_phases(n, phases)
     d = np.zeros(n)
     for ell in range(1, n):
         d += phases[ell - 1] * np.diag(cartan_generator(n, ell)).real
@@ -230,20 +234,16 @@ def assemble_density(r: GapVector, frame) -> DensityMatrix:
     return DensityMatrix(r.n, density_stack(probs_stack(r.r), frame.U))
 
 
-def _unit_determinant(U: np.ndarray) -> np.ndarray:
-    """Scale the last column of each unitary in U (..., n, n) by conj(det)/|det|, in place."""
-    det = np.linalg.det(U)[..., None]  # an array even for one matrix: no scalar arithmetic
-    U[..., -1] *= det.conjugate() / np.hypot(det.real, det.imag)
-    return U
-
-
 def _fix_column_phases(U: np.ndarray) -> np.ndarray:
     """Rotate each column of each frame in the stack U (..., n, n) so its
     largest-modulus entry is real positive, then restore det = 1 by a phase
     on the last column."""
     rows = np.argmax(np.abs(U), axis=-2)
     lead = np.take_along_axis(U, rows[..., None, :], axis=-2)
-    return _unit_determinant(U * (np.abs(lead) / lead))
+    U = U * (np.abs(lead) / lead)
+    det = np.linalg.det(U)[..., None]  # an array even for one matrix: no scalar arithmetic
+    U[..., -1] *= det.conjugate() / np.hypot(det.real, det.imag)
+    return U
 
 
 def eigendecompose_ordered(rho: DensityMatrix):

@@ -82,6 +82,21 @@ def test_model_validation():
         LindbladModel(1, [[0.5]], ([[1.0]],), (1.0,))  # one level: no gap, no frame
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: random_model(1.5, 0), "dimension must be an integer >= 2, got 1.5"),
+        (lambda: random_model(2, -1), "seed must be an integer >= 0, got -1"),
+        (lambda: random_density(1, 0), "dimension must be an integer >= 2, got 1"),
+        (lambda: random_density(2, -1), "seed must be an integer >= 0, got -1"),
+    ],
+    ids=["model-dimension", "model-seed", "density-dimension", "density-seed"],
+)
+def test_random_generators_check_n_and_seed_before_drawing(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_generator_structure(rng):
     model = random_model(3, seed=1)
     rho = random_density(3, seed=2).rho
@@ -332,6 +347,58 @@ def test_polar_special_matches_the_svd_polar_factor(n, seed, exponent):
     assert np.max(np.abs(Q - svd_polar_special(U))) <= 1e-14
     assert abs(np.linalg.det(Q) - 1.0) <= 1e-14
     assert defect == np.linalg.norm(U.conj().T @ U - np.eye(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("exponent", [-12.0, -3.0, math.log10(0.3)],
+                         ids=["newton-schulz-1e-12", "newton-schulz-1e-3", "svd-0.3"])
+def test_polar_special_keeps_the_determinant_phase(n, exponent):
+    # U = e^{i theta / n} W (1 + E), W Haar in SU(n): det U has the phase
+    # e^{i theta}, and the polar factor X Y^dag of U's SVD keeps it, on the
+    # Newton-Schulz branch and on the SVD one (defect >= 1/2 at ||E||_2 = 0.3)
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    E = A + A.conj().T
+    theta = 2.0
+    W = np.exp(1j * theta / n) * sample_flag(n, n).U
+    U = W @ (np.eye(n) + 10.0**exponent / np.linalg.norm(E, 2) * E)
+    Q, defect = polar_special(U)
+    X, _, Yh = np.linalg.svd(U)
+    assert np.max(np.abs(Q - X @ Yh)) <= 1e-14
+    assert abs(np.linalg.det(Q) - np.exp(1j * theta)) <= 1e-14
+    assert defect == np.linalg.norm(U.conj().T @ U - np.eye(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_split_records_do_not_see_the_frame_gauge(n, monkeypatch):
+    # a frame is a point of SU(n)/T^{n-1}: a random diagonal unitary on the
+    # right of every polar factor changes no record, which is why the split
+    # step needs no determinant fix
+    model, rho0 = random_model(n, seed=n), random_density(n, seed=n + 60)
+    plain = integrate_split(rho0, model, 0.2, 1e-3, record_every=10)
+    rng = np.random.default_rng(n)
+
+    def gauged(U):
+        Q, defect = polar_special(U)
+        return Q * np.exp(2j * np.pi * rng.random(n)), defect
+
+    monkeypatch.setattr(dynamics, "polar_special", gauged)
+    turned = integrate_split(rho0, model, 0.2, 1e-3, record_every=10)
+    assert np.array_equal(plain.times, turned.times)
+    assert np.max(np.abs(plain.r - turned.r)) <= 1e-13
+    assert np.max(np.abs(plain.rho - turned.rho)) <= 1e-13
+    defects = plain.diagnostics["frame_defect"], turned.diagnostics["frame_defect"]
+    assert np.max(np.abs(defects[0] - defects[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_split_trace_drift_stays_at_round_off(n):
+    # the stage's rates are diag Lt less its mean, so sum(p) - 1 stays at
+    # round-off; without the projection it drifts by O(dt^3) a step
+    model, rho0 = random_model(n, seed=n), random_density(n, seed=n + 70)
+    traj = integrate_split(rho0, model, 1.0, 1e-3)
+    assert len(traj.times) == 1001
+    assert np.max(traj.diagnostics["trace_error"]) <= 1e-13
 
 
 def test_direct_trace_drift_breaks_down_at_the_step():

@@ -102,11 +102,19 @@ def test_embedded_generator_validation():
         (lambda: cartan_generator(3, 3), "need 1 <= ell <= n-1, got 3 for n=3"),
         (lambda: resolution_check(3, 1.5, 10, 0), "column index must be in 1..3"),
         (lambda: torus_element(3, [0.1]), "torus phases must have length n-1"),
+        (lambda: torus_element(3, 0.1), "torus phases must have length n-1"),
+        (lambda: torus_element(3, [0.1, math.nan]),
+         "torus phases must be finite, got the entry nan"),
+        (lambda: pair_indices(2.5), "dimension must be an integer >= 2, got 2.5"),
+        (lambda: pair_indices(-1), "dimension must be an integer >= 2, got -1"),
+        (lambda: AngleSet(1.5, {}, {}), "dimension must be an integer >= 2, got 1.5"),
+        (lambda: coset_unitaries(2.5, [0.3], [0.2]), "dimension must be an integer >= 2, got 2.5"),
     ],
     ids=[
         "volume-negative", "volume-float", "density-float", "rotation-float",
         "rotation-range", "generator-float", "cartan-float", "cartan-range",
-        "column-float", "torus-length",
+        "column-float", "torus-length", "torus-scalar", "torus-nan", "pairs-float",
+        "pairs-negative", "angles-float", "coset-float",
     ],
 )
 def test_index_arguments_are_integers_in_range(call, message):
@@ -161,19 +169,26 @@ def test_angle_set_validation():
         (0.3, 0.2, (-math.inf,), "^torus phases must be finite, got the entry -inf$"),
         (0.3, 0.2, ("abc",), "^torus phases must be an array of numbers: "),
         (0.3, 0.2, (0.1, 0.2), "^torus phases must have length n-1$"),
+        (0.3, 0.2, 0.5, "^torus phases must have length n-1$"),
         ("x", 0.2, None, r"^theta\(1, 2\) must be a real number, got 'x'$"),
         (None, 0.2, None, r"^theta\(1, 2\) must be a real number, got None$"),
         (np.array([0.1, 0.2]), 0.2, None, r"^theta\(1, 2\) must be a real number, got array"),
         (0.3, 1j, None, r"^phi\(1, 2\) must be a real number, got 1j$"),
         (0.3, 7.0, None, r"^phi\(1, 2\) = 7.0 outside \[0, 2pi\)$"),
     ],
-    ids=["torus-nan", "torus-inf", "torus-string", "torus-length", "theta-string",
+    ids=["torus-nan", "torus-inf", "torus-string", "torus-length", "torus-scalar", "theta-string",
          "theta-none", "theta-array", "phi-complex", "phi-range"],
 )
 def test_angle_set_names_the_bad_field(theta, phi, torus, message):
     # a bad torus phase fails here, not later in full_unitary as a non-finite frame
     with pytest.raises(ValidationError, match=message):
         AngleSet(2, {(1, 2): theta}, {(1, 2): phi}, torus)
+
+
+def test_torus_element_names_a_phase_that_is_not_a_number():
+    # read as AngleSet reads its torus phases: the length, then the entries
+    with pytest.raises(ValidationError, match="^torus phases must be an array of numbers: "):
+        torus_element(3, ["a", 0.1])
 
 
 def test_coset_unitary_is_ordered_product(rng):
