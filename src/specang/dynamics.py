@@ -544,6 +544,7 @@ def secular_factorization_test(
     spread of its ratio.
     """
     check_count("num_r_samples", num_r_samples, 2)
+    check_count("seed", seed, 0)
     if model.n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
     n = model.n
@@ -580,6 +581,7 @@ def random_model(n: int, seed: int, jump_scale: float = 0.3) -> LindbladModel:
 def random_interior_gaps(n: int, rng, fill: float = 0.75) -> GapVector:
     """Gap vector well inside R_{n-1}: every gap bounded away from zero and
     the weighted sum pinned to `fill`."""
+    check_count("dimension", n, 2)
     x = 0.5 + rng.random(n - 1)
     r = x * fill / float(np.arange(1, n) @ x)
     return GapVector(n, r)

@@ -98,10 +98,13 @@ def check_gaps(r: np.ndarray) -> None:
         raise ValidationError("weighted gap sum exceeds 1 (outside R_{n-1})")
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """Raise ValidationError unless value is an integer >= minimum."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> None:
+    """Raise ValidationError unless value is an integer in minimum..maximum, not a bool:
+    the one rule of every dimension, count, index and seed."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and minimum <= value <= maximum):
+        bound = f">= {minimum}" if maximum == math.inf else f"in {minimum}..{maximum}"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def check_memory(count: int, n: int) -> None:

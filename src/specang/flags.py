@@ -12,7 +12,6 @@ volumes of the flag manifold and of the nondegenerate state space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,20 +103,11 @@ class DensityMatrix:
         object.__setattr__(self, "rho", rho)
 
 
-def _integers(*values) -> bool:
-    """Whether every value is an integer (a float such as 2.0 is not an index)."""
-    return all(isinstance(v, numbers.Integral) for v in values)
-
-
-def _check_pair(n: int, i: int, j: int) -> None:
-    """Raise ValidationError unless (i, j) is a pair 1 <= i < j <= n of C^n."""
-    if not (_integers(n, i, j) and 1 <= i < j <= n):
-        raise ValidationError(f"need 1 <= i < j <= n, got ({i},{j}) for n={n}")
-
-
 def embedded_generator(n: int, i: int, j: int, k: int) -> np.ndarray:
     """Pauli matrix sigma_k embedded in the (i,j)-plane of C^n (1-based)."""
-    _check_pair(n, i, j)
+    check_count("dimension", n, 2)
+    check_count("j", j, 2, n)
+    check_count("i", i, 1, j - 1)
     if k not in (1, 2, 3):
         raise ValidationError("k must be 1, 2 or 3")
     g = np.zeros((n, n), dtype=complex)
@@ -127,8 +117,8 @@ def embedded_generator(n: int, i: int, j: int, k: int) -> np.ndarray:
 
 def cartan_generator(n: int, ell: int) -> np.ndarray:
     """Trace-orthonormal diagonal generator H_ell of su(n) (1-based)."""
-    if not (_integers(n, ell) and 1 <= ell <= n - 1):
-        raise ValidationError(f"need 1 <= ell <= n-1, got {ell} for n={n}")
+    check_count("dimension", n, 2)
+    check_count("ell", ell, 1, n - 1)
     d = np.zeros(n)
     d[:ell] = 1.0
     d[ell] = -float(ell)
@@ -142,7 +132,9 @@ def rotation_factor(n: int, i: int, j: int, theta: float, phi: float) -> Unitary
     exp(-i phi sigma3/2) exp(-i theta sigma2/2) exp(i phi sigma3/2),
     written in closed form with cos/sin; identity elsewhere.
     """
-    _check_pair(n, i, j)
+    check_count("dimension", n, 2)
+    check_count("j", j, 2, n)
+    check_count("i", i, 1, j - 1)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     U = np.eye(n, dtype=complex)
     i -= 1
@@ -182,6 +174,7 @@ def coset_unitary(angles: AngleSet) -> UnitaryFrame:
 
 def torus_element(n: int, phases) -> np.ndarray:
     """Diagonal torus factor exp(i sum_ell phi_ell H_ell)."""
+    check_count("dimension", n, 2)
     phases = _torus_phases(n, phases)
     d = np.zeros(n)
     for ell in range(1, n):
@@ -283,6 +276,7 @@ def flag_density_theta(n: int, theta) -> np.ndarray:
 def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
     """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n
     matrices as a (k, count, n) stack: batched classical Gram-Schmidt, run twice."""
+    check_count("seed", seed, 0)
     G = np.random.default_rng(seed).standard_normal((2, count, n, n))  # real, imaginary
     Q = np.empty((k, count, n), complex)
     Q.real, Q.imag = G[..., :k].transpose(0, 3, 1, 2)
@@ -319,8 +313,8 @@ def resolution_check(n: int, i: int, num_samples: int, seed: int):
     |u_i><u_i| unchanged.  Returns (average matrix, Frobenius distance to the
     identity); the error is expected to scale like 1/sqrt(num_samples).
     """
-    if not (_integers(n, i) and 1 <= i <= n):
-        raise ValidationError(f"column index must be in 1..{n}")
+    check_count("dimension", n, 2)
+    check_count("column index", i, 1, n)
     check_count("num_samples", num_samples, 1)
     avg = _column_errors(_ginibre_columns(n, num_samples, seed, i)[-1:])[0][0]
     return avg, float(np.linalg.norm(avg - np.eye(n)))

@@ -209,6 +209,7 @@ def rejection_volume_estimate(n: int, num_samples: int, seed: int):
     result is that of one whole draw.  Returns (estimate, standard_error)."""
     check_count("dimension", n, 2)
     check_count("num_samples", num_samples, 1)
+    check_count("seed", seed, 0)
     box_volume = float(np.prod(1.0 / np.arange(1, n, dtype=float)))
     rng, ones, hits = np.random.default_rng(seed), np.ones(n - 1), 0
     block = np.empty((min(num_samples, VOLUME_BLOCK), n - 1))

@@ -47,6 +47,7 @@ from specang.dynamics import (
     polar_special,
     qubit_frame,
     random_density,
+    random_interior_gaps,
     random_model,
     so3_euler,
     stage_constants,
@@ -89,8 +90,10 @@ def test_model_validation():
         (lambda: random_model(2, -1), "seed must be an integer >= 0, got -1"),
         (lambda: random_density(1, 0), "dimension must be an integer >= 2, got 1"),
         (lambda: random_density(2, -1), "seed must be an integer >= 0, got -1"),
+        (lambda: random_interior_gaps(1.5, np.random.default_rng(0)),
+         "dimension must be an integer >= 2, got 1.5"),
     ],
-    ids=["model-dimension", "model-seed", "density-dimension", "density-seed"],
+    ids=["model-dimension", "model-seed", "density-dimension", "density-seed", "gaps-dimension"],
 )
 def test_random_generators_check_n_and_seed_before_drawing(call, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

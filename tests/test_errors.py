@@ -1,6 +1,7 @@
 """The failure policy: tolerances live in errors.py and every check rejects NaN."""
 
 import ast
+import inspect
 import math
 import re
 import tokenize
@@ -9,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specang
 from specang import (
+    AngleSet,
     CoweightBasis,
     DegenerateSpectrumError,
     DensityMatrix,
@@ -17,10 +20,40 @@ from specang import (
     LindbladModel,
     MetricTensor,
     ProbVector,
+    SplitState,
     UnitaryFrame,
     ValidationError,
+    cartan_generator,
+    cartan_matrix,
+    coset_unitaries,
+    eigendecompose_ordered,
+    embedded_generator,
+    flag_density_theta,
+    flag_volume,
+    fundamental_coweights,
+    in_polytope,
+    integrate_split,
+    inverse_cartan,
+    inverse_cartan_exact,
+    jacobian_matrix,
+    ordered_simplex_volume,
+    pair_indices,
+    polytope_vertices,
+    quantize,
+    rejection_volume_estimate,
+    resolution_check,
+    rotation_factor,
+    sample_flag,
+    sample_flags,
+    secular_factorization_test,
+    state_space_volume,
+    weighted_simplex_volume,
 )
-from specang.dynamics import integrate_direct, random_density, random_model
+from specang import dynamics, flags, geometry, kolmogorov, serialize, spectral
+from specang.dynamics import (
+    integrate_direct, random_density, random_interior_gaps, random_model,
+)
+from specang.flags import torus_element
 from specang.serialize import read_document
 from specang.errors import (
     MEMORY_LIMIT,
@@ -56,6 +89,20 @@ def test_tolerances_live_in_errors_only():
     }
     assert found == {}
     assert len(tolerance_literals(SRC / "errors.py")) == 7
+
+
+def test_integer_rule_lives_in_check_count_only():
+    # numbers.Integral is read once: by errors.check_count, the one integer rule
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        uses += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+                 and "Integral" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                    getattr(node, "name", None))]
+    assert uses == [("errors.py", "check_count")]
 
 
 def nan_matrix():
@@ -254,3 +301,118 @@ def test_memory_check_bounds_count_times_n_squared_complex_entries():
         check_memory(MEMORY_LIMIT // 64 + 1, 2)
     with pytest.raises(ValidationError, match="^2 complex 100000 x 100000 matrices"):
         check_memory(2, 10**5)
+
+
+def secular(**integers):
+    state = SplitState(*eigendecompose_ordered(random_density(2, seed=1)), 0.0)
+    return secular_factorization_test(random_model(2, seed=0), state, 1e-10, **integers)
+
+
+def integrate(route, record_every):
+    return route(random_density(2, seed=1), random_model(2, seed=0), 0.01, 1e-3, record_every)
+
+
+GAPS = GapVector(3, [0.2, 0.1])
+
+# Every integer parameter of a public name: "function.parameter", the call with that
+# parameter set to a value and every other argument valid, the name in the message,
+# and the bound.  A seed is an integer >= 0 of any size.
+INTEGER_PARAMETERS = [
+    ("ProbVector.n", lambda v: ProbVector(v, [1.0]), "dimension", ">= 2"),
+    ("GapVector.n", lambda v: GapVector(v, []), "dimension", ">= 2"),
+    ("CoweightBasis.n", lambda v: CoweightBasis(v, ()), "dimension", ">= 2"),
+    ("MetricTensor.n", lambda v: MetricTensor(v, np.eye(1)), "dimension", ">= 2"),
+    ("AngleSet.n", lambda v: AngleSet(v, {}, {}), "dimension", ">= 2"),
+    ("UnitaryFrame.n", lambda v: UnitaryFrame(v, np.eye(2)), "dimension", ">= 2"),
+    ("DensityMatrix.n", lambda v: DensityMatrix(v, np.eye(2) / 2.0), "dimension", ">= 2"),
+    ("LindbladModel.n", lambda v: LindbladModel(v, np.zeros((2, 2)), (), ()), "dimension", ">= 2"),
+    ("jacobian_matrix.n", jacobian_matrix, "dimension", ">= 2"),
+    ("fundamental_coweights.n", fundamental_coweights, "dimension", ">= 2"),
+    ("cartan_matrix.n", cartan_matrix, "dimension", ">= 2"),
+    ("inverse_cartan.n", inverse_cartan, "dimension", ">= 2"),
+    ("inverse_cartan_exact.n", inverse_cartan_exact, "dimension", ">= 2"),
+    ("in_polytope.n", lambda v: in_polytope([0.1], v), "dimension", ">= 2"),
+    ("polytope_vertices.n", polytope_vertices, "dimension", ">= 2"),
+    ("ordered_simplex_volume.n", ordered_simplex_volume, "dimension", ">= 2"),
+    ("weighted_simplex_volume.n", weighted_simplex_volume, "dimension", ">= 2"),
+    ("rejection_volume_estimate.n", lambda v: rejection_volume_estimate(v, 10, 0),
+     "dimension", ">= 2"),
+    ("rejection_volume_estimate.num_samples", lambda v: rejection_volume_estimate(3, v, 0),
+     "num_samples", ">= 1"),
+    ("rejection_volume_estimate.seed", lambda v: rejection_volume_estimate(3, 10, v),
+     "seed", ">= 0"),
+    ("pair_indices.n", pair_indices, "dimension", ">= 2"),
+    ("embedded_generator.n", lambda v: embedded_generator(v, 1, 2, 1), "dimension", ">= 2"),
+    ("embedded_generator.i", lambda v: embedded_generator(3, v, 3, 1), "i", "in 1..2"),
+    ("embedded_generator.j", lambda v: embedded_generator(3, 1, v, 1), "j", "in 2..3"),
+    ("cartan_generator.n", lambda v: cartan_generator(v, 1), "dimension", ">= 2"),
+    ("cartan_generator.ell", lambda v: cartan_generator(3, v), "ell", "in 1..2"),
+    ("rotation_factor.n", lambda v: rotation_factor(v, 1, 2, 0.3, 0.2), "dimension", ">= 2"),
+    ("rotation_factor.i", lambda v: rotation_factor(3, v, 3, 0.3, 0.2), "i", "in 1..2"),
+    ("rotation_factor.j", lambda v: rotation_factor(3, 1, v, 0.3, 0.2), "j", "in 2..3"),
+    ("coset_unitaries.n", lambda v: coset_unitaries(v, [], []), "dimension", ">= 2"),
+    ("torus_element.n", lambda v: torus_element(v, []), "dimension", ">= 2"),
+    ("flag_density_theta.n", lambda v: flag_density_theta(v, []), "dimension", ">= 2"),
+    ("flag_volume.n", flag_volume, "dimension", ">= 2"),
+    ("state_space_volume.n", state_space_volume, "dimension", ">= 2"),
+    ("sample_flags.n", lambda v: sample_flags(v, 1, 0), "dimension", ">= 2"),
+    ("sample_flags.count", lambda v: sample_flags(3, v, 0), "count", ">= 0"),
+    ("sample_flags.seed", lambda v: sample_flags(3, 1, v), "seed", ">= 0"),
+    ("sample_flag.n", lambda v: sample_flag(v, 0), "dimension", ">= 2"),
+    ("sample_flag.seed", lambda v: sample_flag(3, v), "seed", ">= 0"),
+    ("resolution_check.n", lambda v: resolution_check(v, 1, 10, 0), "dimension", ">= 2"),
+    ("resolution_check.i", lambda v: resolution_check(3, v, 10, 0), "column index", "in 1..3"),
+    ("resolution_check.num_samples", lambda v: resolution_check(3, 1, v, 0),
+     "num_samples", ">= 1"),
+    ("resolution_check.seed", lambda v: resolution_check(3, 1, 10, v), "seed", ">= 0"),
+    ("quantize.num_samples", lambda v: quantize(lambda U: 1.0, GAPS, v, 0), "num_samples", ">= 1"),
+    ("quantize.seed", lambda v: quantize(lambda U: 1.0, GAPS, 2, v), "seed", ">= 0"),
+    ("integrate_direct.record_every", lambda v: integrate(integrate_direct, v),
+     "record_every", ">= 1"),
+    ("integrate_split.record_every", lambda v: integrate(integrate_split, v),
+     "record_every", ">= 1"),
+    ("secular_factorization_test.num_r_samples", lambda v: secular(num_r_samples=v),
+     "num_r_samples", ">= 2"),
+    ("secular_factorization_test.seed", lambda v: secular(seed=v), "seed", ">= 0"),
+    ("random_model.n", lambda v: random_model(v, 0), "dimension", ">= 2"),
+    ("random_model.seed", lambda v: random_model(2, v), "seed", ">= 0"),
+    ("random_interior_gaps.n", lambda v: random_interior_gaps(v, np.random.default_rng(0)),
+     "dimension", ">= 2"),
+    ("random_density.n", lambda v: random_density(v, 0), "dimension", ">= 2"),
+    ("random_density.seed", lambda v: random_density(2, v), "seed", ">= 0"),
+]
+
+# Integer parameters outside the rule, with the reason.
+UNCHECKED = {
+    "embedded_generator.k": "a Pauli label, checked by k in (1, 2, 3), so 2.0 is sigma_2",
+    "stage_constants.n": "a cached constant of the split stage, read at len(frame)",
+    "kolmogorov_sf.N": "the size of ks_uniform's sample",
+}
+
+
+@pytest.mark.parametrize(
+    "call, name, bound", [entry[1:] for entry in INTEGER_PARAMETERS],
+    ids=[entry[0] for entry in INTEGER_PARAMETERS],
+)
+def test_every_integer_parameter_has_one_rule(call, name, bound):
+    for value in (1.5, 2.0, -1, True, "a", None):
+        message = f"{name} must be an integer {bound}, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(value)
+    if name == "seed":  # as a dimension or count it would allocate or loop
+        call(10**400)
+
+
+def test_every_integer_parameter_is_in_the_table():
+    modules = (specang, spectral, geometry, flags, dynamics, kolmogorov, serialize)
+    public = {
+        attr: obj for module in modules for attr, obj in vars(module).items()
+        if callable(obj) and not attr.startswith("_")
+        and getattr(obj, "__module__", "").startswith("specang.")
+        and obj.__module__ != "specang.errors"
+    }
+    found = {
+        f"{attr}.{param.name}" for attr, obj in public.items()
+        for param in inspect.signature(obj).parameters.values() if param.annotation in ("int", int)
+    }
+    assert found == {entry[0] for entry in INTEGER_PARAMETERS} | set(UNCHECKED)

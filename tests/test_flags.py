@@ -95,12 +95,13 @@ def test_embedded_generator_validation():
         (lambda: flag_volume(-3), "dimension must be an integer >= 2, got -3"),
         (lambda: flag_volume(1.5), "dimension must be an integer >= 2, got 1.5"),
         (lambda: flag_density_theta(1.5, [0.3]), "dimension must be an integer >= 2, got 1.5"),
-        (lambda: rotation_factor(3, 1, 2.0, 0.3, 0.2), "need 1 <= i < j <= n, got (1,2.0) for n=3"),
-        (lambda: rotation_factor(3, 2, 2, 0.3, 0.2), "need 1 <= i < j <= n, got (2,2) for n=3"),
-        (lambda: embedded_generator(3, 1.0, 2, 1), "need 1 <= i < j <= n, got (1.0,2) for n=3"),
-        (lambda: cartan_generator(3, 1.5), "need 1 <= ell <= n-1, got 1.5 for n=3"),
-        (lambda: cartan_generator(3, 3), "need 1 <= ell <= n-1, got 3 for n=3"),
-        (lambda: resolution_check(3, 1.5, 10, 0), "column index must be in 1..3"),
+        (lambda: rotation_factor(3, 1, 2.0, 0.3, 0.2), "j must be an integer in 2..3, got 2.0"),
+        (lambda: rotation_factor(3, 2, 2, 0.3, 0.2), "i must be an integer in 1..1, got 2"),
+        (lambda: embedded_generator(3, 1.0, 2, 1), "i must be an integer in 1..1, got 1.0"),
+        (lambda: cartan_generator(3, 1.5), "ell must be an integer in 1..2, got 1.5"),
+        (lambda: cartan_generator(3, 3), "ell must be an integer in 1..2, got 3"),
+        (lambda: resolution_check(3, 1.5, 10, 0),
+         "column index must be an integer in 1..3, got 1.5"),
         (lambda: torus_element(3, [0.1]), "torus phases must have length n-1"),
         (lambda: torus_element(3, 0.1), "torus phases must have length n-1"),
         (lambda: torus_element(3, [0.1, math.nan]),
@@ -109,12 +110,17 @@ def test_embedded_generator_validation():
         (lambda: pair_indices(-1), "dimension must be an integer >= 2, got -1"),
         (lambda: AngleSet(1.5, {}, {}), "dimension must be an integer >= 2, got 1.5"),
         (lambda: coset_unitaries(2.5, [0.3], [0.2]), "dimension must be an integer >= 2, got 2.5"),
+        (lambda: torus_element(1, []), "dimension must be an integer >= 2, got 1"),
+        (lambda: torus_element(True, []), "dimension must be an integer >= 2, got True"),
+        (lambda: resolution_check(1, 1, 10, 0), "dimension must be an integer >= 2, got 1"),
+        (lambda: resolution_check(0, 1, 10, 0), "dimension must be an integer >= 2, got 0"),
     ],
     ids=[
         "volume-negative", "volume-float", "density-float", "rotation-float",
         "rotation-range", "generator-float", "cartan-float", "cartan-range",
         "column-float", "torus-length", "torus-scalar", "torus-nan", "pairs-float",
-        "pairs-negative", "angles-float", "coset-float",
+        "pairs-negative", "angles-float", "coset-float", "torus-one-level", "torus-bool",
+        "column-one-level", "column-zero-level",
     ],
 )
 def test_index_arguments_are_integers_in_range(call, message):
