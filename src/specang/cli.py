@@ -277,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert between p and r vectors")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded(int, 2), required=True)
     p.add_argument("--p", help="comma-separated probabilities")
     p.add_argument("--r", help="comma-separated gaps")
 
     p = sub.add_parser("geometry", help="metric/purity/entropy quantities at r")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded(int, 2), required=True)
     p.add_argument("--r", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     for which in ("fisher", "bures", "purity", "kl", "entropy"):

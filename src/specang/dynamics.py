@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL, DegenerateSpectrumError,
-    NumericalBreakdownError, ValidationError, _frozen, check_angle, check_count,
+    NumericalBreakdownError, ValidationError, _finite, _frozen, check_angle, check_count,
     check_gap_floor, check_memory, check_real, checked_array,
 )
 from .flags import (
@@ -49,17 +49,12 @@ class LindbladModel:
                       for L in self.jumps)
         if not np.linalg.norm(H - H.conj().T) <= MATRIX_TOL:
             raise ValidationError("H must be Hermitian")
-        try:
-            rates = tuple(float(h) for h in self.rates)
-        except (OverflowError, TypeError, ValueError) as exc:  # beyond float range, not a number
-            raise ValidationError(f"rates must be finite and non-negative: {exc}") from exc
-        if len(rates) != len(jumps):
-            raise ValidationError("need one rate per jump operator")
-        if not all(0.0 <= h < math.inf for h in rates):
+        rates = _finite("rates", self.rates, float, (len(jumps),), "finite and non-negative")
+        if not np.all(rates >= 0.0):
             raise ValidationError("rates must be finite and non-negative")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", tuple(rates.tolist()))
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
@@ -108,8 +103,9 @@ class QutritEuler:
     gamma: float
 
     def __post_init__(self):
+        for name in ("r1", "r2", "beta"):
+            check_real(name, getattr(self, name))
         GapVector(3, np.array([self.r1, self.r2]))
-        check_real("beta", self.beta)
         if not 0.0 < self.beta < math.pi:
             raise ValidationError("beta must lie in (0, pi)")
         check_angle("alpha", self.alpha, full_turn=True)
@@ -178,7 +174,9 @@ def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
 
 def _step_count(t_end, dt, record_every, n):
     """Number of RK4 steps of a run, after checking its parameters and its records' memory."""
-    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+    check_real("t_end", t_end)
+    check_real("dt", dt)
+    if not (0.0 < dt and 0.0 < t_end):
         raise ValidationError("t_end and dt must be positive and finite")
     if not dt <= t_end:
         raise ValidationError(f"dt = {dt:g} exceeds t_end = {t_end:g}")
@@ -231,7 +229,7 @@ def _split_stage(V, p, LD, HD, checked=True):
     """
     n = len(V)
     eye, off, neg_i_off = stage_constants(n)
-    if checked and not np.minimum.reduce(gaps_stack(p)) >= BREAKDOWN_TOL:
+    if checked:
         check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
     Vh = V.conj().T  # one conjugate for rho = density_stack(p, V) and for the rotation
     np.matmul(LD, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
@@ -468,6 +466,8 @@ def qubit_frame(theta: float, phi: float) -> np.ndarray:
 
 def so3_euler(alpha: float, beta: float, gamma: float) -> np.ndarray:
     """zyz Euler rotation R_z(alpha) R_y(beta) R_z(gamma)."""
+    for name, angle in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        check_real(name, angle)
 
     def rz(v):
         c, s = math.cos(v), math.sin(v)
@@ -498,8 +498,8 @@ def real_qutrit_rhs(state: QutritEuler, A: np.ndarray, diss):
     `diss` is a callable mapping real symmetric matrices to real symmetric
     matrices (the dissipative part of the generator).
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3) or not np.linalg.norm(A + A.T) <= TOL:
+    A = _finite("A", A, float, (3, 3), "finite")
+    if not np.linalg.norm(A + A.T) <= TOL:
         raise ValidationError("A must be real antisymmetric 3 x 3")
     r1, r2 = state.r1, state.r2
     check_gap_floor((r1, r2), BREAKDOWN_TOL, "Euler chart")
@@ -543,6 +543,7 @@ def secular_factorization_test(
     (factorized, residuals) where residuals maps each mode (i, j) to the
     spread of its ratio.
     """
+    check_real("tolerance", tolerance)
     check_count("num_r_samples", num_r_samples, 2)
     check_count("seed", seed, 0)
     if model.n != state.r.n:
@@ -569,6 +570,7 @@ def random_model(n: int, seed: int, jump_scale: float = 0.3) -> LindbladModel:
     """Gaussian Hermitian H, two Gaussian complex jump operators, unit rates."""
     check_count("dimension", n, 2)
     check_count("seed", seed, 0)
+    check_real("jump_scale", jump_scale)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     jumps = tuple(
@@ -582,6 +584,7 @@ def random_interior_gaps(n: int, rng, fill: float = 0.75) -> GapVector:
     """Gap vector well inside R_{n-1}: every gap bounded away from zero and
     the weighted sum pinned to `fill`."""
     check_count("dimension", n, 2)
+    check_real("fill", fill)
     x = 0.5 + rng.random(n - 1)
     r = x * fill / float(np.arange(1, n) @ x)
     return GapVector(n, r)

@@ -6,6 +6,7 @@ in its input fails it.  No other module defines a tolerance.
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -58,10 +59,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _finite(name: str, value, dtype, shape: tuple, rule: str) -> np.ndarray:
-    """value as an array of dtype and shape with finite entries, else a ValidationError
-    "<name> must ...": the one float-range and finiteness rule of every array read."""
+    """value as an array of dtype and shape (a None in it: len(value)) with finite entries,
+    else a ValidationError "<name> must ...": the one float-range and finiteness rule."""
     try:
         a = np.array(value, dtype=dtype)
+        shape = tuple(len(value) if k is None else k for k in shape)
     except OverflowError:  # an integer beyond float range
         raise ValidationError(f"{name} must be {rule}, got a number beyond float range") from None
     except (TypeError, ValueError) as exc:  # ragged nesting, a string, an object
@@ -122,9 +124,9 @@ def check_gap_floor(gaps, floor: float, chart: str) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """Raise ValidationError unless value is a real number, not a string, None,
-    a complex number or an array."""
-    if not isinstance(value, numbers.Real):
+    """Raise ValidationError unless value is a finite real number, not a bool: the one real rule."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # fails nan, +-inf and an int beyond range
         raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     EIG_TOL, ValidationError, _finite, check_angle, check_count, check_density, check_frame,
-    check_gap_floor, checked_array,
+    check_gap_floor, check_real, checked_array,
 )
 from .spectral import GapVector, gaps_stack, probs_stack, weighted_simplex_volume
 
@@ -126,24 +126,17 @@ def cartan_generator(n: int, ell: int) -> np.ndarray:
 
 
 def rotation_factor(n: int, i: int, j: int, theta: float, phi: float) -> UnitaryFrame:
-    """Embedded two-level rotation in the (i,j)-plane.
-
-    On the (i,j) block it equals
-    exp(-i phi sigma3/2) exp(-i theta sigma2/2) exp(i phi sigma3/2),
-    written in closed form with cos/sin; identity elsewhere.
-    """
+    """Embedded two-level rotation exp(-i phi sigma3/2) exp(-i theta sigma2/2)
+    exp(i phi sigma3/2) on the (i,j) block, identity elsewhere: the coset product
+    with (theta, phi) at the pair (i,j) and every other angle zero."""
     check_count("dimension", n, 2)
     check_count("j", j, 2, n)
     check_count("i", i, 1, j - 1)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    U = np.eye(n, dtype=complex)
-    i -= 1
-    j -= 1
-    U[i, i] = c
-    U[j, j] = c
-    U[i, j] = -s * np.exp(-1j * phi)
-    U[j, i] = s * np.exp(1j * phi)
-    return UnitaryFrame(n, U)
+    check_real("theta", theta)
+    check_real("phi", phi)
+    angles = np.zeros((2, n * (n - 1) // 2))
+    angles[:, pair_indices(n).index((i, j))] = theta, phi
+    return UnitaryFrame(n, coset_unitaries(n, *angles))
 
 
 def _angle_arrays(angles: AngleSet):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    SYMMETRY_TOL, TOL, NumericalBreakdownError, ValidationError, check_count, check_gap_floor,
-    checked_array,
+    SYMMETRY_TOL, TOL, NumericalBreakdownError, ValidationError, _finite, check_count,
+    check_gap_floor, checked_array,
 )
 from .flags import pair_indices
 from .spectral import (
@@ -96,9 +96,10 @@ def purity_trace_norm(rho) -> float:
     """Normalized trace distance to the maximally mixed state,
     (n / (2(n-1))) sum_i |p_i - 1/n|, computed from the spectrum of rho.
 
-    Accepts a DensityMatrix or a plain Hermitian array.
+    Accepts a DensityMatrix or a plain Hermitian array, read as a square complex matrix.
     """
-    mat = np.asarray(getattr(rho, "rho", rho), dtype=complex)
+    mat = _finite("rho", getattr(rho, "rho", rho), complex, (None, None), "finite")
+    check_count("dimension", len(mat), 2)
     return float(purity_spectrum(np.linalg.eigvalsh(mat)))
 
 

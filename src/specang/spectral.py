@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    TOL, CrossoverDegeneracyError, ValidationError, _frozen, check_count, check_gaps,
+    TOL, CrossoverDegeneracyError, ValidationError, _finite, _frozen, check_count, check_gaps,
     check_probs, checked_array,
 )
 
@@ -92,7 +92,7 @@ def sorted_probs(values) -> ProbVector:
     gaps_from_probs rejects unordered input; use this when reordering is
     actually intended, so it never happens silently.
     """
-    v = np.asarray(values, dtype=float)
+    v = _finite("probabilities", values, float, (None,), "finite")
     return ProbVector(v.size, np.sort(v)[::-1])
 
 
@@ -158,9 +158,7 @@ def spectral_diagonal(r: GapVector) -> np.ndarray:
 def in_polytope(r, n: int) -> bool:
     """Membership in the weighted simplex R_{n-1} (boundary inclusive)."""
     check_count("dimension", n, 2)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (n - 1,):
-        raise ValidationError(f"gaps must have shape {(n - 1,)}, got {r.shape}")
+    r = _finite("gaps", r, float, (n - 1,), "finite")
     return bool(np.all(r >= -TOL)) and float(np.arange(1, n) @ r) <= 1.0 + TOL
 
 

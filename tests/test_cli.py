@@ -1030,6 +1030,20 @@ def test_count_below_its_bound_exits_2(capsys, argv):
     assert "must be an integer >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1", "1.5"])
+@pytest.mark.parametrize(
+    "argv", [("convert", "--p", "1.0"), ("geometry", "--r", "1.0", "--purity")],
+    ids=["convert", "geometry"],
+)
+def test_dimension_flag_has_one_rule(capsys, argv, n):
+    # --n of every subcommand is read as verify's and sample's: one argparse line
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--n", n, *argv[1:]])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --n: must be an integer >= 2, got '{n}'\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc"])
 def test_tol_must_be_positive_and_finite_exits_2(capsys, tol):
     # nan or a bound <= 0 would fail every check and inf pass every one

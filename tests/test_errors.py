@@ -39,6 +39,7 @@ from specang import (
     ordered_simplex_volume,
     pair_indices,
     polytope_vertices,
+    purity_trace_norm,
     quantize,
     rejection_volume_estimate,
     resolution_check,
@@ -46,12 +47,14 @@ from specang import (
     sample_flag,
     sample_flags,
     secular_factorization_test,
+    sorted_probs,
     state_space_volume,
     weighted_simplex_volume,
 )
 from specang import dynamics, flags, geometry, kolmogorov, serialize, spectral
 from specang.dynamics import (
-    integrate_direct, random_density, random_interior_gaps, random_model,
+    QubitAngles, QutritEuler, integrate_direct, qubit_frame, random_density,
+    random_interior_gaps, random_model, real_qutrit_rhs, so3_euler,
 )
 from specang.flags import torus_element
 from specang.serialize import read_document
@@ -91,8 +94,8 @@ def test_tolerances_live_in_errors_only():
     assert len(tolerance_literals(SRC / "errors.py")) == 7
 
 
-def test_integer_rule_lives_in_check_count_only():
-    # numbers.Integral is read once: by errors.check_count, the one integer rule
+def owners_of(word):
+    """(file, enclosing function) of every name, attribute or import of `word` in src/."""
     uses = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -100,9 +103,19 @@ def test_integer_rule_lives_in_check_count_only():
                  if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
         uses += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
                  if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
-                 and "Integral" in (getattr(node, "attr", None), getattr(node, "id", None),
-                                    getattr(node, "name", None))]
-    assert uses == [("errors.py", "check_count")]
+                 and word in (getattr(node, "attr", None), getattr(node, "id", None),
+                              getattr(node, "name", None))]
+    return uses
+
+
+def test_integer_rule_lives_in_check_count_only():
+    # numbers.Integral is read once: by errors.check_count, the one integer rule
+    assert owners_of("Integral") == [("errors.py", "check_count")]
+
+
+def test_real_rule_lives_in_check_real_only():
+    # numbers.Real is read once: by errors.check_real, the one real-number rule
+    assert owners_of("Real") == [("errors.py", "check_real")]
 
 
 def nan_matrix():
@@ -117,9 +130,9 @@ def nan_matrix():
         (lambda: DensityMatrix(2, nan_matrix()), "density matrix must be finite, got the entry nan"),
         (lambda: UnitaryFrame(2, nan_matrix()), "frame must be finite, got the entry nan"),
         (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (NAN,)),
-         "rates must be finite and non-negative"),
+         "rates must be finite and non-negative, got the entry nan"),
         (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (INF,)),
-         "rates must be finite and non-negative"),
+         "rates must be finite and non-negative, got the entry inf"),
         (lambda: LindbladModel(2, nan_matrix(), (), ()), "H must be finite, got the entry nan"),
         (lambda: LindbladModel(
             2, np.zeros((2, 2)), (np.array([[0.0, INF], [0.0, 0.0]]),), (1.0,)),
@@ -127,9 +140,9 @@ def nan_matrix():
         (lambda: LindbladModel(2, [[10**400, 0], [0, 0]], (), ()),
          "H must be finite, got a number beyond float range"),
         (lambda: integrate_direct(random_density(2, seed=1), random_model(2, seed=0), 1.0, NAN),
-         "t_end and dt must be positive and finite"),
+         "dt must be a real number, got nan"),
         (lambda: integrate_direct(random_density(2, seed=1), random_model(2, seed=0), INF, 1e-3),
-         "t_end and dt must be positive and finite"),
+         "t_end must be a real number, got inf"),
     ],
     ids=[
         "gaps", "probs", "density", "frame", "nan-rate", "inf-rate", "nan-H", "inf-jump",
@@ -162,6 +175,8 @@ def test_documents_and_dataclasses_share_one_finiteness_rule(tmp_path, value, to
          "malformed model document: rates must be finite and non-negative"),
         (lambda: DensityMatrix(2, [[0.5, 0], [0, value]]), "density matrix must be finite"),
         (lambda: LindbladModel(2, [[0, 0], [0, value]], (), ()), "H must be finite"),
+        (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (value,)),
+         "rates must be finite and non-negative"),
     ]
     for build, prefix in cases:
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{prefix}, got {got}')}$"):
@@ -188,16 +203,28 @@ def test_documents_and_dataclasses_share_one_finiteness_rule(tmp_path, value, to
          "density matrix must be an array of numbers: "),
         (lambda: LindbladModel(2, {"H": 1.0}, (), ()), "H must be an array of numbers: "),
         (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), ("abc",)),
-         "rates must be finite and non-negative: "),
+         "rates must be an array of numbers: "),
         (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (None,)),
-         "rates must be finite and non-negative: "),
+         "rates must be finite and non-negative, got the entry nan"),
+        (lambda: LindbladModel(2, np.zeros((2, 2)), (np.eye(2),), (1.0, 1.0)),
+         "rates must have shape (1,), got (2,)"),
+        (lambda: in_polytope("a", 2), "gaps must be an array of numbers: "),
+        (lambda: purity_trace_norm("x"), "rho must be an array of numbers: "),
+        (lambda: purity_trace_norm(5.0), "rho must be an array of numbers: "),
+        (lambda: purity_trace_norm(np.zeros((3, 2))), "rho must have shape (3, 3), got (3, 2)"),
+        (lambda: purity_trace_norm([[1.0]]), "dimension must be an integer >= 2, got 1"),
+        (lambda: sorted_probs("a"), "probabilities must be an array of numbers: "),
+        (lambda: real_qutrit_rhs(QutritEuler(0.2, 0.1, 0.0, 1.0, 0.0), "a", lambda rho: rho),
+         "A must be an array of numbers: "),
         (lambda: MetricTensor(3, [[1.0, 0.5], [0.0, 1.0]]), "metric components must be symmetric"),
         (lambda: CoweightBasis(3, (np.zeros((3, 3)),)), "coweight basis must contain n-1 matrices"),
     ],
     ids=[
         "gaps", "probs", "coweight", "frame", "density", "metric", "H", "jump",
-        "ragged", "string", "object", "string-rate", "none-rate", "asymmetric-metric",
-        "coweight-count",
+        "ragged", "string", "object", "string-rate", "none-rate", "rate-count", "polytope-string",
+        "purity-string", "purity-number", "purity-3x2", "purity-one-level", "sorted-string",
+        "qutrit-A-string",
+        "asymmetric-metric", "coweight-count",
     ],
 )
 def test_array_fields_name_their_shape_and_entries(build, message):
@@ -303,9 +330,9 @@ def test_memory_check_bounds_count_times_n_squared_complex_entries():
         check_memory(2, 10**5)
 
 
-def secular(**integers):
+def secular(tolerance=1e-10, **integers):
     state = SplitState(*eigendecompose_ordered(random_density(2, seed=1)), 0.0)
-    return secular_factorization_test(random_model(2, seed=0), state, 1e-10, **integers)
+    return secular_factorization_test(random_model(2, seed=0), state, tolerance, **integers)
 
 
 def integrate(route, record_every):
@@ -403,7 +430,8 @@ def test_every_integer_parameter_has_one_rule(call, name, bound):
         call(10**400)
 
 
-def test_every_integer_parameter_is_in_the_table():
+def annotated(kind):
+    """"function.parameter" of every parameter of a public name annotated `kind`."""
     modules = (specang, spectral, geometry, flags, dynamics, kolmogorov, serialize)
     public = {
         attr: obj for module in modules for attr, obj in vars(module).items()
@@ -411,8 +439,68 @@ def test_every_integer_parameter_is_in_the_table():
         and getattr(obj, "__module__", "").startswith("specang.")
         and obj.__module__ != "specang.errors"
     }
-    found = {
+    return {
         f"{attr}.{param.name}" for attr, obj in public.items()
-        for param in inspect.signature(obj).parameters.values() if param.annotation in ("int", int)
+        for param in inspect.signature(obj).parameters.values()
+        if param.annotation in (kind.__name__, kind)
     }
-    assert found == {entry[0] for entry in INTEGER_PARAMETERS} | set(UNCHECKED)
+
+
+def test_every_integer_parameter_is_in_the_table():
+    assert annotated(int) == {entry[0] for entry in INTEGER_PARAMETERS} | set(UNCHECKED)
+
+
+def run(route, t_end, dt):
+    return route(random_density(2, seed=1), random_model(2, seed=0), t_end, dt)
+
+
+# Every real-number parameter of a public name: "function.parameter", the call with
+# that parameter set to a value and every other argument valid, and the name in the
+# message.  A real number is finite and in float range, and a bool is not one.
+REAL_PARAMETERS = [
+    ("QubitAngles.r", lambda v: QubitAngles(v, 1.0, 0.0), "r"),
+    ("QubitAngles.theta", lambda v: QubitAngles(0.5, v, 0.0), "theta"),
+    ("QubitAngles.phi", lambda v: QubitAngles(0.5, 1.0, v), "phi"),
+    ("QutritEuler.r1", lambda v: QutritEuler(v, 0.1, 0.0, 1.0, 0.0), "r1"),
+    ("QutritEuler.r2", lambda v: QutritEuler(0.2, v, 0.0, 1.0, 0.0), "r2"),
+    ("QutritEuler.alpha", lambda v: QutritEuler(0.2, 0.1, v, 1.0, 0.0), "alpha"),
+    ("QutritEuler.beta", lambda v: QutritEuler(0.2, 0.1, 0.0, v, 0.0), "beta"),
+    ("QutritEuler.gamma", lambda v: QutritEuler(0.2, 0.1, 0.0, 1.0, v), "gamma"),
+    ("integrate_direct.t_end", lambda v: run(integrate_direct, v, 1e-3), "t_end"),
+    ("integrate_direct.dt", lambda v: run(integrate_direct, 0.01, v), "dt"),
+    ("integrate_split.t_end", lambda v: run(integrate_split, v, 1e-3), "t_end"),
+    ("integrate_split.dt", lambda v: run(integrate_split, 0.01, v), "dt"),
+    ("rotation_factor.theta", lambda v: rotation_factor(3, 1, 2, v, 0.2), "theta"),
+    ("rotation_factor.phi", lambda v: rotation_factor(3, 1, 2, 0.3, v), "phi"),
+    ("qubit_frame.theta", lambda v: qubit_frame(v, 0.2), "theta"),
+    ("qubit_frame.phi", lambda v: qubit_frame(0.3, v), "phi"),
+    ("so3_euler.alpha", lambda v: so3_euler(v, 0.1, 0.2), "alpha"),
+    ("so3_euler.beta", lambda v: so3_euler(0.3, v, 0.2), "beta"),
+    ("so3_euler.gamma", lambda v: so3_euler(0.3, 0.1, v), "gamma"),
+    ("secular_factorization_test.tolerance", lambda v: secular(tolerance=v), "tolerance"),
+    ("random_model.jump_scale", lambda v: random_model(2, 0, v), "jump_scale"),
+    ("random_interior_gaps.fill", lambda v: random_interior_gaps(2, np.random.default_rng(0), v),
+     "fill"),
+    ("random_density.fill", lambda v: random_density(2, 0, v), "fill"),
+]
+
+# Real-number parameters outside the rule, with the reason.
+UNCHECKED_REAL = {
+    "SplitState.t": "never read: the split kernels take the state's gaps and frame",
+    "kolmogorov_sf.d": "the kernel's statistic, computed by ks_uniform",
+}
+
+
+@pytest.mark.parametrize(
+    "call, name", [entry[1:] for entry in REAL_PARAMETERS],
+    ids=[entry[0] for entry in REAL_PARAMETERS],
+)
+def test_every_real_parameter_has_one_rule(call, name):
+    for value in ("a", None, True, 1j, NAN, INF, -INF, 10**400, np.array([0.1, 0.2])):
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+def test_every_real_parameter_is_in_the_table():
+    assert annotated(float) == {entry[0] for entry in REAL_PARAMETERS} | set(UNCHECKED_REAL)

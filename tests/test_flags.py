@@ -144,15 +144,18 @@ def test_rotation_factor_identity_at_zero():
     assert np.allclose(rotation_factor(3, 1, 2, 0.0, 1.0).U, np.eye(3))
 
 
-def test_rotation_factor_matches_exponential():
-    n, i, j = 4, 2, 4
-    theta, phi = 1.1, 2.3
-    s2 = embedded_generator(n, i, j, 2)
-    s3 = embedded_generator(n, i, j, 3)
+@given(n=st.integers(2, 6), theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=30, deadline=None)
+def test_rotation_factor_matches_exponential(n, theta, phi):
+    # the independent oracle of the one factor: the coset product of
+    # test_coset_unitaries_match_the_rotation_product is checked against it
     from scipy.linalg import expm
 
-    expect = expm(-0.5j * phi * s3) @ expm(-0.5j * theta * s2) @ expm(0.5j * phi * s3)
-    assert np.allclose(rotation_factor(n, i, j, theta, phi).U, expect, atol=1e-13)
+    for i, j in pair_indices(n):
+        s2 = embedded_generator(n, i, j, 2)
+        s3 = embedded_generator(n, i, j, 3)
+        expect = expm(-0.5j * phi * s3) @ expm(-0.5j * theta * s2) @ expm(0.5j * phi * s3)
+        assert np.allclose(rotation_factor(n, i, j, theta, phi).U, expect, atol=1e-13)
 
 
 def test_angle_set_validation():
