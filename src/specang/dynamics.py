@@ -264,23 +264,28 @@ def _frobenius(F):
 def polar_special(U):
     """(Q, e): the unitary polar factor Q of U, with U's determinant phase (a gauge
     no split record sees), and the defect e = ||U^dag U - 1||_F.  Newton-Schulz
-    X <- X (1 - F/2), F = X^dag X - 1, maps a defect e < 1 to below e^2; it
-    runs to round-off, POLAR_TOL, so the update from e <= sqrt(POLAR_TOL) is
-    the last.  From e >= 1/2, where it need not converge, the SVD gives Q."""
-    U = np.array(U, dtype=complex)  # a copy: a U unitary to round-off comes back as Q
+    X <- X (1 - F/2), F = X^dag X - 1, maps a defect e < 1 to 3/4 e^2 + O(e^3),
+    whose trace, and so det X - 1, is of that size too; the update from
+    e <= sqrt(POLAR_TOL) is the last.  Every U gets at least one update: a
+    defect at or below POLAR_TOL can carry a trace up to sqrt(n) times larger,
+    a determinant error past round-off.  From e >= 1/2, where it need not
+    converge, the SVD factor X Y^dag is the start, and the update takes off
+    its own round-off."""
+    U = np.array(U, dtype=complex)
     eye = stage_constants(len(U))[0]
     F = U.conj().T @ U - eye
     defect = err = _frobenius(F)
     if not defect < 0.5:
         X, _, Yh = np.linalg.svd(U)
-        return X @ Yh, defect
-    while err > POLAR_TOL:
-        U = U - 0.5 * (U @ F)
-        if err * err <= POLAR_TOL:
-            break
+        U = X @ Yh
         F = U.conj().T @ U - eye
         err = _frobenius(F)
-    return U, defect
+    while True:
+        U = U - 0.5 * (U @ F)
+        if not err * err > POLAR_TOL:  # a NaN defect stops here too
+            return U, defect
+        F = U.conj().T @ U - eye
+        err = _frobenius(F)
 
 
 def integrate_split(
