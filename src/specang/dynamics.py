@@ -18,9 +18,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import (
-    BREAKDOWN_TOL, EIG_TOL, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL, DegenerateSpectrumError,
-    NumericalBreakdownError, ValidationError, _finite, _frozen, check_angle, check_count,
-    check_gap_floor, check_memory, check_real, checked_array,
+    BREAKDOWN_TOL, EIG_TOL, FRAME_DEFECT, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL,
+    DegenerateSpectrumError, NumericalBreakdownError, ValidationError, _finite, _frozen,
+    check_angle, check_count, check_gap_floor, check_memory, check_real, checked_array,
 )
 from .flags import (
     PAULI, DensityMatrix, UnitaryFrame, assemble_density, density_stack,
@@ -268,21 +268,17 @@ def polar_special(U):
     whose trace, and so det X - 1, is of that size too; the update from
     e <= sqrt(POLAR_TOL) is the last.  Every U gets at least one update: a
     defect at or below POLAR_TOL can carry a trace up to sqrt(n) times larger,
-    a determinant error past round-off.  From e >= 1/2, where it need not
-    converge, the SVD factor X Y^dag is the start, and the update takes off
-    its own round-off."""
-    U = np.array(U, dtype=complex)
+    a determinant error past round-off.  A defect of FRAME_DEFECT or more (or
+    NaN), far outside any step that keeps to the chart, raises
+    DegenerateSpectrumError: U has left U(n)."""
     eye = stage_constants(len(U))[0]
     F = U.conj().T @ U - eye
     defect = err = _frobenius(F)
-    if not defect < 0.5:
-        X, _, Yh = np.linalg.svd(U)
-        U = X @ Yh
-        F = U.conj().T @ U - eye
-        err = _frobenius(F)
+    if not defect < FRAME_DEFECT:
+        raise DegenerateSpectrumError(f"frame defect {defect:.3e} not below {FRAME_DEFECT}")
     while True:
         U = U - 0.5 * (U @ F)
-        if not err * err > POLAR_TOL:  # a NaN defect stops here too
+        if not err * err > POLAR_TOL:
             return U, defect
         F = U.conj().T @ U - eye
         err = _frobenius(F)
@@ -300,10 +296,10 @@ def integrate_split(
     dissipator less its mean, U' = U Omega_tilde); after every step polar_special
     takes U back to U(n), and its defect before that is the frame_defect record.
 
-    On spectral degeneracy, a state with a gap below BREAKDOWN_TOL or a step
-    whose stage leaves the chart, the integration stops with the breakdown
-    time; if `fallback_direct` is set, the direct route continues from the
-    live state on the run's own record grid and carries the breakdown time.
+    On a state with a gap below BREAKDOWN_TOL or a step that leaves the chart,
+    the integration stops at the breakdown time, that of the last accepted state;
+    if `fallback_direct` is set, the direct route continues from that state on
+    the run's own record grid and carries the breakdown time.
     """
     return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
 
@@ -311,14 +307,18 @@ def integrate_split(
 def _split_step(U, p, dt, LD, HD):
     """One RK4 step of the pair (U, p) under _split_stage (the run has checked
     (U, p), so stage 1 does not), then polar_special: (U, p, frame defect).
-    The sums K1 + 2 K2 + 2 K3 + K4 and k1 + ... accumulate in place in K1, k1."""
+    The sums K1 + 2 K2 + 2 K3 + K4 and k1 + ... accumulate in place in K1, k1.  A step
+    leaving the chart (gap floor, FRAME_DEFECT, R_{n-1}) raises DegenerateSpectrumError."""
     K, k = S, s = _split_stage(U, p, LD, HD, checked=False)
     for c in (0.5, 0.5, 1.0):
         K, k = _split_stage(U + c * dt * K, p + c * dt * k, LD, HD)
         S += K + K if c < 1.0 else K  # weights 2, 2, 1; K + K is 2 K exactly
         s += k + k if c < 1.0 else k
     U, defect = polar_special(U + dt / 6.0 * S)
-    return U, p + dt / 6.0 * s, defect
+    p = p + dt / 6.0 * s
+    if not p[-1] >= -TOL / len(p):  # R_{n-1}'s sum_a a r_a <= 1 + TOL, read on p
+        raise DegenerateSpectrumError(f"min eigenvalue {p[-1]:.3e} below -TOL/n; left R_{{n-1}}")
+    return U, p, defect
 
 
 def _split_records(records):
@@ -350,11 +350,11 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     It starts on the split route if `split` is set and on the direct route
     otherwise, and records at step 0, at every step with
     step % record_every == 0 and at the last, at time step * dt.  A split
-    state with a gap below BREAKDOWN_TOL or a rho0 with no eigenframe, or a
-    state whose step leaves the chart in a stage, is a breakdown at its time;
-    one outside R_{n-1} raises.  A breakdown raises unless `fallback_direct`
-    is set.  Then the live state (rho0 itself at step 0, U diag(p) U^dag
-    after it) passes the direct record floor and steps on the direct route.
+    state with a gap below BREAKDOWN_TOL or a rho0 with no eigenframe is a
+    breakdown at its time, a step that leaves the chart (_split_step) one at the
+    last accepted step.  A breakdown raises unless `fallback_direct` is set.
+    Then the live state (rho0 itself at step 0, U diag(p) U^dag after it)
+    passes the direct record floor and steps on the direct route.
     Direct records are checked as a stack once they span RECORD_CHUNK steps
     and at every exit (the end, an exception, the hand-over); the earliest
     failing record raises ahead of a later step's exception.
@@ -378,11 +378,8 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                         live = step
                     else:
                         r_vec, frame = eigendecompose_ordered(rho0)
-                        p, U = probs_stack(r_vec.r), np.array(frame.U)
+                        p, U = probs_stack(r_vec.r), frame.U  # read-only: no step writes U
                     check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
-                    if not p[-1] >= -TOL / n:  # R_{n-1}'s sum_a a r_a <= 1 + TOL
-                        raise NumericalBreakdownError(
-                            f"split state left R_{{n-1}} at t={step * dt:.6g}")
                 except DegenerateSpectrumError as exc:
                     t_break = live * dt
                     if not fallback_direct:

@@ -48,6 +48,8 @@ BREAKDOWN_TOL = 1e-8
 GRID_TOL = 1e-9
 # Round-off of ||U^dag U - 1||_F for a unitary frame: the polar iteration's stop.
 POLAR_TOL = 1e-14
+# Defect ||U^dag U - 1||_F from which a split step's frame has left U(n): the step is rejected.
+FRAME_DEFECT = 0.5
 # Bytes of the complex n x n matrices that one run records or one draw makes.
 MEMORY_LIMIT = 2**30
 

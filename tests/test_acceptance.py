@@ -45,12 +45,11 @@ from specang import (
 from specang import PAULI, QubitAngles, QutritEuler
 from specang.dynamics import (
     euler_omega,
-    qubit_frame,
     random_density,
     random_model,
     so3_euler,
 )
-from conftest import interior_gaps, random_angles
+from conftest import fisher_fd, interior_gaps, qubit_split_rates, random_angles
 
 
 def report(num, name, ok, detail):
@@ -139,19 +138,6 @@ def test_criterion_02_coweight_algebra():
     report(2, "coweight algebra", ok, f"items 1-6 for n<=8, worst error {worst:.2e}")
 
 
-def _fisher_fd(r, h=1e-6):
-    n = r.n
-    M = jacobian_matrix(n)
-    J = np.empty((n, n - 1))
-    for a in range(n - 1):
-        e = np.zeros(n - 1)
-        e[a] = h
-        J[:, a] = (
-            np.sqrt(1.0 / n + M @ (r.r + e)) - np.sqrt(1.0 / n + M @ (r.r - e))
-        ) / (2.0 * h)
-    return 4.0 * J.T @ J
-
-
 def test_criterion_03_fisher_metric():
     worst_origin = 0.0
     for n in range(2, 7):
@@ -166,7 +152,7 @@ def test_criterion_03_fisher_metric():
         r = interior_gaps(n, rng, fill=float(0.2 + 0.6 * rng.random()))
         g = fisher_metric_r(r).g
         worst_rel = max(
-            worst_rel, float(np.max(np.abs(g - _fisher_fd(r))) / np.max(np.abs(g)))
+            worst_rel, float(np.max(np.abs(g - fisher_fd(r))) / np.max(np.abs(g)))
         )
     ok = worst_origin < 1e-13 and worst_rel < 1e-6
     report(
@@ -386,16 +372,6 @@ def test_criterion_09_gkls_equivalence():
     )
 
 
-def _qubit_split_rates(state, model):
-    r = GapVector(2, np.array([state.r]))
-    U = qubit_frame(state.theta, state.phi)
-    r_dot, Omega = split_rhs(SplitState(r, UnitaryFrame(2, U), 0.0), model)
-    x = (U.conj().T @ Omega @ U)[0, 1] * np.exp(1j * state.phi)
-    theta_dot = -2.0 * x.real
-    phi_dot = x.imag / (math.sin(state.theta / 2.0) * math.cos(state.theta / 2.0))
-    return phi_dot, theta_dot, float(r_dot[0])
-
-
 def test_criterion_10_qubit_closed_form():
     rng = np.random.default_rng(1010)
     worst = 0.0
@@ -413,7 +389,7 @@ def test_criterion_10_qubit_closed_form():
                 np.max(
                     np.abs(
                         np.array(qubit_rhs(state, model))
-                        - np.array(_qubit_split_rates(state, model))
+                        - np.array(qubit_split_rates(state, model))
                     )
                 )
             ),

@@ -380,6 +380,30 @@ def test_evolve_both_compares_matching_times_after_fallback(capsys, tmp_path, re
     assert split == direct
 
 
+def test_evolve_fallback_resumes_before_a_step_that_leaves_the_chart(capsys, tmp_path):
+    # the split step to t = 0.003 throws the frame off U(n) (defect 1.3e3): it is
+    # rejected, and the direct route resumes from the true state at t = 0.002
+    # instead of a broken one that fails positivity at t = 0.003
+    save_model(tmp_path / "model.json", random_model(4, seed=4, jump_scale=3.0))
+    save_density(tmp_path / "rho0.json", random_density(4, seed=104))
+    code, out, err = run(
+        capsys,
+        "evolve",
+        "--model", str(tmp_path / "model.json"),
+        "--rho0", str(tmp_path / "rho0.json"),
+        "--method", "both",
+        "--fallback",
+        "--dt", "1e-3",
+        "--t-end", "0.1",
+        "--record-every", "1",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["breakdown_time"] == 0.002
+    assert doc["max_divergence"] <= 1e-3
+
+
 def test_evolve_from_the_maximally_mixed_state_hands_over_at_t0(capsys, tmp_path):
     # 1/3 has no eigenframe: the split run hands over at t = 0 from rho0 itself
     save_model(tmp_path / "model.json", random_model(3, seed=1))

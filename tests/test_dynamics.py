@@ -45,16 +45,16 @@ from specang import (
 from specang.dynamics import (
     euler_omega,
     polar_special,
-    qubit_frame,
     random_density,
     random_interior_gaps,
     random_model,
     so3_euler,
     stage_constants,
 )
-from specang.errors import MEMORY_LIMIT
+from specang.errors import FRAME_DEFECT, MEMORY_LIMIT
 from specang.geometry import purity_spectrum
-from specang.spectral import jacobian_matrix, probs_stack, spectral_diagonal
+from specang.spectral import jacobian_matrix, probs_stack
+from conftest import qubit_split_rates
 
 
 def pauli_model(h1, h2, h3, H=None):
@@ -339,34 +339,46 @@ def test_split_matches_reference_rk4(n):
 @example(n=16, seed=0, exponent=-7.0)
 @example(n=2, seed=0, exponent=math.log10(0.3))
 @example(n=9, seed=1, exponent=-7.375)  # the first measured defect, 9e-15, had trace 2e-14
-@example(n=16, seed=4146007888, exponent=-0.564009786173779)  # the SVD factor's det 1 - 1e-14
+@example(n=16, seed=4146007888, exponent=-0.564009786173779)  # a defect past FRAME_DEFECT
+@example(n=16, seed=0, exponent=-0.96)  # a defect of 0.489, just below FRAME_DEFECT
 @settings(max_examples=60, deadline=None)
 def test_polar_special_matches_the_svd_polar_factor(n, seed, exponent):
     # U = W (1 + E), W Haar and E Hermitian with ||E||_2 up to 0.3: the
-    # Newton-Schulz factor below a defect of 1/2, the SVD one above
+    # Newton-Schulz factor below a defect of FRAME_DEFECT, a raise from it on
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     E = A + A.conj().T
     U = sample_flag(n, seed).U @ (np.eye(n) + 10.0**exponent / np.linalg.norm(E, 2) * E)
-    Q, defect = polar_special(U)
+    defect = np.linalg.norm(U.conj().T @ U - np.eye(n))
+    if not defect < FRAME_DEFECT:
+        msg = f"frame defect {defect:.3e} not below 0.5"
+        with pytest.raises(DegenerateSpectrumError, match=f"^{re.escape(msg)}$"):
+            polar_special(U)
+        return
+    Q, got = polar_special(U)
     assert np.max(np.abs(Q - svd_polar_special(U))) <= 1e-14
     assert abs(np.linalg.det(Q) - 1.0) <= 1e-14
-    assert defect == np.linalg.norm(U.conj().T @ U - np.eye(n))
+    assert got == defect
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 @pytest.mark.parametrize("exponent", [-12.0, -3.0, math.log10(0.3)],
-                         ids=["newton-schulz-1e-12", "newton-schulz-1e-3", "svd-0.3"])
+                         ids=["newton-schulz-1e-12", "newton-schulz-1e-3", "frame-defect-0.3"])
 def test_polar_special_keeps_the_determinant_phase(n, exponent):
     # U = e^{i theta / n} W (1 + E), W Haar in SU(n): det U has the phase
-    # e^{i theta}, and the polar factor X Y^dag of U's SVD keeps it, on the
-    # Newton-Schulz branch and on the SVD one (defect >= 1/2 at ||E||_2 = 0.3)
+    # e^{i theta}, and the polar factor X Y^dag of U's SVD keeps it.  At
+    # ||E||_2 = 0.3 the defect is at least 2 (0.3) - 0.3^2 > FRAME_DEFECT: U
+    # has left U(n), and polar_special raises rather than repair it
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     E = A + A.conj().T
     theta = 2.0
     W = np.exp(1j * theta / n) * sample_flag(n, n).U
     U = W @ (np.eye(n) + 10.0**exponent / np.linalg.norm(E, 2) * E)
+    if exponent > -1.0:
+        with pytest.raises(DegenerateSpectrumError, match="^frame defect .* not below 0.5$"):
+            polar_special(U)
+        return
     Q, defect = polar_special(U)
     X, _, Yh = np.linalg.svd(U)
     assert np.max(np.abs(Q - X @ Yh)) <= 1e-14
@@ -509,18 +521,18 @@ def test_fallback_records_on_the_run_grid(record_every, steps):
 
 
 def test_record_checks_raise_at_the_record():
-    # split: one RK4 step at an unstable dt leaves R_{n-1}; the state it
-    # reaches is checked at its step, so the breakdown is the same whether
-    # or not a record falls there
+    # split: the first RK4 step at an unstable dt throws the frame far off
+    # U(n); the step is rejected, so the breakdown is at t = 0, whether or
+    # not a record falls at t = 0.05
     model = random_model(2, seed=3, jump_scale=1.0)
     rho0 = random_density(2, seed=503, fill=0.5)
-    with pytest.raises(DegenerateSpectrumError, match="broke down at t=0.05: spectral gap"):
+    with pytest.raises(DegenerateSpectrumError, match="broke down at t=0: frame defect 7.550e"):
         integrate_split(rho0, model, 0.05, 0.05)
-    with pytest.raises(DegenerateSpectrumError, match="broke down at t=0.05: spectral gap"):
+    with pytest.raises(DegenerateSpectrumError, match="broke down at t=0: frame defect 7.550e"):
         integrate_split(rho0, model, 1.0, 0.05, record_every=3)
     model = random_model(2, seed=25, jump_scale=2.0)
     rho0 = random_density(2, seed=525, fill=0.5)
-    with pytest.raises(NumericalBreakdownError, match=r"split state left R_\{n-1\} at t=0.05"):
+    with pytest.raises(DegenerateSpectrumError, match="broke down at t=0: frame defect 1.192e"):
         integrate_split(rho0, model, 0.05, 0.05)
     # direct: RK4 just outside its stability region grows the Bloch vector of
     # a unitary qubit; a slow growth first crosses -EIG_TOL at record 2, a
@@ -567,13 +579,41 @@ def test_a_failing_record_stops_a_sparsely_recorded_run_early():
 
 
 def test_split_breakdown_does_not_depend_on_record_every():
-    # the step to t = 0.003 closes a gap; the state is checked at its step,
-    # so a record there does not turn the breakdown into a validation error
+    # the step to t = 0.003 throws the frame off U(n) (defect 1.3e3) while the
+    # direct route's smallest gap there is 0.044; the step is rejected, so the
+    # run breaks down at t = 0.002, whatever record_every is, and a fallback
+    # resumes from the true state there, not from the broken one
     model = random_model(4, seed=4, jump_scale=3.0)
     rho0 = random_density(4, seed=104)
     for record_every in (1, 10):
-        with pytest.raises(DegenerateSpectrumError, match="broke down at t=0.003: spectral gap"):
+        with pytest.raises(DegenerateSpectrumError,
+                           match="broke down at t=0.002: frame defect 1.316e[+]03"):
             integrate_split(rho0, model, 0.1, 1e-3, record_every)
+        split = integrate_split(rho0, model, 0.1, 1e-3, record_every, fallback_direct=True)
+        direct = integrate_direct(rho0, model, 0.1, 1e-3, record_every)
+        assert split.breakdown_time == 0.002
+        assert np.array_equal(split.times, direct.times)
+        assert np.max(np.linalg.norm(split.rho - direct.rho, axis=(1, 2))) <= 1e-3
+
+
+def test_a_step_outside_r_n_minus_1_is_rejected_at_the_last_accepted_step():
+    # H, the jumps |0><1|, |1><0| and rho0 = diag(0.99, 0.01) keep rho diagonal,
+    # so the frame never moves and only the spectrum can leave the chart.  At
+    # dt = 1.3, past RK4's stability bound, the step to t = 2.6 takes p_2 to
+    # -1.0e-2: outside R_{n-1}, a breakdown at t = 1.3 like a stage below the
+    # gap floor; the fallback's direct route meets the same negative
+    # eigenvalue at t = 2.6 that integrate_direct does
+    E01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    model = LindbladModel(2, np.diag([0.5, -0.5]), (E01, E01.T), (2.0, 0.2))
+    rho0 = DensityMatrix(2, np.diag([0.99, 0.01]))
+    with pytest.raises(DegenerateSpectrumError,
+                       match=r"^split integration broke down at t=1.3: .*R_\{n-1\}$"):
+        integrate_split(rho0, model, 26.0, 1.3)
+    msg = "positivity violated at t=2.6: min eigenvalue -1.033e-02"
+    for run in (lambda: integrate_split(rho0, model, 26.0, 1.3, fallback_direct=True),
+                lambda: integrate_direct(rho0, model, 26.0, 1.3)):
+        with pytest.raises(NumericalBreakdownError, match=f"^{re.escape(msg)}$"):
+            run()
 
 
 def test_a_failing_record_wins_over_a_later_step():
@@ -717,22 +757,6 @@ def test_trajectory_validation():
 
 
 # --- qubit closed form ------------------------------------------------------------
-
-
-def qubit_split_rates(state, model):
-    """Chart rates extracted from the general split machinery."""
-    r = GapVector(2, np.array([state.r]))
-    U = qubit_frame(state.theta, state.phi)
-    sp = SplitState(r, UnitaryFrame(2, U), 0.0)
-    r_dot, Omega = split_rhs(sp, model)
-    Omega_t = U.conj().T @ Omega @ U
-    # chart partials give (U^dag dU/dt)_{12} = e^{-i phi} (-theta_dot/2
-    #                                          + i sin(theta/2)cos(theta/2) phi_dot)
-    th, ph = state.theta, state.phi
-    x = Omega_t[0, 1] * np.exp(1j * ph)
-    theta_dot = -2.0 * x.real
-    phi_dot = x.imag / (math.sin(th / 2.0) * math.cos(th / 2.0))
-    return phi_dot, theta_dot, float(r_dot[0])
 
 
 def test_qubit_closed_form_matches_split(rng):

@@ -53,7 +53,7 @@ from specang import (
 )
 from specang import dynamics, flags, geometry, kolmogorov, serialize, spectral
 from specang.dynamics import (
-    QubitAngles, QutritEuler, integrate_direct, qubit_frame, random_density,
+    QubitAngles, QutritEuler, integrate_direct, polar_special, qubit_frame, random_density,
     random_interior_gaps, random_model, real_qutrit_rhs, so3_euler,
 )
 from specang.flags import torus_element
@@ -116,6 +116,15 @@ def test_integer_rule_lives_in_check_count_only():
 def test_real_rule_lives_in_check_real_only():
     # numbers.Real is read once: by errors.check_real, the one real-number rule
     assert owners_of("Real") == [("errors.py", "check_real")]
+
+
+def test_frame_defect_rule_lives_in_polar_special_only():
+    # FRAME_DEFECT is set in errors.py and read (its test and its message) by
+    # dynamics.polar_special alone, and no SVD repairs a frame past it
+    assert owners_of("FRAME_DEFECT") == [
+        ("dynamics.py", None), ("dynamics.py", "polar_special"),
+        ("dynamics.py", "polar_special"), ("errors.py", None)]
+    assert owners_of("svd") == []
 
 
 def nan_matrix():
@@ -257,8 +266,11 @@ def test_transposed_complex_arrays_are_read_as_given():
         (lambda: check_angle("theta", NAN, full_turn=False), ValidationError),
         (lambda: check_angle("phi", NAN, full_turn=True), ValidationError),
         (lambda: check_gap_floor(np.array([0.2, NAN]), 1e-8, "chart"), DegenerateSpectrumError),
+        (lambda: polar_special(np.full((3, 3), NAN)), DegenerateSpectrumError),
+        (lambda: polar_special(np.full((3, 3), INF)), DegenerateSpectrumError),
     ],
-    ids=["probs", "gaps", "frame", "density", "polar", "azimuth", "gap-floor"],
+    ids=["probs", "gaps", "frame", "density", "polar", "azimuth", "gap-floor",
+         "polar-special-nan", "polar-special-inf"],
 )
 def test_every_check_rejects_nan(check, error):
     with pytest.raises(error):

@@ -15,9 +15,7 @@ from specang import (
     assemble_density,
     bures_decomposition,
     fisher_metric_r,
-    gaps_from_probs,
     inverse_cartan,
-    jacobian_matrix,
     kl_exact,
     kl_quadratic,
     probs_from_gaps,
@@ -26,7 +24,7 @@ from specang import (
     sample_flag,
     shannon_entropy,
 )
-from conftest import interior_gaps
+from conftest import fisher_fd, interior_gaps
 
 dims = st.integers(min_value=2, max_value=6)
 
@@ -50,26 +48,12 @@ def test_fisher_at_origin(n):
     assert np.allclose(g, n * inverse_cartan(n), atol=1e-12)
 
 
-def _fisher_fd(r, h=1e-6):
-    """Independent finite-difference route: g_ab = 4 sum_k d_a sqrt(p) d_b sqrt(p)."""
-    n = r.n
-    M = jacobian_matrix(n)
-    J = np.empty((n, n - 1))
-    for a in range(n - 1):
-        e = np.zeros(n - 1)
-        e[a] = h
-        pp = 1.0 / n + M @ (r.r + e)
-        pm = 1.0 / n + M @ (r.r - e)
-        J[:, a] = (np.sqrt(pp) - np.sqrt(pm)) / (2.0 * h)
-    return 4.0 * J.T @ J
-
-
 @given(dims, st.data())
 @settings(max_examples=40, deadline=None)
 def test_fisher_matches_finite_differences(n, data):
     r = data.draw(interior_strategy(n))
     g = fisher_metric_r(r).g
-    fd = _fisher_fd(r)
+    fd = fisher_fd(r)
     assert np.max(np.abs(g - fd)) / np.max(np.abs(g)) < 1e-6
 
 

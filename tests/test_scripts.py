@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,10 @@ def test_script_runs(script, args, tmp_path):
     assert proc.stdout
     if script == "step_costs.py":
         check_step_costs_schema(json.loads((tmp_path / "bench.json").read_text()))
+    if script == "split_vs_direct.py":  # one line per dimension, with its worst frame defect
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert all(re.search(r", max frame defect \d\.\d{3}e[+-]\d\d, ", line) for line in lines)
 
 
 def check_step_costs_schema(doc):
