@@ -44,11 +44,13 @@ The writing table gives microseconds per line of the text files: per frame
 line of `sample` (the whole `sample --n n --N 1000` command on a fixed frame
 stack, so the header statistics and file handling are included, divided by
 the 1000 frames) and per row of a trajectory CSV (`write_trajectory_csv` on
-a recorded 50-step run, divided by its 51 rows), for every dimension.
+a recorded 50-step run, divided by its 51 rows), for every dimension.  With
+two or more usable CPUs, `sample` forks a child that formats half its frames,
+so the provenance records the CPUs this process may use.
 
-The results, with the numpy, scipy and BLAS versions, are stored under
-`runs[<label>]` of the JSON output (`results` for steps, `records` for
-records, `kernels` for kernels, `sampling` for sampling, `writing` for text
+The results, with the numpy, scipy and BLAS versions and the usable CPUs, are
+stored under `runs[<label>]` of the JSON output (`results` for steps, `records`
+for records, `kernels` for kernels, `sampling` for sampling, `writing` for text
 output), so runs of two versions of the library can share one file.
 
 Usage: python3 scripts/step_costs.py --label change --out BENCH_19.json
@@ -99,14 +101,16 @@ KERNEL_CALLS = 100  # kernel calls per timed sample
 
 
 def provenance():
-    """The numpy, scipy and BLAS versions and the BLAS thread count."""
+    """The numpy, scipy and BLAS versions, the BLAS thread count and the CPUs this
+    process may use: with two or more, `sample` formats half its frames in a child."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (KeyError, TypeError):
         blas = "unknown"
     return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            "cpus": len(os.sched_getaffinity(0))}
 
 
 def timings(call, repeats):
@@ -292,7 +296,7 @@ def main():
 
     prov = provenance()
     print(f"numpy {prov['numpy']}, scipy {prov['scipy']}, BLAS {prov['blas']} "
-          f"({prov['blas_threads']} thread)")
+          f"({prov['blas_threads']} thread), {prov['cpus']} usable CPUs")
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault(

@@ -47,7 +47,7 @@ from .flags import (
     sample_flags,
 )
 from .kolmogorov import ks_uniform
-from .serialize import frame_lines
+from .serialize import frame_lines, write_frames
 from .dynamics import (
     integrate_direct,
     integrate_split,
@@ -250,7 +250,7 @@ def cmd_evolve(args) -> int:
 def cmd_sample(args) -> int:
     check_memory(args.N + 1, args.n)
     frames = sample_flags(args.n, args.N, args.seed)
-    lines = frame_lines(frames)
+    frame_lines(frames)  # a non-finite frame raises here, before the statistics read it
     header = _provenance(args)
     if args.n == 2 and args.N > 0:
         # first-column overlap |<e1|u1>|^2 should be uniform on [0, 1]
@@ -261,9 +261,7 @@ def cmd_sample(args) -> int:
         avg, errors = _column_errors(frames.transpose(2, 0, 1))
         header["resolution_error"] = float(np.linalg.norm((avg - np.eye(args.n)).mean(axis=0)))
         header["column_resolution_error"] = float(errors.max())
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.writelines(lines)
+    write_frames(args.out, json.dumps(header, sort_keys=True) + "\n", frames)
     print(f"wrote {args.N} frames to {args.out}")
     return 0
 

@@ -27,7 +27,7 @@ from .flags import (
     eigendecompose_ordered, pair_indices, rotation_factor, sample_flag,
 )
 from .geometry import purity_spectrum
-from .serialize import dump_json, matrix_to_pairs, read_document
+from .serialize import dump_json, matrix_to_pairs, open_output, read_document
 from .spectral import GapVector, gaps_stack, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
@@ -635,7 +635,7 @@ def write_trajectory_csv(path, traj: Trajectory, header_fields: dict) -> None:
     table = np.column_stack((traj.times, traj.r, purity, diag["trace_error"], diag["min_gap"]))
     row = "%.12g," + "%.15g," * n + "%.3e,%.6e\r\n"
     names = ["t"] + [f"r_{a}" for a in range(1, n)] + ["purity_R", "trace_error", "min_gap"]
-    with open(path, "w", newline="") as fh:
+    with open_output(path, "w", newline="") as fh:
         for key, val in header_fields.items():
             fh.write(f"# {key} = {val}\n")
         fh.write(",".join(names) + "\r\n")

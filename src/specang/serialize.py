@@ -7,7 +7,10 @@ for reproducibility.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import threading
 
 import numpy as np
 
@@ -30,6 +33,52 @@ def frame_lines(frames):
     n = frames.shape[-1]
     line = json.dumps({"U": [[["%r", "%r"]] * n] * n}).replace('"%r"', "%r") + "\n"
     return (line % tuple(U.tolist()) for U in frames.reshape(len(frames), n * n).view(float))
+
+
+def open_output(path, mode="w", **options):
+    """open(path, mode, **options) on a fresh file: ext4 flushes a truncated file on close and
+    the next rewrite waits for it, so a regular file there is unlinked first (not a symlink)."""
+    with contextlib.suppress(OSError):  # none there, or a directory that forbids the unlink
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.unlink(path)
+    return open(path, mode, **options)
+
+
+def can_fork() -> bool:
+    """Whether write_frames may fork: os.fork exists, 2+ CPUs are usable, 1 Python thread runs."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+
+
+def write_frames(path, header: str, frames) -> None:
+    """header + "".join(frame_lines(frames)) to open_output(path).  When can_fork(), a forked
+    child formats the second half while this process writes the first; its failure is an OSError."""
+    half = len(frames) // 2
+    head, tail = frame_lines(frames[:half]), frame_lines(frames[half:])  # both check, no I/O yet
+    pid, rest = 0, map(str.encode, tail)
+    if half and can_fork():
+        r, w = os.pipe()
+        if (pid := os.fork()) == 0:  # the child ends in _exit on every path
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    pipe.write("".join(tail).encode())  # formatted before a write can block
+                os._exit(0)  # only after the last byte
+            finally:
+                os._exit(1)
+        os.close(w)
+        rest = iter(lambda: os.read(r, 1 << 20), b"")
+    try:
+        with open_output(path, "wb") as fh:
+            fh.write(header.encode())
+            fh.writelines(map(str.encode, head))
+            fh.writelines(rest)
+    finally:
+        if pid:
+            os.close(r)  # first, so a child blocked on a full pipe gets EPIPE, not a hang
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if pid and status:
+        raise OSError(f"the child formatting frames {half}.. of {path} failed: exit code {status}")
 
 
 # The layouts of a document value: what its JSON must be, what its numbers must be
@@ -60,7 +109,7 @@ def matrix_from_pairs(data) -> np.ndarray:
 
 
 def dump_json(path, document) -> None:
-    with open(path, "w") as fh:
+    with open_output(path, "w") as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")
 

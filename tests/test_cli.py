@@ -17,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from specang import DensityMatrix, LindbladModel, __version__, resolution_check, sample_flags
+from specang import (
+    DensityMatrix, LindbladModel, __version__, resolution_check, sample_flags, serialize,
+)
 from specang.cli import main
 from specang.dynamics import random_density, random_model, save_density, save_model
 from specang.errors import MEMORY_LIMIT
@@ -1014,15 +1016,61 @@ def test_sample_frame_lines_are_json_dumps_of_the_pairs(capsys, tmp_path, n):
 
 
 def test_sample_non_finite_frame_exits_3(capsys, tmp_path, monkeypatch):
-    # a NaN entry is a numerical breakdown, not a "NaN" token in the JSONL file
-    frames = sample_flags(3, 4, 0)
-    frames[2, 0, 1] = complex(np.nan, 0.0)
-    monkeypatch.setattr("specang.cli.sample_flags", lambda n, count, seed: frames)
+    # a NaN entry is a numerical breakdown, not a "NaN" token in the JSONL file; it is
+    # found before the statistics read it and before the output file is touched
+    for n, previous in ((3, None), (3, b"a previous run\n"), (2, b"a previous run\n")):
+        frames = sample_flags(n, 4, 0)
+        frames[2, 0, 1] = complex(np.nan, 0.0)
+        monkeypatch.setattr("specang.cli.sample_flags", lambda n, count, seed: frames)
+        out = tmp_path / f"frames_{n}_{previous is None}.jsonl"
+        if previous is not None:
+            out.write_bytes(previous)
+        code, stdout, err = run(capsys, "sample", "--n", str(n), "--N", "4", "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert err.startswith("numerical breakdown:") and "non-finite" in err
+        assert (out.read_bytes() if out.exists() else None) == previous
+
+
+def test_sample_exits_4_when_the_child_that_formats_half_fails(capsys, tmp_path, monkeypatch):
+    # write_frames calls frame_lines in this process; the lines of the second
+    # half are formatted in the forked child, where these raise
+    parent, frame_lines = os.getpid(), serialize.frame_lines
+
+    def failing_in_the_child(frames):
+        lines = frame_lines(frames)
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        yield from lines
+
+    monkeypatch.setattr(serialize, "can_fork", lambda: True)
+    monkeypatch.setattr(serialize, "frame_lines", failing_in_the_child)
     out = tmp_path / "frames.jsonl"
-    code, stdout, err = run(capsys, "sample", "--n", "3", "--N", "4", "--out", str(out))
-    assert code == 3 and stdout == ""
-    assert err.startswith("numerical breakdown:") and "non-finite" in err
-    assert not out.exists()
+    code, stdout, err = run(capsys, "sample", "--n", "3", "--N", "10", "--out", str(out))
+    assert code == 4 and stdout == ""
+    assert err.startswith("i/o error: the child formatting frames 5..") and "exit code 1" in err
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sample_into_a_missing_directory_exits_4_without_a_hang(tmp_path):
+    # at n = 8 the child's half of 4000 frames (about 6 MB) overfills the pipe, so
+    # the child is still writing when the parent's open fails
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    out = tmp_path / "missing" / "frames.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "specang.cli", "sample", "--n", "8", "--N", "4000",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("i/o error:") and "No such file or directory" in proc.stderr
+
+
+def test_sample_into_a_directory_exits_4(capsys, tmp_path):
+    code, stdout, err = run(capsys, "sample", "--n", "2", "--N", "5", "--out", str(tmp_path))
+    assert code == 4 and stdout == ""
+    assert err.startswith("i/o error:") and "Is a directory" in err
 
 
 @pytest.mark.parametrize(

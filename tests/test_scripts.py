@@ -72,6 +72,9 @@ def check_step_costs_schema(doc):
              "sampling": "us_per_call", "writing": "us_per_item"}
     run = doc["runs"]["run"]
     assert list(run) == ["provenance", "params", *identities]
+    # the sample_line row depends on the usable CPUs: two or more fork a formatting child
+    assert list(run["provenance"]) == ["numpy", "scipy", "blas", "blas_threads", "cpus"]
+    assert run["provenance"]["cpus"] == len(os.sched_getaffinity(0))
     for table, expected in identities.items():
         unit = units[table]
         stats = [f"{unit}_{s}" for s in ("median", "q25", "q75", "iqr")]

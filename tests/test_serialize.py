@@ -1,15 +1,18 @@
-"""JSON layout of complex matrices and of the `sample` frame lines."""
+"""JSON layout of complex matrices and of the `sample` frame lines, and the file writers."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specang import NumericalBreakdownError, ValidationError
-from specang.serialize import frame_lines, matrix_from_pairs, matrix_to_pairs, read_document
+from specang import NumericalBreakdownError, ValidationError, sample_flags, serialize
+from specang.serialize import (
+    frame_lines, matrix_from_pairs, matrix_to_pairs, open_output, read_document, write_frames,
+)
 
 
 def ref_matrix_to_pairs(M):
@@ -160,3 +163,59 @@ def test_read_document_names_the_key_and_the_rule(tmp_path):
     # "n" is left to the dataclass; the numbers are floats and the matrices complex
     assert fields["n"] == 2.5 and fields["jumps"] == []
     assert fields["rates"].dtype == float and fields["H"].dtype == complex
+
+
+# --- writing files -------------------------------------------------------------
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 1001])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_write_frames_writes_the_header_and_the_frame_lines(tmp_path, monkeypatch, n, N, forked):
+    # both paths write the same bytes; a stack of fewer than two frames never forks
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(serialize, "can_fork", lambda: forked)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    frames = sample_flags(n, N, 7)
+    header = json.dumps({"n": n, "N": N}) + "\n"
+    write_frames(tmp_path / "f.jsonl", header, frames)
+    assert (tmp_path / "f.jsonl").read_bytes() == (header + "".join(frame_lines(frames))).encode()
+    assert len(forks) == (forked and N >= 2)
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_frames_checks_every_frame_before_it_opens(tmp_path):
+    out = tmp_path / "f.jsonl"
+    out.write_bytes(b"previous\n")
+    frames = sample_flags(3, 6, 0)
+    frames[5, 2, 2] = complex(0.0, np.inf)
+    with pytest.raises(NumericalBreakdownError, match="non-finite"):
+        write_frames(out, "{}\n", frames)
+    assert out.read_bytes() == b"previous\n"
+
+
+def test_open_output_writes_a_fresh_file_that_a_hard_link_does_not_see(tmp_path):
+    path, alias = tmp_path / "out.txt", tmp_path / "alias.txt"
+    path.write_text("old\n")
+    os.link(path, alias)
+    with open_output(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n" and alias.read_text() == "old\n"
+
+
+def test_open_output_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old content\n")
+    link.symlink_to(target)
+    with open_output(link, "w") as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+
+
+def test_open_output_of_a_directory_raises(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        open_output(tmp_path)
+    assert tmp_path.is_dir()
