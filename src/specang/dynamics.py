@@ -18,7 +18,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import (
-    BREAKDOWN_TOL, EIG_TOL, FRAME_DEFECT, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL,
+    BREAKDOWN_TOL, EIG_TOL, FRAME_DEFECT, GRID_TOL, MATRIX_TOL, MEMORY_LIMIT, POLAR_TOL, TOL,
     DegenerateSpectrumError, NumericalBreakdownError, ValidationError, _finite, _frozen,
     check_angle, check_count, check_gap_floor, check_memory, check_real, checked_array,
 )
@@ -31,6 +31,7 @@ from .serialize import dump_json, matrix_to_pairs, open_output, read_document
 from .spectral import GapVector, gaps_stack, probs_stack
 
 RECORD_CHUNK = 1000  # steps spanned by one stacked record check, so a failing record stops a run
+JUMP_FORM_COST = 0.32  # jump form where (k + 2) n^3 < JUMP_FORM_COST n^4, fitted in BENCH_33.json
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,11 @@ class LindbladModel:
         object.__setattr__(self, "rates", tuple(rates.tolist()))
 
     @cached_property
+    def jump_form(self) -> bool:
+        """Whether the kernels apply the jump form: it costs less, or a superoperator won't fit."""
+        return len(self.jumps) + 2 < JUMP_FORM_COST * self.n or 16 * self.n**4 > MEMORY_LIMIT
+
+    @cached_property
     def liouvillian(self) -> np.ndarray:
         """The GKLS generator on row-major vec(rho), built once, read-only."""
         return _liouvillian(self, hamiltonian=True)
@@ -65,6 +71,17 @@ class LindbladModel:
     def dissipator_superoperator(self) -> np.ndarray:
         """The dissipator alone, with no H in it, built once, read-only."""
         return _liouvillian(self, hamiltonian=False)
+
+    @cached_property
+    def _jump_pairs(self) -> tuple:
+        """Read-only (B, C) of _jump, B = (G | 1 | A_1 | ... | A_k), C = (1, G^dag, A_1^dag, ...),
+        A_k = sqrt(h_k) L_k: for G = -K/2 and -iH - K/2, K = sum_k h_k L_k^dag L_k."""
+        n, hL = self.n, list(zip(self.rates, self.jumps))
+        K = sum((h * (L.conj().T @ L) for h, L in hL), np.zeros_like(self.H))
+        A, eye = [math.sqrt(h) * L for h, L in hL], np.eye(n, dtype=complex)
+        return tuple((_frozen(np.concatenate((G, eye, *A), axis=1)),
+                      _frozen(np.array([eye, G.conj().T, *(a.conj().T for a in A)])))
+                     for G in (-0.5 * K, -1j * self.H - 0.5 * K))
 
 
 @dataclass(frozen=True)
@@ -130,20 +147,25 @@ class Trajectory:
             raise ValidationError("trajectory times must be strictly increasing")
 
 
+def _jump(BC, X, out=None):
+    """G X + X G^dag + sum_k A_k X A_k^dag on one matrix or a stack (..., n, n) in jump form
+    (Lindblad 1976): B times the stack X C as rows, for the pair (B, C) of _jump_pairs."""
+    B, C = BC
+    return np.matmul(B, (X[..., None, :, :] @ C).reshape(*X.shape[:-2], -1, X.shape[-1]), out=out)
+
+
 def _liouvillian(model: LindbladModel, hamiltonian: bool) -> np.ndarray:
     """The read-only n^2 x n^2 superoperator of X -> G X + X G^dag +
-    sum_k A_k X A_k^dag on row-major vec(X), A_k = sqrt(h_k) L_k.
+    sum_k A_k X A_k^dag on row-major vec(X), after check_memory has passed it.
 
     With vec(A X B) = (A kron B^T) vec(X) it is kron(G, 1) + kron(1, conj(G))
-    + sum_k kron(A_k, conj(A_k)); with K = sum_k h_k L_k^dag L_k, G = -iH - K/2
-    gives the GKLS generator and G = -K/2 its dissipator alone.  Built in
-    place: the jump sum is written into the (i, a, j, b) block view, then
-    the G blocks are added to it, so no n^4 temporary exists.
+    + sum_k kron(A_k, conj(A_k)) (Havel 2003), for G and A_k read from B of _jump_pairs.
+    Built in place: the jump sum is written into the (i, a, j, b) block view,
+    then the G blocks are added to it, so no n^4 temporary exists.
     """
-    n, hL = model.n, list(zip(model.rates, model.jumps))
-    K = sum((h * (L.conj().T @ L) for h, L in hL), np.zeros_like(model.H))
-    A = np.array([math.sqrt(h) * L for h, L in hL], dtype=complex).reshape(len(hL), n, n)
-    G = -1j * model.H - 0.5 * K if hamiltonian else -0.5 * K
+    n, B = model.n, model._jump_pairs[hamiltonian][0]
+    check_memory(n * n, n)
+    G, A = B[:, :n], np.ascontiguousarray(B[:, 2 * n:].reshape(n, -1, n).swapaxes(0, 1))
     out = np.empty((n * n, n * n), dtype=complex)
     blocks = out.reshape(n, n, n, n)
     np.einsum("kij,kab->iajb", A, A.conj(), out=blocks)
@@ -153,23 +175,26 @@ def _liouvillian(model: LindbladModel, hamiltonian: bool) -> np.ndarray:
     return _frozen(out)
 
 
-def _matvec(superop, rho, model):
-    """superop vec(rho) on one matrix or a stack (..., n, n), in rho's shape."""
+def _matvec(hamiltonian, rho, model):
+    """The generator (or dissipator alone) on one matrix or a stack (..., n, n), in rho's shape."""
     rho, n = np.asarray(getattr(rho, "rho", rho), dtype=complex), model.n
     if rho.shape[-2:] != (n, n):
         raise ValidationError("state and model dimensions disagree")
+    if model.jump_form:
+        return _jump(model._jump_pairs[hamiltonian], rho)
+    superop = model.liouvillian if hamiltonian else model.dissipator_superoperator
     return (rho.reshape(*rho.shape[:-2], n * n) @ superop.T).reshape(rho.shape)
 
 
 def dissipator(rho, model: LindbladModel) -> np.ndarray:
     """Dissipative part sum_k h_k (L rho L^dag - {rho, L^dag L}/2), on one
     matrix or a stack (..., n, n)."""
-    return _matvec(model.dissipator_superoperator, rho, model)
+    return _matvec(False, rho, model)
 
 
 def lindblad_rhs(rho, model: LindbladModel) -> np.ndarray:
     """Full generator -i[H, rho] + dissipator, on one matrix or a stack."""
-    return _matvec(model.liouvillian, rho, model)
+    return _matvec(True, rho, model)
 
 
 def _step_count(t_end, dt, record_every, n):
@@ -199,7 +224,7 @@ def integrate_direct(
 
     The generator is linear, so one RK4 step is the polynomial
     sum_{k<=4} (dt L)^k / k! in the Liouvillian L, applied in Horner form as
-    four matrix-vector products.  The state is re-Hermitized and
+    four applications of L in the model's form.  The state is re-Hermitized and
     trace-renormalized after each step; the pre-renormalization drift and
     the spectral diagnostics are recorded.  Aborts with
     NumericalBreakdownError at the step where the trace drift exceeds
@@ -220,7 +245,7 @@ def _split_stage(V, p, LD, HD, checked=True):
     """The split flow (V Omega_tilde, p_dot) at frame V and spectrum p.
 
     HD is a (2, n, n) buffer whose first slice is H.  The stage writes
-    D(rho) = LD vec(rho) into its second slice, at rho = V diag(p) V^dag, and
+    D(rho) = LD(rho) into its second slice, at rho = V diag(p) V^dag, and
     rotates both into the frame in one product, Ht, Lt = V^dag [H, D] V, with
     the gap floor checked if `checked`.  V need not be unitary: RK4 stages
     sit at U + O(dt).  p_dot is diag Lt less its mean, so sum(p) stays 1 to
@@ -232,7 +257,10 @@ def _split_stage(V, p, LD, HD, checked=True):
     if checked:
         check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
     Vh = V.conj().T  # one conjugate for rho = density_stack(p, V) and for the rotation
-    np.matmul(LD, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
+    if type(LD) is tuple:  # the jump form, else the superoperator on vec(rho)
+        _jump(LD, (V * p) @ Vh, out=HD[1])
+    else:
+        np.matmul(LD, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
     HLt = Vh @ HD @ V  # (Ht, Lt), read by index: cheaper than unpacking
     Omega_t = HLt[0] * neg_i_off
     Omega_t -= HLt[1] * (off / (p[:, None] - p + eye))
@@ -251,7 +279,8 @@ def split_rhs(state: SplitState, model: LindbladModel):
     if model.n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
     U, HD = state.U.U, np.array([model.H, model.H])  # the stage overwrites HD[1]
-    U_Omega, p_dot = _split_stage(U, probs_stack(state.r.r), model.dissipator_superoperator, HD)
+    LD = model._jump_pairs[0] if model.jump_form else model.dissipator_superoperator
+    U_Omega, p_dot = _split_stage(U, probs_stack(state.r.r), LD, HD)
     return gaps_stack(p_dot), U_Omega @ U.conj().T
 
 
@@ -359,7 +388,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     and at every exit (the end, an exception, the hand-over); the earliest
     failing record raises ahead of a later step's exception.
     """
-    n = model.n
+    n, jump = model.n, model.jump_form
     steps = _step_count(t_end, dt, record_every, n)
     if rho0.n != n:
         raise ValidationError("state and model dimensions disagree")
@@ -367,7 +396,8 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     if split:
         # H enters the frame rates only through its frame image, so p' does
         # not depend on H; the stages overwrite HD[1]
-        LD, HD = model.dissipator_superoperator, np.array([model.H, model.H])
+        LD = model._jump_pairs[0] if jump else model.dissipator_superoperator
+        HD = np.array([model.H, model.H])
     raw, blocks, live = [], [], 0  # this route's raw records, checked columns, live step
     try:
         for step in range(steps + 1):
@@ -393,12 +423,11 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                         rho = density_stack(p, U)
                     _direct_records([(t_break, rho, drift)])  # the hand-over state, as a record
             if live < step:
-                if A is None:
-                    A = dt * model.liouvillian  # one scaled copy per run
-                v = rho.ravel()
-                x = v
+                if A is None:  # a superoperator gets one scaled copy per run
+                    A = model._jump_pairs[1] if jump else dt * model.liouvillian
+                x = v = rho if jump else rho.ravel()
                 for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
-                    x = v + c * (A @ x)
+                    x = v + (c * dt) * _jump(A, x) if jump else v + c * (A @ x)
                 rho = x.reshape(n, n)
                 rho = 0.5 * (rho + rho.conj().T)
                 tr = float(np.trace(rho).real)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from .errors import NumericalBreakdownError
+
 
 def _smirnov_sf(N: int, d: float) -> float:
     """P(D_N^+ >= d) = d sum_j C(N, j) (1 - d - j/N)^(N-j) (d + j/N)^(j-1), summed
@@ -67,8 +69,12 @@ def kolmogorov_sf(N: int, d: float) -> float:
 
 
 def ks_uniform(x) -> tuple[float, float]:
-    """(D_N, P(D_N >= D_N observed)) for a 1-D sample against Uniform(0, 1)."""
-    x = np.sort(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+    """(D_N, P(D_N >= D_N observed)) for a 1-D sample against Uniform(0, 1); a NaN or
+    infinite entry raises NumericalBreakdownError."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise NumericalBreakdownError("non-finite entry in the sample")
+    x = np.sort(np.clip(x, 0.0, 1.0))
     i = np.arange(x.size)
     d = float(max(np.max((i + 1.0) / x.size - x), np.max(x - i / x.size)))  # max(D+, D-)
     return d, kolmogorov_sf(x.size, d)

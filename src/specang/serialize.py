@@ -52,13 +52,16 @@ def can_fork() -> bool:
 
 def write_frames(path, header: str, frames) -> None:
     """header + "".join(frame_lines(frames)) to open_output(path).  When can_fork(), a forked
-    child formats the second half while this process writes the first; its failure is an OSError."""
+    child formats the second half while this process writes the first; its failure is an OSError.
+    A fork that fails (EAGAIN, ENOMEM) leaves the second half to this process."""
     half = len(frames) // 2
     head, tail = frame_lines(frames[:half]), frame_lines(frames[half:])  # both check, no I/O yet
-    pid, rest = 0, map(str.encode, tail)
+    pid, rest = None, map(str.encode, tail)
     if half and can_fork():
         r, w = os.pipe()
-        if (pid := os.fork()) == 0:  # the child ends in _exit on every path
+        with contextlib.suppress(OSError):  # EAGAIN, ENOMEM: no child; this process writes all
+            pid = os.fork()
+        if pid == 0:  # the child ends in _exit on every path
             try:
                 os.close(r)
                 with open(w, "wb") as pipe:
@@ -67,7 +70,10 @@ def write_frames(path, header: str, frames) -> None:
             finally:
                 os._exit(1)
         os.close(w)
-        rest = iter(lambda: os.read(r, 1 << 20), b"")
+        if pid:
+            rest = iter(lambda: os.read(r, 1 << 20), b"")
+        else:
+            os.close(r)
     try:
         with open_output(path, "wb") as fh:
             fh.write(header.encode())

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from specang import (
     write_trajectory_csv,
 )
 from specang.dynamics import (
+    JUMP_FORM_COST,
     euler_omega,
     polar_special,
     random_density,
@@ -159,6 +161,150 @@ def test_superoperators_are_cached_read_only():
     other = LindbladModel(3, random_model(3, seed=4).H, model.jumps, model.rates)
     assert np.array_equal(other.dissipator_superoperator, model.dissipator_superoperator)
     assert not np.array_equal(other.liouvillian, model.liouvillian)
+
+
+# --- the generator's form -------------------------------------------------------
+
+
+def jump_model(n, k):
+    """random_model(n)'s H with k Gaussian jump operators at rates in [0.5, 1.5)."""
+    rng = np.random.default_rng([n, k])
+    jumps = tuple(0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                  for _ in range(k))
+    return LindbladModel(n, random_model(n, seed=n).H, jumps, tuple(0.5 + rng.random(k)))
+
+
+def kron_superoperator(model, hamiltonian=True):
+    """The generator (or the dissipator alone) on row-major vec(rho), from Kronecker
+    products: G (x) 1 + 1 (x) conj(G) + sum_k h_k L_k (x) conj(L_k), G = -iH - K/2 or -K/2."""
+    n, eye = model.n, np.eye(model.n)
+    K = sum((h * L.conj().T @ L for h, L in zip(model.rates, model.jumps)), np.zeros((n, n)))
+    G = (-1j * model.H if hamiltonian else 0.0) - 0.5 * K
+    S = np.kron(G, eye) + np.kron(eye, G.conj())
+    for h, L in zip(model.rates, model.jumps):
+        S += h * np.kron(L, L.conj())
+    return S
+
+
+def relative_error(got, expect):
+    return np.max(np.abs(got - expect)) / max(np.max(np.abs(expect)), 1e-300)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12, 13, 16, 22, 32, 90])
+def test_the_generator_form_follows_its_cost_rule(n):
+    # jump form where (k + 2) n^3 < JUMP_FORM_COST n^4; up to n = 90 a superoperator fits
+    for k in range(6):
+        assert jump_model(n, k).jump_form == (k + 2 < JUMP_FORM_COST * n)
+
+
+def test_benchmark_and_criterion_models_keep_the_superoperator():
+    # every random_model of evolve_long (n <= 8, two jumps) and of criteria 09 and 12
+    # (n <= 4), the Pauli qubit of criterion 10 and the two-jump qutrit of criterion 11
+    for n in (2, 3, 4, 8):
+        for seed in range(3):
+            assert not random_model(n, seed=seed).jump_form
+    assert not pauli_model(1.0, 1.0, 1.0).jump_form
+    assert not jump_model(3, 2).jump_form
+    assert random_model(16, seed=0).jump_form  # evolve_dense's n = 16 op
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12, 16, 24, 32])
+def test_both_forms_match_the_matrix_form_per_stage(n):
+    # lindblad_rhs, dissipator and split_rhs in the form each (n, k) picks, against
+    # the matrix form and the Kronecker superoperator built here
+    rhos = np.stack([random_density(n, seed=s).rho for s in range(3)])
+    rho, state = split_point(n, 7)
+    U, p = state.U.U, probs_stack(state.r.r)
+    eye, off = np.eye(n), 1.0 - np.eye(n)
+    for k in range(6):
+        model = jump_model(n, k)
+        for rhs, hamiltonian in ((lindblad_rhs, True), (dissipator, False)):
+            expect = matrix_form_rhs(rhos, model, hamiltonian)
+            assert relative_error(rhs(rhos, model), expect) <= 1e-12
+            S = kron_superoperator(model, hamiltonian)
+            assert relative_error(rhs(rhos, model), (rhos.reshape(3, n * n) @ S.T).reshape(
+                rhos.shape)) <= 1e-12
+        # the split stage: D(rho) from the Kronecker superoperator, rotated into the frame
+        D = (kron_superoperator(model, False) @ rho.rho.ravel()).reshape(n, n)
+        Ht, Lt = U.conj().T @ model.H @ U, U.conj().T @ D @ U
+        Omega_t = -1j * Ht * off - Lt * off / (p[:, None] - p + eye)
+        d = Lt.diagonal().real
+        r_dot, Omega = split_rhs(state, model)
+        assert relative_error(Omega, U @ Omega_t @ U.conj().T) <= 1e-12
+        assert np.max(np.abs(probs_stack(r_dot) - 1.0 / n - (d - d.mean()))) <= (
+            1e-12 * np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12, 16, 32])
+def test_both_forms_match_a_superoperator_rk4_per_step(n):
+    # two steps of each route in the form each (n, k) picks, against RK4 on the
+    # Kronecker superoperators built here, with the routes' own corrections; on the
+    # direct route the increments rho(t) - rho0 are compared, so an error of dt / 1e9
+    # shows (a split record, assembled from (U, p), carries round-off of rho itself)
+    dt, steps = 1e-4, 2
+    rho0 = random_density(n, seed=40 + n)
+    r0, frame = eigendecompose_ordered(rho0)
+    eye, off = np.eye(n), 1.0 - np.eye(n)
+    for k in range(6):
+        model = jump_model(n, k)
+        S, SD = kron_superoperator(model), kron_superoperator(model, False)
+        rho, expect = rho0.rho.astype(complex), [rho0.rho]
+        for _ in range(steps):
+            k1 = S @ rho.ravel()
+            k2 = S @ (rho.ravel() + 0.5 * dt * k1)
+            k3 = S @ (rho.ravel() + 0.5 * dt * k2)
+            k4 = S @ (rho.ravel() + dt * k3)
+            rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4).reshape(n, n)
+            rho = 0.5 * (rho + rho.conj().T)
+            expect.append(rho / np.trace(rho).real)
+            rho = expect[-1]
+        traj = integrate_direct(rho0, model, steps * dt, dt)
+        assert relative_error(traj.rho - rho0.rho, np.array(expect) - rho0.rho) <= 1e-12
+
+        def stage(V, p):
+            D = (SD @ ((V * p) @ V.conj().T).ravel()).reshape(n, n)
+            Ht, Lt = V.conj().T @ model.H @ V, V.conj().T @ D @ V
+            d = Lt.diagonal().real
+            return V @ (-1j * Ht * off - Lt * off / (p[:, None] - p + eye)), d - d.mean()
+
+        U, p = frame.U, probs_stack(r0.r)
+        expect = [rho0.rho]
+        for _ in range(steps):
+            k1 = stage(U, p)
+            k2 = stage(U + 0.5 * dt * k1[0], p + 0.5 * dt * k1[1])
+            k3 = stage(U + 0.5 * dt * k2[0], p + 0.5 * dt * k2[1])
+            k4 = stage(U + dt * k3[0], p + dt * k3[1])
+            U, p = (y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + e)
+                    for y, a, b, c, e in zip((U, p), k1, k2, k3, k4))
+            U = svd_polar_special(U)
+            expect.append((U * p) @ U.conj().T)
+        traj = integrate_split(rho0, model, steps * dt, dt)
+        assert relative_error(traj.rho, np.array(expect)) <= 1e-12
+
+
+def test_a_superoperator_beyond_the_memory_limit_is_never_built():
+    # at n = 96 one superoperator takes 16 n^4 B = 1.36 GB, over MEMORY_LIMIT: the jump form
+    # is forced even with enough jumps that the cost rule alone would keep the superoperator
+    n = 96
+    k = math.ceil(JUMP_FORM_COST * n) - 2
+    model = jump_model(n, k)
+    assert not k + 2 < JUMP_FORM_COST * n and model.jump_form
+    for name in ("liouvillian", "dissipator_superoperator"):
+        with pytest.raises(ValidationError, match=(
+                f"^9216 complex 96 x 96 matrices exceed the memory limit of {MEMORY_LIMIT} B$")):
+            getattr(model, name)
+    # the kernels and one direct step apply it with no n^4 array (1.36 GB) allocated
+    rho0 = random_density(n, seed=1)
+    tracemalloc.start()
+    try:
+        rhs, diss = lindblad_rhs(rho0, model), dissipator(rho0, model)
+        integrate_direct(rho0, model, 1e-4, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**25
+    assert relative_error(rhs, matrix_form_rhs(rho0.rho, model)) <= 1e-12
+    assert relative_error(diss, matrix_form_rhs(rho0.rho, model, hamiltonian=False)) <= 1e-12
 
 
 def frame_operator_form(U, p, model):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, kstwo
 
+from specang import NumericalBreakdownError
 from specang.kolmogorov import kolmogorov_sf, ks_uniform
 
 P_GRID = np.geomspace(1e-9, 0.9999, 9)
@@ -54,3 +55,14 @@ def test_ks_uniform_matches_kstest(N):
         d, p = ks_uniform(x)
         assert d == ref.statistic
         assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-11)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("N", [4, 1000], ids=["durbin", "pelz-good"])
+def test_ks_uniform_rejects_a_non_finite_entry(N, bad):
+    # a NaN reached math.ceil on either branch of kolmogorov_sf as a bare ValueError;
+    # an infinity was clipped into the sample
+    x = np.random.default_rng(N).random(N)
+    x[N // 2] = bad
+    with pytest.raises(NumericalBreakdownError, match="^non-finite entry in the sample$"):
+        ks_uniform(x)

@@ -1,5 +1,6 @@
 """JSON layout of complex matrices and of the `sample` frame lines, and the file writers."""
 
+import errno
 import json
 import math
 import os
@@ -185,6 +186,30 @@ def test_write_frames_writes_the_header_and_the_frame_lines(tmp_path, monkeypatc
     assert len(forks) == (forked and N >= 2)
     with pytest.raises(ChildProcessError):  # the child was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("code", [errno.EAGAIN, errno.ENOMEM], ids=["EAGAIN", "ENOMEM"])
+def test_write_frames_writes_in_process_when_the_fork_fails(tmp_path, monkeypatch, code):
+    # at a process or memory limit os.fork raises: this process writes the second half
+    # too, the same bytes, and closes both ends of the pipe it made for the child
+    pipes, pipe = [], os.pipe
+
+    def failing_fork():
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(serialize, "can_fork", lambda: True)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", failing_fork)
+    frames = sample_flags(3, 1001, 7)
+    header = json.dumps({"n": 3, "N": 1001}) + "\n"
+    write_frames(tmp_path / "f.jsonl", header, frames)
+    assert (tmp_path / "f.jsonl").read_bytes() == (header + "".join(frame_lines(frames))).encode()
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
 
 
 def test_write_frames_checks_every_frame_before_it_opens(tmp_path):
