@@ -12,8 +12,10 @@ The step and record tables share one set of runs.  Per dimension and route
 a fixed number of steps) each repeat is a pair of runs back to back: one
 recording only at the two ends, one with `record_every=1`.  A warm-up pair
 comes first: 2 * repeats + 2 runs.  Each run builds a fresh `LindbladModel`,
-so the route's superoperator (the Liouvillian or the dissipator alone), which
-a model caches on first use, is built, and timed, once per run.  The step
+so what the model's form (`model.jump_form`) caches on first use is built,
+and timed, once per run: the route's superoperator (the Liouvillian or the
+dissipator alone), or in the jump form, which two-jump models take from
+n = 13, the jump pairs (B, C) of both generators.  The step
 table gives the end-recording run per RK4 step, the record table the
 difference of a pair per step, both in microseconds.
 

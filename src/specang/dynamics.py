@@ -155,29 +155,24 @@ def _jump(BC, X, out=None):
 
 
 def _liouvillian(model: LindbladModel, hamiltonian: bool) -> np.ndarray:
-    """The read-only n^2 x n^2 superoperator of X -> G X + X G^dag +
-    sum_k A_k X A_k^dag on row-major vec(X), after check_memory has passed it.
+    """The read-only n^2 x n^2 superoperator of X -> sum_j B_j X C_j on row-major
+    vec(X), for the k + 2 pairs of _jump_pairs, after check_memory has passed it.
 
-    With vec(A X B) = (A kron B^T) vec(X) it is kron(G, 1) + kron(1, conj(G))
-    + sum_k kron(A_k, conj(A_k)) (Havel 2003), for G and A_k read from B of _jump_pairs.
-    Built in place: the jump sum is written into the (i, a, j, b) block view,
-    then the G blocks are added to it, so no n^4 temporary exists.
+    With vec(B X C) = (B kron C^T) vec(X) (Havel 2003) it is sum_j B_j kron C_j^T:
+    its (i, c, a, b) block view is sum_j B_j[i, a] C_j[b, c], one matmul over the
+    (i, c) grid written into the result, so no n^4 temporary exists.  That costs
+    (k + 2) n^4 multiply-adds, where the identity terms need only n^3.
     """
-    n, B = model.n, model._jump_pairs[hamiltonian][0]
+    n, (B, C) = model.n, model._jump_pairs[hamiltonian]
     check_memory(n * n, n)
-    G, A = B[:, :n], np.ascontiguousarray(B[:, 2 * n:].reshape(n, -1, n).swapaxes(0, 1))
     out = np.empty((n * n, n * n), dtype=complex)
-    blocks = out.reshape(n, n, n, n)
-    np.einsum("kij,kab->iajb", A, A.conj(), out=blocks)
-    for a in range(n):
-        blocks[:, a, :, a] += G
-        blocks[a, :, a, :] += G.conj()
+    np.matmul(B.reshape(n, -1, n).mT[:, None], C.transpose(2, 0, 1), out=out.reshape((n,) * 4))
     return _frozen(out)
 
 
 def _matvec(hamiltonian, rho, model):
     """The generator (or dissipator alone) on one matrix or a stack (..., n, n), in rho's shape."""
-    rho, n = np.asarray(getattr(rho, "rho", rho), dtype=complex), model.n
+    rho, n = _finite("rho", getattr(rho, "rho", rho), complex, (...,), "finite"), model.n
     if rho.shape[-2:] != (n, n):
         raise ValidationError("state and model dimensions disagree")
     if model.jump_form:

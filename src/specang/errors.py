@@ -61,16 +61,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _finite(name: str, value, dtype, shape: tuple, rule: str) -> np.ndarray:
-    """value as an array of dtype and shape (a None in it: len(value)) with finite entries,
-    else a ValidationError "<name> must ...": the one float-range and finiteness rule."""
+    """value as an array of dtype and shape (a None in it: len(value); (...,): any shape, for
+    a stacked kernel) with finite entries, else a ValidationError "<name> must ...": the one
+    float-range and finiteness rule.  value itself when it is such an array: no copy."""
     try:
-        a = np.array(value, dtype=dtype)
+        a = np.asarray(value, dtype=dtype)
         shape = tuple(len(value) if k is None else k for k in shape)
     except OverflowError:  # an integer beyond float range
         raise ValidationError(f"{name} must be {rule}, got a number beyond float range") from None
     except (TypeError, ValueError) as exc:  # ragged nesting, a string, an object
         raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
-    if a.shape != shape:
+    if shape != (...,) and a.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
     x = a.ravel().view(float)  # a complex entry as its (re, im); ravel: C order, as view needs
     if not np.isfinite(x).all():
@@ -81,7 +82,7 @@ def _finite(name: str, value, dtype, shape: tuple, rule: str) -> np.ndarray:
 def checked_array(name: str, value, dtype, shape: tuple) -> np.ndarray:
     """value as a read-only array of dtype and shape with finite entries, else a
     ValidationError naming `name`: the one reading of an array field of a dataclass."""
-    return _frozen(_finite(name, value, dtype, shape, "finite"))
+    return _frozen(np.array(_finite(name, value, dtype, shape, "finite")))
 
 
 def check_probs(p: np.ndarray) -> None:

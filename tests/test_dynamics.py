@@ -161,6 +161,13 @@ def test_superoperators_are_cached_read_only():
     other = LindbladModel(3, random_model(3, seed=4).H, model.jumps, model.rates)
     assert np.array_equal(other.dissipator_superoperator, model.dissipator_superoperator)
     assert not np.array_equal(other.liouvillian, model.liouvillian)
+    # both are the Kronecker sums, in either form, to round-off of their largest entry
+    for n in range(2, 13):
+        for k in range(6):
+            model = jump_model(n, k)
+            for name, hamiltonian in (("liouvillian", True), ("dissipator_superoperator", False)):
+                S, expect = getattr(model, name), kron_superoperator(model, hamiltonian)
+                assert np.max(np.abs(S - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
 # --- the generator's form -------------------------------------------------------

@@ -53,8 +53,8 @@ from specang import (
 )
 from specang import dynamics, flags, geometry, kolmogorov, serialize, spectral
 from specang.dynamics import (
-    QubitAngles, QutritEuler, integrate_direct, polar_special, qubit_frame, random_density,
-    random_interior_gaps, random_model, real_qutrit_rhs, so3_euler,
+    QubitAngles, QutritEuler, dissipator, integrate_direct, lindblad_rhs, polar_special,
+    qubit_frame, random_density, random_interior_gaps, random_model, real_qutrit_rhs, so3_euler,
 )
 from specang.flags import torus_element
 from specang.serialize import read_document
@@ -152,10 +152,15 @@ def nan_matrix():
          "dt must be a real number, got nan"),
         (lambda: integrate_direct(random_density(2, seed=1), random_model(2, seed=0), INF, 1e-3),
          "t_end must be a real number, got inf"),
+        (lambda: lindblad_rhs(nan_matrix(), random_model(2, seed=0)),
+         "rho must be finite, got the entry nan"),
+        (lambda: dissipator(np.stack([np.eye(2), [[0.5, 0.0], [0.0, -INF]]]),
+                            random_model(2, seed=0)),
+         "rho must be finite, got the entry -inf"),
     ],
     ids=[
         "gaps", "probs", "density", "frame", "nan-rate", "inf-rate", "nan-H", "inf-jump",
-        "huge-H", "nan-dt", "inf-t_end",
+        "huge-H", "nan-dt", "inf-t_end", "nan-rhs-rho", "inf-dissipator-stack",
     ],
 )
 def test_non_finite_input_is_rejected(build, message):
@@ -225,6 +230,9 @@ def test_documents_and_dataclasses_share_one_finiteness_rule(tmp_path, value, to
         (lambda: sorted_probs("a"), "probabilities must be an array of numbers: "),
         (lambda: real_qutrit_rhs(QutritEuler(0.2, 0.1, 0.0, 1.0, 0.0), "a", lambda rho: rho),
          "A must be an array of numbers: "),
+        (lambda: lindblad_rhs("x", random_model(2, seed=0)), "rho must be an array of numbers: "),
+        (lambda: dissipator([[1, 2], [3]], random_model(2, seed=0)),
+         "rho must be an array of numbers: "),
         (lambda: MetricTensor(3, [[1.0, 0.5], [0.0, 1.0]]), "metric components must be symmetric"),
         (lambda: CoweightBasis(3, (np.zeros((3, 3)),)), "coweight basis must contain n-1 matrices"),
     ],
@@ -232,7 +240,7 @@ def test_documents_and_dataclasses_share_one_finiteness_rule(tmp_path, value, to
         "gaps", "probs", "coweight", "frame", "density", "metric", "H", "jump",
         "ragged", "string", "object", "string-rate", "none-rate", "rate-count", "polytope-string",
         "purity-string", "purity-number", "purity-3x2", "purity-one-level", "sorted-string",
-        "qutrit-A-string",
+        "qutrit-A-string", "rhs-string", "dissipator-ragged",
         "asymmetric-metric", "coweight-count",
     ],
 )
@@ -249,6 +257,8 @@ def test_transposed_complex_arrays_are_read_as_given():
     U = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
     L = np.array([[0.0, 1.0 + 2.0j], [0.0, 0.0]])
     assert np.array_equal(DensityMatrix(2, rho.T).rho, rho.T)
+    # the dataclass freezes its own copy, never the caller's array
+    assert not np.shares_memory(DensityMatrix(2, rho).rho, rho) and rho.flags.writeable
     assert np.array_equal(UnitaryFrame(2, U.conj().T).U, U.conj().T)
     assert np.array_equal(LindbladModel(2, np.diag([1.0, -1.0]), (L.T,), (1.0,)).jumps[0], L.T)
     bad = np.array([[0.0, complex(0.0, INF)], [0.0, 0.0]])
