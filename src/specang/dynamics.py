@@ -166,7 +166,7 @@ def _liouvillian(model: LindbladModel, hamiltonian: bool) -> np.ndarray:
     n, (B, C) = model.n, model._jump_pairs[hamiltonian]
     check_memory(n * n, n)
     out = np.empty((n * n, n * n), dtype=complex)
-    np.matmul(B.reshape(n, -1, n).mT[:, None], C.transpose(2, 0, 1), out=out.reshape((n,) * 4))
+    np.matmul(B.reshape(n, -1, n).swapaxes(1, 2)[:, None], C.transpose(2, 0, 1), out=out.reshape((n,) * 4))
     return _frozen(out)
 
 
