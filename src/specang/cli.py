@@ -47,7 +47,7 @@ from .flags import (
     sample_flags,
 )
 from .kolmogorov import ks_uniform
-from .serialize import frame_lines, write_frames
+from .serialize import write_frames
 from .dynamics import (
     integrate_direct,
     integrate_split,
@@ -129,7 +129,6 @@ def cmd_geometry(args) -> int:
 
 
 def _verify_identity(args):
-    check_memory(args.N + 1, args.n)
     _, errors = _column_errors(_ginibre_columns(args.n, args.N, args.seed, args.n))
     lines = [
         f"identity column {i}: frobenius_error={err:.4f} "
@@ -248,9 +247,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    check_memory(args.N + 1, args.n)
     frames = sample_flags(args.n, args.N, args.seed)
-    frame_lines(frames)  # a non-finite frame raises here, before the statistics read it
     header = _provenance(args)
     if args.n == 2 and args.N > 0:
         # first-column overlap |<e1|u1>|^2 should be uniform on [0, 1]

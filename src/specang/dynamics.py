@@ -236,26 +236,26 @@ def stage_constants(n: int):
     return _frozen(1.0 - off), _frozen(off), _frozen(-1j * off)
 
 
-def _split_stage(V, p, LD, HD, checked=True):
+def _split_stage(V, p, model, HD, checked=True):
     """The split flow (V Omega_tilde, p_dot) at frame V and spectrum p.
 
-    HD is a (2, n, n) buffer whose first slice is H.  The stage writes
-    D(rho) = LD(rho) into its second slice, at rho = V diag(p) V^dag, and
-    rotates both into the frame in one product, Ht, Lt = V^dag [H, D] V, with
-    the gap floor checked if `checked`.  V need not be unitary: RK4 stages
-    sit at U + O(dt).  p_dot is diag Lt less its mean, so sum(p) stays 1 to
-    round-off; Omega_tilde = V^dag dV/dt, zero on the diagonal (torus gauge),
-    is Ht o (-i off) - Lt o (off / (p_i - p_j + delta_ij)).
+    HD is a (2, n, n) buffer whose first slice is H.  The stage writes D(rho), the
+    model's dissipator in its form, into the second slice, at rho = V diag(p) V^dag,
+    and rotates both into the frame in one product, Ht, Lt = V^dag [H, D] V, with
+    the gap floor checked if `checked`.  V need not be unitary: RK4 stages sit at
+    U + O(dt).  p_dot is diag Lt less its mean, so sum(p) stays 1 to round-off and H
+    enters only through Ht, not p_dot; Omega_tilde = V^dag dV/dt, zero on the diagonal
+    (torus gauge), is Ht o (-i off) - Lt o (off / (p_i - p_j + delta_ij)).
     """
     n = len(V)
     eye, off, neg_i_off = stage_constants(n)
     if checked:
         check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
     Vh = V.conj().T  # one conjugate for rho = density_stack(p, V) and for the rotation
-    if type(LD) is tuple:  # the jump form, else the superoperator on vec(rho)
-        _jump(LD, (V * p) @ Vh, out=HD[1])
+    if model.jump_form:
+        _jump(model._jump_pairs[0], (V * p) @ Vh, out=HD[1])
     else:
-        np.matmul(LD, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
+        np.matmul(model.dissipator_superoperator, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
     HLt = Vh @ HD @ V  # (Ht, Lt), read by index: cheaper than unpacking
     Omega_t = HLt[0] * neg_i_off
     Omega_t -= HLt[1] * (off / (p[:, None] - p + eye))
@@ -274,8 +274,7 @@ def split_rhs(state: SplitState, model: LindbladModel):
     if model.n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
     U, HD = state.U.U, np.array([model.H, model.H])  # the stage overwrites HD[1]
-    LD = model._jump_pairs[0] if model.jump_form else model.dissipator_superoperator
-    U_Omega, p_dot = _split_stage(U, probs_stack(state.r.r), LD, HD)
+    U_Omega, p_dot = _split_stage(U, probs_stack(state.r.r), model, HD)
     return gaps_stack(p_dot), U_Omega @ U.conj().T
 
 
@@ -328,14 +327,14 @@ def integrate_split(
     return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
 
 
-def _split_step(U, p, dt, LD, HD):
+def _split_step(U, p, dt, model, HD):
     """One RK4 step of the pair (U, p) under _split_stage (the run has checked
     (U, p), so stage 1 does not), then polar_special: (U, p, frame defect).
     The sums K1 + 2 K2 + 2 K3 + K4 and k1 + ... accumulate in place in K1, k1.  A step
     leaving the chart (gap floor, FRAME_DEFECT, R_{n-1}) raises DegenerateSpectrumError."""
-    K, k = S, s = _split_stage(U, p, LD, HD, checked=False)
+    K, k = S, s = _split_stage(U, p, model, HD, checked=False)
     for c in (0.5, 0.5, 1.0):
-        K, k = _split_stage(U + c * dt * K, p + c * dt * k, LD, HD)
+        K, k = _split_stage(U + c * dt * K, p + c * dt * k, model, HD)
         S += K + K if c < 1.0 else K  # weights 2, 2, 1; K + K is 2 K exactly
         s += k + k if c < 1.0 else k
     U, defect = polar_special(U + dt / 6.0 * S)
@@ -388,18 +387,14 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     if rho0.n != n:
         raise ValidationError("state and model dimensions disagree")
     rho, A, t_break, drift, defect = np.asarray(rho0.rho, dtype=complex), None, None, 0.0, 0.0
-    if split:
-        # H enters the frame rates only through its frame image, so p' does
-        # not depend on H; the stages overwrite HD[1]
-        LD = model._jump_pairs[0] if jump else model.dissipator_superoperator
-        HD = np.array([model.H, model.H])
+    HD = np.array([model.H, model.H]) if split else None  # the split stages overwrite HD[1]
     raw, blocks, live = [], [], 0  # this route's raw records, checked columns, live step
     try:
         for step in range(steps + 1):
             if split:
                 try:
                     if step:
-                        U, p, defect = _split_step(U, p, dt, LD, HD)
+                        U, p, defect = _split_step(U, p, dt, model, HD)
                         live = step
                     else:
                         r_vec, frame = eigendecompose_ordered(rho0)

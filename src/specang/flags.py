@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     EIG_TOL, ValidationError, _finite, check_angle, check_count, check_density, check_frame,
-    check_gap_floor, check_real, checked_array,
+    check_gap_floor, check_memory, check_real, checked_array,
 )
 from .spectral import GapVector, gaps_stack, probs_stack, weighted_simplex_volume
 
@@ -270,6 +270,7 @@ def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
     """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n
     matrices as a (k, count, n) stack: batched classical Gram-Schmidt, run twice."""
     check_count("seed", seed, 0)
+    check_memory(count + 1, n)
     G = np.random.default_rng(seed).standard_normal((2, count, n, n))  # real, imaginary
     Q = np.empty((k, count, n), complex)
     Q.real, Q.imag = G[..., :k].transpose(0, 3, 1, 2)

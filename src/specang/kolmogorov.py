@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalBreakdownError
+from .errors import NumericalBreakdownError, ValidationError
 
 
 def _smirnov_sf(N: int, d: float) -> float:
@@ -69,9 +69,14 @@ def kolmogorov_sf(N: int, d: float) -> float:
 
 
 def ks_uniform(x) -> tuple[float, float]:
-    """(D_N, P(D_N >= D_N observed)) for a 1-D sample against Uniform(0, 1); a NaN or
-    infinite entry raises NumericalBreakdownError."""
-    x = np.asarray(x, dtype=float)
+    """(D_N, P(D_N >= D_N observed)) for a non-empty 1-D sample of numbers against Uniform(0, 1),
+    else ValidationError; a NaN or infinite entry raises NumericalBreakdownError."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # a string, ragged nesting, 10**400
+        raise ValidationError(f"sample must be an array of numbers: {exc}") from None
+    if not (x.ndim == 1 and x.size):  # None reads as a 0-D NaN
+        raise ValidationError(f"sample must be a non-empty 1-D array, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise NumericalBreakdownError("non-finite entry in the sample")
     x = np.sort(np.clip(x, 0.0, 1.0))

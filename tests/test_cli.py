@@ -1017,12 +1017,15 @@ def test_sample_frame_lines_are_json_dumps_of_the_pairs(capsys, tmp_path, n):
 
 def test_sample_non_finite_frame_exits_3(capsys, tmp_path, monkeypatch):
     # a NaN entry is a numerical breakdown, not a "NaN" token in the JSONL file; it is
-    # found before the statistics read it and before the output file is touched
-    for n, previous in ((3, None), (3, b"a previous run\n"), (2, b"a previous run\n")):
+    # found before the output file is touched: at n = 2 in the KS column (entry (0, 0))
+    # by ks_uniform, anywhere else by write_frames
+    cases = ((3, None, 1), (3, b"a previous run\n", 1), (2, b"a previous run\n", 1),
+             (2, b"a previous run\n", 0))
+    for n, previous, column in cases:
         frames = sample_flags(n, 4, 0)
-        frames[2, 0, 1] = complex(np.nan, 0.0)
+        frames[2, 0, column] = complex(np.nan, 0.0)
         monkeypatch.setattr("specang.cli.sample_flags", lambda n, count, seed: frames)
-        out = tmp_path / f"frames_{n}_{previous is None}.jsonl"
+        out = tmp_path / f"frames_{n}_{previous is None}_{column}.jsonl"
         if previous is not None:
             out.write_bytes(previous)
         code, stdout, err = run(capsys, "sample", "--n", str(n), "--N", "4", "--out", str(out))

@@ -3,6 +3,7 @@
 import collections
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from specang import (
     weighted_simplex_volume,
 )
 from specang.dynamics import random_density
+from specang.errors import MEMORY_LIMIT
 from specang.flags import torus_element, pair_indices
 from conftest import interior_gaps, random_angles
 
@@ -599,6 +601,25 @@ def test_quantize_needs_a_sample(rng):
     # a mean over no frames is no estimate, as in resolution_check
     with pytest.raises(ValidationError, match="^num_samples must be an integer >= 1, got 0$"):
         quantize(lambda U: 1.0, interior_gaps(3, rng), 0, seed=0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda count: sample_flags(8, count, 0),
+    lambda count: resolution_check(8, 1, count, 0),
+    lambda count: quantize(lambda U: 1.0, GapVector(8, np.full(7, 0.02)), count, 0),
+], ids=["sample_flags", "resolution_check", "quantize"])
+def test_frame_draws_beyond_the_memory_limit_raise_before_drawing(draw):
+    # the draw checks its own memory: 1e9 frames at n = 8 would take 954 GiB of
+    # Gaussians, which ended in numpy's MemoryError, not the limit's ValidationError
+    message = f"1000000001 complex 8 x 8 matrices exceed the memory limit of {MEMORY_LIMIT} B"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            draw(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_quantize_linear_in_f(rng):

@@ -1,10 +1,12 @@
 """specang.kolmogorov against scipy's kstwo and kstest."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, kstwo
 
-from specang import NumericalBreakdownError
+from specang import NumericalBreakdownError, ValidationError
 from specang.kolmogorov import kolmogorov_sf, ks_uniform
 
 P_GRID = np.geomspace(1e-9, 0.9999, 9)
@@ -65,4 +67,18 @@ def test_ks_uniform_rejects_a_non_finite_entry(N, bad):
     x = np.random.default_rng(N).random(N)
     x[N // 2] = bad
     with pytest.raises(NumericalBreakdownError, match="^non-finite entry in the sample$"):
+        ks_uniform(x)
+
+
+@pytest.mark.parametrize("x, message", [
+    ("a", "sample must be an array of numbers: could not convert string to float: 'a'"),
+    ([[0.1, 0.2], [0.3]], "sample must be an array of numbers: setting an array element"),
+    (np.full((2, 3), 0.5), "sample must be a non-empty 1-D array, got shape (2, 3)"),
+    ([], "sample must be a non-empty 1-D array, got shape (0,)"),
+    (None, "sample must be a non-empty 1-D array, got shape ()"),
+], ids=["string", "ragged", "2-d", "empty", "none"])
+def test_ks_uniform_rejects_a_sample_that_is_not_a_1d_array_of_numbers(x, message):
+    # each ended in a bare numpy ValueError, or (None, read as a 0-D NaN) in
+    # NumericalBreakdownError
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
         ks_uniform(x)
