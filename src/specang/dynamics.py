@@ -327,11 +327,12 @@ def integrate_split(
     return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
 
 
-def _split_step(U, p, dt, model, HD):
-    """One RK4 step of the pair (U, p) under _split_stage (the run has checked
-    (U, p), so stage 1 does not), then polar_special: (U, p, frame defect).
+def _split_step(state, t, model, dt, HD):
+    """One RK4 step of the split state (p, U, frame defect) under _split_stage (the run has
+    checked (p, U), so stage 1 does not), then polar_special, whose defect is the new one.
     The sums K1 + 2 K2 + 2 K3 + K4 and k1 + ... accumulate in place in K1, k1.  A step
     leaving the chart (gap floor, FRAME_DEFECT, R_{n-1}) raises DegenerateSpectrumError."""
+    p, U, _ = state
     K, k = S, s = _split_stage(U, p, model, HD, checked=False)
     for c in (0.5, 0.5, 1.0):
         K, k = _split_stage(U + c * dt * K, p + c * dt * k, model, HD)
@@ -341,7 +342,34 @@ def _split_step(U, p, dt, model, HD):
     p = p + dt / 6.0 * s
     if not p[-1] >= -TOL / len(p):  # R_{n-1}'s sum_a a r_a <= 1 + TOL, read on p
         raise DegenerateSpectrumError(f"min eigenvalue {p[-1]:.3e} below -TOL/n; left R_{{n-1}}")
-    return U, p, defect
+    return p, U, defect
+
+
+def _direct_step(state, t, model, dt, A):
+    """One RK4 step of the direct state (rho, trace drift) to time t, as integrate_direct says."""
+    rho, jump = state[0], model.jump_form
+    x = v = rho if jump else rho.ravel()
+    for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
+        x = v + (c * dt) * _jump(A, x) if jump else v + c * (A @ x)
+    rho = x.reshape(rho.shape)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = float(np.trace(rho).real)
+    drift = abs(tr - 1.0)
+    if not drift <= BREAKDOWN_TOL:
+        raise NumericalBreakdownError(
+            f"trace drift {drift:.3e} exceeds {BREAKDOWN_TOL:.0e} at t={t:.6g}")
+    return rho / tr, drift
+
+
+def _start(split, rho, model, dt):
+    """(step, operand, record reader, first state) of the split route, or else the direct one,
+    from rho: an (H, D) buffer whose D the stages overwrite, or L's jump pairs, or dt L."""
+    if split:
+        r_vec, frame = eigendecompose_ordered(rho)
+        state = probs_stack(r_vec.r), frame.U, 0.0  # read-only U: no step writes it
+        return _split_step, np.array([model.H, model.H]), _split_records, state
+    A = model._jump_pairs[1] if model.jump_form else dt * model.liouvillian
+    return _direct_step, A, _direct_records, (np.asarray(getattr(rho, "rho", rho), dtype=complex), 0.0)
 
 
 def _split_records(records):
@@ -368,74 +396,54 @@ def _direct_records(records):
 
 
 def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
-    """The step loop of both integrators.
+    """The step loop of both integrators, over the route that _start gives.
 
     It starts on the split route if `split` is set and on the direct route
-    otherwise, and records at step 0, at every step with
+    otherwise, and records (t, *state) at step 0, at every step with
     step % record_every == 0 and at the last, at time step * dt.  A split
-    state with a gap below BREAKDOWN_TOL or a rho0 with no eigenframe is a
-    breakdown at its time, a step that leaves the chart (_split_step) one at the
-    last accepted step.  A breakdown raises unless `fallback_direct` is set.
-    Then the live state (rho0 itself at step 0, U diag(p) U^dag after it)
-    passes the direct record floor and steps on the direct route.
-    Direct records are checked as a stack once they span RECORD_CHUNK steps
-    and at every exit (the end, an exception, the hand-over); the earliest
-    failing record raises ahead of a later step's exception.
+    breakdown (integrate_split's; a rho0 with no eigenframe breaks down at t = 0)
+    raises unless `fallback_direct` is set.  Then the live state (rho0 itself at
+    step 0, U diag(p) U^dag after it) passes the direct record floor and starts
+    the direct route.  Records are read as a stack once they span RECORD_CHUNK
+    steps and at every exit (the end, an exception, the hand-over); the earliest
+    failing direct record raises ahead of a later step's exception.
     """
-    n, jump = model.n, model.jump_form
-    steps = _step_count(t_end, dt, record_every, n)
-    if rho0.n != n:
+    steps = _step_count(t_end, dt, record_every, model.n)
+    if rho0.n != model.n:
         raise ValidationError("state and model dimensions disagree")
-    rho, A, t_break, drift, defect = np.asarray(rho0.rho, dtype=complex), None, None, 0.0, 0.0
-    HD = np.array([model.H, model.H]) if split else None  # the split stages overwrite HD[1]
-    raw, blocks, live = [], [], 0  # this route's raw records, checked columns, live step
+    t_break, raw, blocks, live = None, [], [], 0  # raw records of the live route, columns, live step
     try:
         for step in range(steps + 1):
-            if split:
-                try:
-                    if step:
-                        U, p, defect = _split_step(U, p, dt, model, HD)
-                        live = step
-                    else:
-                        r_vec, frame = eigendecompose_ordered(rho0)
-                        p, U = probs_stack(r_vec.r), frame.U  # read-only: no step writes U
-                    check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
-                except DegenerateSpectrumError as exc:
-                    t_break = live * dt
-                    if not fallback_direct:
-                        raise DegenerateSpectrumError(
-                            f"split integration broke down at t={t_break:.6g}: {exc}"
-                        ) from exc
-                    pending, raw, split = raw, [], False
-                    if pending:
-                        blocks.append(_split_records(pending))
-                    if live:  # at step 0 the true state is rho0 itself
-                        rho = density_stack(p, U)
-                    _direct_records([(t_break, rho, drift)])  # the hand-over state, as a record
-            if live < step:
-                if A is None:  # a superoperator gets one scaled copy per run
-                    A = model._jump_pairs[1] if jump else dt * model.liouvillian
-                x = v = rho if jump else rho.ravel()
-                for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
-                    x = v + (c * dt) * _jump(A, x) if jump else v + c * (A @ x)
-                rho = x.reshape(n, n)
-                rho = 0.5 * (rho + rho.conj().T)
-                tr = float(np.trace(rho).real)
-                drift = abs(tr - 1.0)
-                if not drift <= BREAKDOWN_TOL:
-                    raise NumericalBreakdownError(
-                        f"trace drift {drift:.3e} exceeds {BREAKDOWN_TOL:.0e} at t={step * dt:.6g}"
-                    )
-                rho = rho / tr
+            try:
+                if step:
+                    state = advance(state, step * dt, model, dt, operand)
+                else:
+                    advance, operand, read, state = _start(split, rho0, model, dt)
                 live = step
+                if split:
+                    check_gap_floor(gaps_stack(state[0]), BREAKDOWN_TOL, "angular chart")
+            except DegenerateSpectrumError as exc:
+                t_break = live * dt
+                if not fallback_direct:
+                    raise DegenerateSpectrumError(
+                        f"split integration broke down at t={t_break:.6g}: {exc}"
+                    ) from exc
+                pending, raw, split = raw, [], False
+                if pending:
+                    blocks.append(read(pending))
+                rho = density_stack(*state[:2]) if live else rho0.rho  # at step 0, rho0 itself
+                _direct_records([(t_break, rho, 0.0)])  # the hand-over state, as a record
+                advance, operand, read, state = _start(False, rho, model, dt)
+            if live < step:  # the step the split route did not take
+                state = advance(state, step * dt, model, dt, operand)
             if step % record_every == 0 or step == steps:
-                raw.append((step * dt, p, U, defect) if split else (step * dt, rho, drift))
+                raw.append((step * dt, *state))
                 if len(raw) * record_every >= RECORD_CHUNK:
                     pending, raw = raw, []
-                    blocks.append((_split_records if split else _direct_records)(pending))
+                    blocks.append(read(pending))
     finally:
         if raw:
-            blocks.append((_split_records if split else _direct_records)(raw))
+            blocks.append(read(raw))
 
     times, gaps, rhos, errors, mins, defects = map(np.concatenate, zip(*blocks))
     diag = {"trace_error": errors, "min_eig": mins, "min_gap": gaps.min(axis=1),

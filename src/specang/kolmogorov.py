@@ -69,9 +69,11 @@ def kolmogorov_sf(N: int, d: float) -> float:
 
 
 def ks_uniform(x) -> tuple[float, float]:
-    """(D_N, P(D_N >= D_N observed)) for a non-empty 1-D sample of numbers against Uniform(0, 1),
+    """(D_N, P(D_N >= D_N observed)) for a non-empty 1-D sample of reals against Uniform(0, 1),
     else ValidationError; a NaN or infinite entry raises NumericalBreakdownError."""
     try:
+        if np.iscomplexobj(x):  # the cast below would keep only the real part, with a warning
+            raise TypeError("got complex entries")
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # a string, ragged nesting, 10**400
         raise ValidationError(f"sample must be an array of numbers: {exc}") from None

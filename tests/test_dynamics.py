@@ -1,6 +1,7 @@
 """GKLS integration: direct vs split, closed forms, factorization, IO."""
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -621,10 +622,13 @@ def test_split_breakdown_and_fallback():
     assert np.array_equal(traj.rho, integrate_direct(rho0, model, 0.2, 1e-3).rho)
 
 
-@pytest.mark.parametrize("rho0", [np.eye(3) / 3.0, np.diag([1.0, 0.0, 0.0])],
-                         ids=["maximally-mixed", "pure"])
+@pytest.mark.parametrize("rho0", [np.eye(3) / 3.0, np.diag([1.0, 0.0, 0.0]),
+                                  np.eye(16) / 16.0, np.diag(np.eye(16)[0])],
+                         ids=["maximally-mixed", "pure", "maximally-mixed-16", "pure-16"])
 def test_start_with_no_eigenframe_hands_over_at_t0(rho0):
-    model, rho0 = random_model(3, seed=1), DensityMatrix(3, rho0)
+    # random_model(16, 1) is in the jump form, so the hand-over starts that form's direct route
+    n = len(rho0)
+    model, rho0 = random_model(n, seed=1), DensityMatrix(n, rho0)
     traj = integrate_split(rho0, model, 0.05, 1e-3, fallback_direct=True)
     assert traj.breakdown_time == 0.0
     assert np.array_equal(traj.rho, integrate_direct(rho0, model, 0.05, 1e-3).rho)
@@ -640,9 +644,33 @@ def _amplitude_damped_qubit():
     return model, DensityMatrix(2, np.diag([0.3, 0.7]))
 
 
+def test_split_state_accepted_below_the_gap_floor_breaks_down_at_its_own_time():
+    # a classical qutrit whose step to t = 0.1 is accepted with a gap below
+    # BREAKDOWN_TOL: the breakdown is at 0.1, not at the last state before it
+    E = np.eye(3)
+    jumps = tuple(np.outer(E[i], E[j]) for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)))
+    model = LindbladModel(3, np.zeros((3, 3)), jumps, (1.632, 0.005, 1.715, 0.067, 1.459, 0.351))
+    rho0 = DensityMatrix(3, np.diag([0.8265, 0.0929, 0.0806]))
+    msg = "split integration broke down at t=0.1: spectral gap below 1e-08; angular chart breaks down"
+    with pytest.raises(DegenerateSpectrumError, match=f"^{re.escape(msg)}$"):
+        integrate_split(rho0, model, 0.2, 0.1)
+    traj = integrate_split(rho0, model, 0.2, 0.1, fallback_direct=True)
+    assert traj.breakdown_time == 0.1
+    assert np.array_equal(traj.times, [0.0, 0.1, 0.2])
+
+
+def _amplitude_damped_16():
+    # the qubit's crossing at t = ln(7/5) among 14 more levels, under an H, in the jump form
+    n, L = 16, np.zeros((16, 16))
+    L[0, 1] = 1.0
+    p = np.concatenate(([0.3, 0.7], np.linspace(0.02, 0.09, 14)))
+    model = LindbladModel(n, np.diag(np.linspace(0.0, 1.5, n)), (L,), (1.0,))
+    return model, DensityMatrix(n, np.diag(p / p.sum()))
+
+
 def test_fallback_resumes_from_live_state():
-    model, rho0 = _amplitude_damped_qubit()
-    for record_every in (1, 10, 100):
+    for (model, rho0), record_every in itertools.product(
+            (_amplitude_damped_qubit(), _amplitude_damped_16()), (1, 10, 100)):
         direct = integrate_direct(rho0, model, 1.0, 1e-3, record_every)
         split = integrate_split(rho0, model, 1.0, 1e-3, record_every, fallback_direct=True)
         assert split.breakdown_time == pytest.approx(0.336)

@@ -76,7 +76,9 @@ def test_ks_uniform_rejects_a_non_finite_entry(N, bad):
     (np.full((2, 3), 0.5), "sample must be a non-empty 1-D array, got shape (2, 3)"),
     ([], "sample must be a non-empty 1-D array, got shape (0,)"),
     (None, "sample must be a non-empty 1-D array, got shape ()"),
-], ids=["string", "ragged", "2-d", "empty", "none"])
+    (np.array([0.5 + 0.3j, 0.2]), "sample must be an array of numbers: got complex entries"),
+    ([0.5 + 0.3j, 0.2], "sample must be an array of numbers: got complex entries"),
+], ids=["string", "ragged", "2-d", "empty", "none", "complex-array", "complex-list"])
 def test_ks_uniform_rejects_a_sample_that_is_not_a_1d_array_of_numbers(x, message):
     # each ended in a bare numpy ValueError, or (None, read as a 0-D NaN) in
     # NumericalBreakdownError
