@@ -24,7 +24,17 @@ the layers one RK4 step is made of: `split_rhs` at the split state of the
 random state (its frame and gaps), `polar_special` on the frame that one
 step of `integrate_split` hands to it (one RK4 step off SU(n), so its
 Newton-Schulz updates run as in a run), and `lindblad_rhs` at the state.
-Each timed sample is KERNEL_CALLS calls on a warm model.
+Each timed sample is KERNEL_CALLS calls on a warm model.  Beside them it gives
+the two superoperator forms of the direct step on A = dt L, whatever form the
+model's own runs take: `matrix_build`, one build of the increment matrix
+E = A (1 + A/2 (1 + A/3 (1 + A/4))) (the three n^2 x n^2 products of
+`dynamics._start`, one build per timed sample), `matrix_step`, one step
+v + E v, and `horner_step`, one Horner step of four matvecs, each without the
+re-Hermitizing and renormalizing that every direct step shares.  A run takes E
+from n^2 steps on; the build divided by the saving per step, horner_step less
+matrix_step, is the number of steps after which E has paid for itself.  These
+three rows are left out at an n where the library would not build E either
+(its five n^4 arrays exceed MEMORY_LIMIT).
 
 The sampling table gives the same statistics in microseconds per call of
 `sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
@@ -88,6 +98,7 @@ from specang import (
     write_trajectory_csv,
 )
 from specang.dynamics import polar_special, random_density, random_model
+from specang.errors import fits_memory
 from specang.kolmogorov import kolmogorov_sf
 
 INTEGRATORS = {"direct": integrate_direct, "split": integrate_split}
@@ -213,16 +224,40 @@ def batched(call):
     return batch
 
 
+def increment_matrix(A):
+    """E = A (1 + A/2 (1 + A/3 (1 + A/4))) = sum_{k=1..4} A^k / k!, as dynamics builds it."""
+    E = A
+    for c in (4.0, 3.0, 2.0):
+        E = A + A @ E / c
+    return E
+
+
+def horner_step(A, v):
+    """One RK4 step of v' = (A / dt) v by Horner, four matvecs, as dynamics applies it."""
+    x = v
+    for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
+        x = v + c * (A @ x)
+    return x
+
+
 def kernel_calls(n):
-    """The layers of one RK4 step at n, each batched: split_rhs at the random
-    state's split state, polar_special on the frame one step hands it and
-    lindblad_rhs at the state."""
+    """(call, calls per sample) of the layers of one RK4 step at n: split_rhs at
+    the random state's split state, polar_special on the frame one step hands it,
+    lindblad_rhs at the state, and on A = dt L one build of E, one step v + E v and
+    one Horner step."""
     model, rho0 = case(n)
     state = SplitState(*eigendecompose_ordered(rho0), 0.0)
     U = off_frame(rho0, model)
-    return {"split_rhs": batched(lambda: split_rhs(state, model)),
-            "polar_special": batched(lambda: polar_special(U)),
-            "lindblad_rhs": batched(lambda: lindblad_rhs(rho0, model))}
+    calls = {"split_rhs": (batched(lambda: split_rhs(state, model)), KERNEL_CALLS),
+             "polar_special": (batched(lambda: polar_special(U)), KERNEL_CALLS),
+             "lindblad_rhs": (batched(lambda: lindblad_rhs(rho0, model)), KERNEL_CALLS)}
+    if not fits_memory(5 * n * n, n):  # the library would not build E either
+        return calls
+    A, v = DT * model.liouvillian, rho0.rho.astype(complex).ravel()
+    E = increment_matrix(A)
+    return {**calls, "matrix_build": (lambda: increment_matrix(A), 1),
+            "matrix_step": (batched(lambda: v + E @ v), KERNEL_CALLS),
+            "horner_step": (batched(lambda: horner_step(A, v)), KERNEL_CALLS)}
 
 
 def sampling_rows(dims):
@@ -287,14 +322,19 @@ def main():
     tables = {
         "results": table("us_per_step", step_rows, args.repeats),
         "records": table("us_per_record", record_rows, args.repeats),
-        "kernels": table("us_per_call", [({"n": n, "kernel": kernel}, batch, KERNEL_CALLS)
+        "kernels": table("us_per_call", [({"n": n, "kernel": kernel}, call, calls)
                                          for n in args.dims
-                                         for kernel, batch in kernel_calls(n).items()],
+                                         for kernel, (call, calls) in kernel_calls(n).items()],
                          args.repeats),
         "sampling": table("us_per_call", sampling_rows(args.dims), args.repeats,
                           with_memory=True),
         "writing": table("us_per_item", writing_rows(args.dims, args.repeats), args.repeats),
     }
+    cost = {(row["n"], row["kernel"]): row["us_per_call_median"] for row in tables["kernels"]}
+    for n in (n for n in args.dims if (n, "matrix_build") in cost):
+        saved = cost[n, "horner_step"] - cost[n, "matrix_step"]
+        payback = f"{cost[n, 'matrix_build'] / saved:.1f} steps" if saved > 0.0 else "never"
+        print(f"n={n}: E is paid back after {payback}; a run takes it from n^2 = {n * n} steps")
 
     prov = provenance()
     print(f"numpy {prov['numpy']}, scipy {prov['scipy']}, BLAS {prov['blas']} "

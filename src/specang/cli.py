@@ -237,6 +237,7 @@ def cmd_evolve(args) -> int:
         write_trajectory_csv(path, traj, {**header, "method": method})
         out["files"].append(path)
         rhos.append(traj.rho)
+        out.setdefault("direct_step", {})[method] = traj.direct_step
         if traj.breakdown_time is not None:
             out["breakdown_time"] = traj.breakdown_time
     if args.method == "both":  # both routes record on the same grid

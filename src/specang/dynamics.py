@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
 from .errors import (
-    BREAKDOWN_TOL, EIG_TOL, FRAME_DEFECT, GRID_TOL, MATRIX_TOL, MEMORY_LIMIT, POLAR_TOL, TOL,
+    BREAKDOWN_TOL, EIG_TOL, FRAME_DEFECT, GRID_TOL, MATRIX_TOL, POLAR_TOL, TOL,
     DegenerateSpectrumError, NumericalBreakdownError, ValidationError, _finite, _frozen,
-    check_angle, check_count, check_gap_floor, check_memory, check_real, checked_array,
+    check_angle, check_count, check_gap_floor, check_memory, check_real, checked_array, fits_memory,
 )
 from .flags import (
     PAULI, DensityMatrix, UnitaryFrame, assemble_density, density_stack,
@@ -60,7 +60,7 @@ class LindbladModel:
     @cached_property
     def jump_form(self) -> bool:
         """Whether the kernels apply the jump form: it costs less, or a superoperator won't fit."""
-        return len(self.jumps) + 2 < JUMP_FORM_COST * self.n or 16 * self.n**4 > MEMORY_LIMIT
+        return len(self.jumps) + 2 < JUMP_FORM_COST * self.n or not fits_memory(self.n**2, self.n)
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
@@ -133,13 +133,15 @@ class QutritEuler:
 class Trajectory:
     """Recorded run as stacked columns over T records: times (T,), gaps
     r (T, n-1), density matrices rho (T, n, n), per-record diagnostics
-    (arrays of length T) and the split-chart breakdown time, if any."""
+    (arrays of length T), the split-chart breakdown time, if any, and the direct
+    route's step, "matrix", "superoperator" or "jump", if the run took it."""
 
     times: np.ndarray
     r: np.ndarray
     rho: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     breakdown_time: float | None = None
+    direct_step: str | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -218,7 +220,8 @@ def integrate_direct(
     """Fixed-step RK4 on the density matrix itself.
 
     The generator is linear, so one RK4 step is the polynomial
-    sum_{k<=4} (dt L)^k / k! in the Liouvillian L, applied in Horner form as
+    sum_{k<=4} (dt L)^k / k! in the Liouvillian L: on n^2 or more steps in the superoperator
+    form, rho + E rho with E = sum_{1<=k<=4} (dt L)^k / k! built once, else in Horner form,
     four applications of L in the model's form.  The state is re-Hermitized and
     trace-renormalized after each step; the pre-renormalization drift and
     the spectral diagnostics are recorded.  Aborts with
@@ -345,11 +348,11 @@ def _split_step(state, t, model, dt, HD):
     return p, U, defect
 
 
-def _direct_step(state, t, model, dt, A):
-    """One RK4 step of the direct state (rho, trace drift) to time t, as integrate_direct says."""
+def _direct_step(state, t, model, dt, A, horner=(0.25, 1.0 / 3.0, 0.5, 1.0)):
+    """One RK4 step by Horner on A of the direct state (rho, trace drift) to t, as integrate_direct says."""
     rho, jump = state[0], model.jump_form
     x = v = rho if jump else rho.ravel()
-    for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
+    for c in horner:
         x = v + (c * dt) * _jump(A, x) if jump else v + c * (A @ x)
     rho = x.reshape(rho.shape)
     rho = 0.5 * (rho + rho.conj().T)
@@ -361,15 +364,24 @@ def _direct_step(state, t, model, dt, A):
     return rho / tr, drift
 
 
-def _start(split, rho, model, dt):
+_matrix_step = partial(_direct_step, horner=(1.0,))  # rho + E rho, for the E of _start
+
+
+def _start(split, rho, model, dt, steps):
     """(step, operand, record reader, first state) of the split route, or else the direct one,
-    from rho: an (H, D) buffer whose D the stages overwrite, or L's jump pairs, or dt L."""
+    from rho for `steps` steps: an (H, D) buffer whose D the stages overwrite, L's jump pairs,
+    A = dt L or, if steps >= n^2 and L, A, E and two temporaries fit, E = sum_{k=1..4} A^k/k!."""
     if split:
         r_vec, frame = eigendecompose_ordered(rho)
         state = probs_stack(r_vec.r), frame.U, 0.0  # read-only U: no step writes it
         return _split_step, np.array([model.H, model.H]), _split_records, state
     A = model._jump_pairs[1] if model.jump_form else dt * model.liouvillian
-    return _direct_step, A, _direct_records, (np.asarray(getattr(rho, "rho", rho), dtype=complex), 0.0)
+    step, n, E = _direct_step, model.n, A
+    if not model.jump_form and steps >= n * n and fits_memory(5 * n * n, n):
+        step = _matrix_step
+        for c in (4.0, 3.0, 2.0):  # E = A (1 + A/2 (1 + A/3 (1 + A/4))), 3 n^6 multiply-adds
+            E = A + A @ E / c
+    return step, E, _direct_records, (np.asarray(getattr(rho, "rho", rho), dtype=complex), 0.0)
 
 
 def _split_records(records):
@@ -418,7 +430,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                 if step:
                     state = advance(state, step * dt, model, dt, operand)
                 else:
-                    advance, operand, read, state = _start(split, rho0, model, dt)
+                    advance, operand, read, state = _start(split, rho0, model, dt, steps)
                 live = step
                 if split:
                     check_gap_floor(gaps_stack(state[0]), BREAKDOWN_TOL, "angular chart")
@@ -433,7 +445,7 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
                     blocks.append(read(pending))
                 rho = density_stack(*state[:2]) if live else rho0.rho  # at step 0, rho0 itself
                 _direct_records([(t_break, rho, 0.0)])  # the hand-over state, as a record
-                advance, operand, read, state = _start(False, rho, model, dt)
+                advance, operand, read, state = _start(False, rho, model, dt, steps - live)
             if live < step:  # the step the split route did not take
                 state = advance(state, step * dt, model, dt, operand)
             if step % record_every == 0 or step == steps:
@@ -448,7 +460,9 @@ def _run(rho0, model, t_end, dt, record_every, split, fallback_direct=False):
     times, gaps, rhos, errors, mins, defects = map(np.concatenate, zip(*blocks))
     diag = {"trace_error": errors, "min_eig": mins, "min_gap": gaps.min(axis=1),
             "frame_defect": defects}
-    return Trajectory(times, gaps, rhos, diag, breakdown_time=t_break)
+    direct = None if split else (
+        "matrix" if advance is _matrix_step else "jump" if model.jump_form else "superoperator")
+    return Trajectory(times, gaps, rhos, diag, t_break, direct)
 
 
 def qubit_rhs(state: QubitAngles, model: LindbladModel):

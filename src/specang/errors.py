@@ -112,9 +112,14 @@ def check_count(name: str, value, minimum: int, maximum: float = math.inf) -> No
         raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def fits_memory(count: int, n: int) -> bool:
+    """Whether count complex n x n matrices fit in MEMORY_LIMIT."""
+    return count * n * n * 16 <= MEMORY_LIMIT
+
+
 def check_memory(count: int, n: int) -> None:
     """Raise ValidationError unless count complex n x n matrices fit in MEMORY_LIMIT."""
-    if not count * n * n * 16 <= MEMORY_LIMIT:
+    if not fits_memory(count, n):
         raise ValidationError(
             f"{count} complex {n} x {n} matrices exceed the memory limit of {MEMORY_LIMIT} B")
 

@@ -345,6 +345,9 @@ def test_evolve_both(capsys, model_files):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_divergence"] < 1e-7
+    # 200 steps of a qubit in the superoperator form take the increment matrix; the
+    # split run never fell back, so it took no direct step
+    assert doc["direct_step"] == {"direct": "matrix", "split": None}
     for path in doc["files"]:
         text = open(path).read()
         assert text.startswith("# ")
@@ -374,6 +377,7 @@ def test_evolve_both_compares_matching_times_after_fallback(capsys, tmp_path, re
     doc = json.loads(out)
     assert doc["breakdown_time"] == pytest.approx(0.336)
     assert doc["max_divergence"] <= 1e-12
+    assert doc["direct_step"] == {"direct": "matrix", "split": "matrix"}  # 664 steps left
     direct, split = (
         [row.split(",")[0] for row in (tmp_path / f"run_{m}.csv").read_text().splitlines()
          if not row.startswith("#")]
@@ -417,6 +421,8 @@ def test_evolve_from_the_maximally_mixed_state_hands_over_at_t0(capsys, tmp_path
     assert code == 0
     doc = json.loads(out)
     assert doc["breakdown_time"] == 0.0 and doc["max_divergence"] == 0.0
+    code, out, _ = run(capsys, *argv, "--method", "split", "--fallback")
+    assert code == 0 and json.loads(out)["direct_step"] == {"split": "matrix"}
     code, out, err = run(capsys, *argv, "--method", "split")
     assert code == 3 and out == ""
     assert err == ("numerical breakdown: split integration broke down at t=0: "

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specang.dynamics as dynamics
+import specang.errors as errors
 from specang import (
     PAULI,
     DegenerateSpectrumError,
@@ -198,6 +199,22 @@ def relative_error(got, expect):
     return np.max(np.abs(got - expect)) / max(np.max(np.abs(expect)), 1e-300)
 
 
+def kron_rk4_direct(rho0, S, dt, steps):
+    """The records of `steps` direct RK4 steps on the superoperator S, four stages a
+    step, each re-Hermitized and renormalized as the direct route does."""
+    n, rho, expect = len(rho0), rho0.astype(complex), [rho0]
+    for _ in range(steps):
+        k1 = S @ rho.ravel()
+        k2 = S @ (rho.ravel() + 0.5 * dt * k1)
+        k3 = S @ (rho.ravel() + 0.5 * dt * k2)
+        k4 = S @ (rho.ravel() + dt * k3)
+        rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4).reshape(n, n)
+        rho = 0.5 * (rho + rho.conj().T)
+        expect.append(rho / np.trace(rho).real)
+        rho = expect[-1]
+    return np.array(expect)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12, 13, 16, 22, 32, 90])
 def test_the_generator_form_follows_its_cost_rule(n):
     # jump form where (k + 2) n^3 < JUMP_FORM_COST n^4; up to n = 90 a superoperator fits
@@ -256,18 +273,9 @@ def test_both_forms_match_a_superoperator_rk4_per_step(n):
     for k in range(6):
         model = jump_model(n, k)
         S, SD = kron_superoperator(model), kron_superoperator(model, False)
-        rho, expect = rho0.rho.astype(complex), [rho0.rho]
-        for _ in range(steps):
-            k1 = S @ rho.ravel()
-            k2 = S @ (rho.ravel() + 0.5 * dt * k1)
-            k3 = S @ (rho.ravel() + 0.5 * dt * k2)
-            k4 = S @ (rho.ravel() + dt * k3)
-            rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4).reshape(n, n)
-            rho = 0.5 * (rho + rho.conj().T)
-            expect.append(rho / np.trace(rho).real)
-            rho = expect[-1]
+        expect = kron_rk4_direct(rho0.rho, S, dt, steps)
         traj = integrate_direct(rho0, model, steps * dt, dt)
-        assert relative_error(traj.rho - rho0.rho, np.array(expect) - rho0.rho) <= 1e-12
+        assert relative_error(traj.rho - rho0.rho, expect - rho0.rho) <= 1e-12
 
         def stage(V, p):
             D = (SD @ ((V * p) @ V.conj().T).ravel()).reshape(n, n)
@@ -288,6 +296,48 @@ def test_both_forms_match_a_superoperator_rk4_per_step(n):
             expect.append((U * p) @ U.conj().T)
         traj = integrate_split(rho0, model, steps * dt, dt)
         assert relative_error(traj.rho, np.array(expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12])
+def test_the_matrix_step_matches_a_superoperator_rk4_per_step(n):
+    # direct runs of n^2 steps, so the superoperator form steps as rho + E rho with the
+    # increment matrix E, against the Kronecker RK4 on each record's increment rho(t) - rho0:
+    # applied as (1 + E) rho, the step loses about 4 digits of its increment and fails this
+    # bound at every n (1.0e-12 to 4.9e-12 for some k), where rho + E rho stays below 5e-14
+    dt, steps = 1e-4, n * n
+    rho0 = random_density(n, seed=40 + n)
+    for k in range(6):
+        model = jump_model(n, k)
+        traj = integrate_direct(rho0, model, steps * dt, dt)
+        assert traj.direct_step == ("jump" if model.jump_form else "matrix")
+        expect = kron_rk4_direct(rho0.rho, kron_superoperator(model), dt, steps)
+        for got, want in zip(traj.rho[1:] - rho0.rho, expect[1:] - rho0.rho):
+            assert relative_error(got, want) <= 1e-12
+
+
+def test_each_run_shape_takes_its_direct_step(monkeypatch):
+    # the increment matrix from n^2 steps left on, in the superoperator form and within
+    # the memory limit; Horner on dt L below that, and on the jump pairs in the jump form
+    def step_of(run, n, model, t_end, *args):
+        return run(random_density(n, seed=1), model, t_end, 1e-3, *args).direct_step
+
+    for n in (2, 3, 4, 8):  # evolve_long's shapes: 200 steps, n^2 <= 64
+        model = random_model(n, seed=0)
+        assert step_of(integrate_direct, n, model, 0.2) == "matrix"
+        assert step_of(integrate_split, n, model, 0.2) is None  # never fell back
+    assert step_of(integrate_direct, 8, random_model(8, seed=0), 0.05) == "superoperator"
+    assert step_of(integrate_direct, 8, random_model(8, seed=0), 0.064) == "matrix"
+    assert step_of(integrate_direct, 16, jump_model(16, 2), 0.2) == "jump"
+    # the amplitude-damped qubit hands over at t = 0.336: 3 steps left take Horner, 4 E
+    model, rho0 = _amplitude_damped_qubit()
+    for t_end, step in ((0.339, "superoperator"), (0.34, "matrix")):
+        traj = integrate_split(rho0, model, t_end, 1e-3, 1000, fallback_direct=True)
+        assert traj.breakdown_time == pytest.approx(0.336) and traj.direct_step == step
+    # the build holds L, dt L, E and two temporaries: at n = 8, 5 x 64 kB
+    model = random_model(8, seed=0)
+    for limit, step in ((5 * 2**16 - 1, "superoperator"), (5 * 2**16, "matrix")):
+        monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
+        assert step_of(integrate_direct, 8, model, 0.2, 50) == step
 
 
 def test_a_superoperator_beyond_the_memory_limit_is_never_built():

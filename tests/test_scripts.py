@@ -1,5 +1,6 @@
 """Smoke test: every script in scripts/ runs to completion on small inputs."""
 
+import importlib.util
 import json
 import math
 import os
@@ -55,7 +56,8 @@ def check_step_costs_schema(doc):
         "results": [{"n": n, "method": m} for n in dims for m in ("direct", "split")],
         "records": [{"n": n, "method": m} for n in dims for m in ("direct", "split")],
         "kernels": [{"n": n, "kernel": k} for n in dims
-                    for k in ("split_rhs", "polar_special", "lindblad_rhs")],
+                    for k in ("split_rhs", "polar_special", "lindblad_rhs", "matrix_build",
+                              "matrix_step", "horner_step")],
         "sampling": [{"call": "sample_flags", "n": n, "count": c} for n in dims
                      for c in (1, 1000, 4000)]
         + [{"call": "verify identity", "n": n, "N": 4000} for n in dims]
@@ -85,3 +87,57 @@ def check_step_costs_schema(doc):
             assert list(row) == [*ident, *stats, *extra], table
             assert table == "records" or row[f"{unit}_median"] > 0.0, (table, ident)
             assert all(row[key] >= 0.0 for key in extra), (table, ident)
+
+
+def test_ab_runs_both_trees_and_claims_no_gain_from_one_pair(tmp_path):
+    # this checkout as both trees, one short pair of verify_analysis runs
+    out = tmp_path / "ab.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab.py"), "--parent", str(ROOT), "--change",
+         str(ROOT), "--workloads", "verify_analysis", "--pairs", "1", "--seconds", "1",
+         "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["schema", "machine", "libraries", "trees", "params", "workloads"]
+    assert doc["schema"] == "specang-ab/1"
+    assert list(doc["libraries"]) == ["numpy", "scipy"]
+    assert doc["trees"]["parent"] == doc["trees"]["change"]
+    assert list(doc["trees"]["change"]) == ["commit", "dirty", "src_sha256"]
+    assert list(doc["workloads"]) == ["verify_analysis"]
+    run = doc["workloads"]["verify_analysis"]
+    assert len(run["pairs"]) == 1 and run["pairs"][0]["first"] == "parent"
+    end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert list(run["metrics"]) == end_to_end
+    for name, m in run["metrics"].items():
+        assert list(m) == ["unit", "better", "bound", "parent_values", "change_values", "parent",
+                           "change", "ratio", "change_wins", "pairs", "gain_claimed",
+                           "worse_beyond_bound", "unresolved"]
+        assert list(m["parent"]) == ["median", "q25", "q75", "iqr"]
+        assert m["pairs"] == 1 and len(m["parent_values"]) == len(m["change_values"]) == 1
+        assert m["gain_claimed"] is False, name  # one pair never claims a gain
+    for side in ("parent", "change"):
+        assert run["pairs"][0][side]["failed"] == 0
+
+
+def test_ab_claims_a_gain_only_from_nine_of_ten_wins_beyond_the_parents_iqr():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    lower = {"unit": "ms", "better": "lower", "bound": 0.25}
+    parent = [50.0, 51.0, 52.0, 53.0, 54.0, 50.5, 51.5, 52.5, 53.5, 54.5]  # IQR 2.25
+    change = [p - 3.0 for p in parent]
+    assert ab.verdict(lower, parent, change)["gain_claimed"]
+    assert not ab.verdict(lower, parent[:9], change[:9])["gain_claimed"]  # too few pairs
+    assert not ab.verdict(lower, parent, [p - 1.5 for p in parent])["gain_claimed"]  # within IQR
+    lost_two = change[:8] + [p + 1.0 for p in parent[8:]]  # 8 of 10 wins
+    assert not ab.verdict(lower, parent, lost_two)["gain_claimed"]
+    lost_one = change[:9] + [parent[9] + 1.0]
+    assert ab.verdict(lower, parent, lost_one)["gain_claimed"]
+    higher = {"unit": "items/s", "better": "higher", "bound": 0.25}
+    m = ab.verdict(higher, parent, change)
+    assert not m["gain_claimed"] and m["change_wins"] == 0 and not m["worse_beyond_bound"]
+    assert ab.verdict(higher, parent, [0.7 * p for p in parent])["worse_beyond_bound"]
+    assert not ab.verdict(lower, parent, change)["unresolved"]  # IQR 2.25 of a median near 52
+    assert ab.verdict({**lower, "bound": 0.01}, parent, change)["unresolved"]
