@@ -25,19 +25,23 @@ random state (its frame and gaps), `polar_special` on the frame that one
 step of `integrate_split` hands to it (one RK4 step off SU(n), so its
 Newton-Schulz updates run as in a run), and `lindblad_rhs` at the state.
 Each timed sample is KERNEL_CALLS calls on a warm model.  Beside them it gives
-the two superoperator forms of the direct step on A = dt L, whatever form the
-model's own runs take: `matrix_build`, one build of the increment matrix
-E = A (1 + A/2 (1 + A/3 (1 + A/4))) (the three n^2 x n^2 products of
-`dynamics._start`, one build per timed sample), `matrix_step`, one step
-v + E v, and `horner_step`, one Horner step of four matvecs, each without the
-re-Hermitizing and renormalizing that every direct step shares.  A run takes E
-from n^2 steps on; the build divided by the saving per step, horner_step less
-matrix_step, is the number of steps after which E has paid for itself.  These
-three rows are left out at an n where the library would not build E either
-(its five n^4 arrays exceed MEMORY_LIMIT).
+the three costs of the direct route's superoperator step, timed through
+`integrate_direct` itself (`direct_step_costs`): `matrix_build`, one build of
+the increment matrix E = sum_{k=1..4} (dt L)^k / k!, `matrix_step`, one step
+rho + E rho, and `horner_step`, one Horner step of four matvecs, each with the
+re-Hermitizing and renormalizing that every direct step shares.  Runs of one
+warm model at 1 and n^2 - 1 steps take the Horner step, runs at n^2 and 2 n^2
+steps build E and take the matrix step, and the differences of their times
+give the three costs.  A run takes E from n^2 steps on; the build divided by
+the saving per step, horner_step less matrix_step, is the number of steps
+after which E has paid for itself.  These three rows are left out at an n
+where an n^2-step run takes no matrix step (the model is in the jump form, as
+two-jump models are from n = 13, or E's five n^4 arrays exceed MEMORY_LIMIT).
 
 The sampling table gives the same statistics in microseconds per call of
-`sample_flags(n, count)` for every dimension and count in 1, 1000 and 4000,
+`sample_flags(n, count)` for every dimension and count in 1, 7, 200, 1000 and
+4000, on both sides of the frame draw's loop choice (Gram-Schmidt over the
+frame axis from FRAME_AXIS_COST n^4 frames on, batched products below),
 of the whole `verify identity --n n --N 4000` command in this process (one
 frame draw and the error of every column, its report discarded), of
 `rejection_volume_estimate(4, 750000)`, of `flag_density_theta(3, theta)` on
@@ -65,9 +69,11 @@ stored under `runs[<label>]` of the JSON output (`results` for steps, `records`
 for records, `kernels` for kernels, `sampling` for sampling, `writing` for text
 output), so runs of two versions of the library can share one file.
 
-Usage: python3 scripts/step_costs.py --label change --out BENCH_19.json
+The default dimensions are 2, 3, 4, 8, 12 and 16.
+
+Usage: python3 scripts/step_costs.py --label change --out BENCH_38.json
        PYTHONPATH=<other checkout>/src python3 scripts/step_costs.py --label parent \
-           --out BENCH_19.json
+           --out BENCH_38.json
 """
 
 import os
@@ -98,19 +104,19 @@ from specang import (
     write_trajectory_csv,
 )
 from specang.dynamics import polar_special, random_density, random_model
-from specang.errors import fits_memory
 from specang.kolmogorov import kolmogorov_sf
 
 INTEGRATORS = {"direct": integrate_direct, "split": integrate_split}
 DT = 1e-3
 SEED = 0
-COUNTS = (1, 1000, 4000)  # one frame (random_density), `sample`, `verify identity`
+COUNTS = (1, 7, 200, 1000, 4000)  # random_density, small stacks, `sample`, `verify identity`
 VOLUME_CALL = (4, 750_000)  # the (n, num_samples) of `verify volumes` in the benchmark
 MEASURE_CALL = (3, 2500)  # the (n, N) of `verify measure` in the benchmark
 DRAWS = 200  # the --trials of `verify unitarity` and `verify qutrit-matrix` (n = 3)
 FRAMES = 1000  # frames per `sample` file, as in the benchmark
 CSV_STEPS = 50  # steps of the trajectory written to CSV, one record each
 KERNEL_CALLS = 100  # kernel calls per timed sample
+RUNS_PER_COST = 5  # runs per time of direct_step_costs, the least kept
 
 
 def provenance():
@@ -224,40 +230,50 @@ def batched(call):
     return batch
 
 
-def increment_matrix(A):
-    """E = A (1 + A/2 (1 + A/3 (1 + A/4))) = sum_{k=1..4} A^k / k!, as dynamics builds it."""
-    E = A
-    for c in (4.0, 3.0, 2.0):
-        E = A + A @ E / c
-    return E
+def direct_step_costs(n, repeats):
+    """Microseconds per repeat of the direct route's build of E, its matrix step and its
+    Horner step at n, from integrate_direct runs of one warm model that record at their two
+    ends: T(1) and T(n^2 - 1) take the Horner step, T(n^2) and T(2 n^2) build E and take the
+    matrix step, each T the least of RUNS_PER_COST runs, the four back to back in each repeat
+    after one warm-up set.  Horner step h = (T(n^2 - 1) - T(1)) / (n^2 - 2), matrix step
+    m = (T(2 n^2) - T(n^2)) / n^2, and build T(n^2) - (T(1) - h) - n^2 m: what a run of n^2
+    steps costs beyond its fixed cost T(1) - h and its steps.  Empty where an n^2-step run
+    takes no matrix step."""
+    model, rho0 = case(n)
+
+    def run(steps):
+        best = math.inf
+        for _ in range(RUNS_PER_COST):
+            t0 = time.perf_counter()
+            traj = integrate_direct(rho0, model, steps * DT, DT, record_every=steps)
+            best = min(best, (time.perf_counter() - t0) * 1e6)
+        return best, traj.direct_step
+
+    ladder = (1, n * n - 1, n * n, 2 * n * n)
+    if [run(steps)[1] for steps in ladder][2:] != ["matrix", "matrix"]:  # also the warm-up
+        return {}
+    costs = {"matrix_build": [], "matrix_step": [], "horner_step": []}
+    for _ in range(repeats):
+        one, below, at, twice = (run(steps)[0] for steps in ladder)
+        h, m = (below - one) / (n * n - 2), (twice - at) / (n * n)
+        for kernel, cost in zip(costs, (at - (one - h) - n * n * m, m, h)):
+            costs[kernel].append(cost)
+    return costs
 
 
-def horner_step(A, v):
-    """One RK4 step of v' = (A / dt) v by Horner, four matvecs, as dynamics applies it."""
-    x = v
-    for c in (0.25, 1.0 / 3.0, 0.5, 1.0):
-        x = v + c * (A @ x)
-    return x
-
-
-def kernel_calls(n):
-    """(call, calls per sample) of the layers of one RK4 step at n: split_rhs at
+def kernel_calls(n, repeats):
+    """(call or costs, calls per sample) of the layers of one RK4 step at n: split_rhs at
     the random state's split state, polar_special on the frame one step hands it,
-    lindblad_rhs at the state, and on A = dt L one build of E, one step v + E v and
-    one Horner step."""
+    lindblad_rhs at the state, and the direct route's build of E, matrix step and Horner
+    step from direct_step_costs, where a run takes the matrix step."""
     model, rho0 = case(n)
     state = SplitState(*eigendecompose_ordered(rho0), 0.0)
     U = off_frame(rho0, model)
     calls = {"split_rhs": (batched(lambda: split_rhs(state, model)), KERNEL_CALLS),
              "polar_special": (batched(lambda: polar_special(U)), KERNEL_CALLS),
              "lindblad_rhs": (batched(lambda: lindblad_rhs(rho0, model)), KERNEL_CALLS)}
-    if not fits_memory(5 * n * n, n):  # the library would not build E either
-        return calls
-    A, v = DT * model.liouvillian, rho0.rho.astype(complex).ravel()
-    E = increment_matrix(A)
-    return {**calls, "matrix_build": (lambda: increment_matrix(A), 1),
-            "matrix_step": (batched(lambda: v + E @ v), KERNEL_CALLS),
-            "horner_step": (batched(lambda: horner_step(A, v)), KERNEL_CALLS)}
+    direct = {kernel: (costs, 1) for kernel, costs in direct_step_costs(n, repeats).items()}
+    return {**calls, **direct}
 
 
 def sampling_rows(dims):
@@ -311,7 +327,7 @@ def writing_rows(dims, repeats):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 8, 16])
+    parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 8, 12, 16])
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--label", default="run")
@@ -323,8 +339,8 @@ def main():
         "results": table("us_per_step", step_rows, args.repeats),
         "records": table("us_per_record", record_rows, args.repeats),
         "kernels": table("us_per_call", [({"n": n, "kernel": kernel}, call, calls)
-                                         for n in args.dims
-                                         for kernel, (call, calls) in kernel_calls(n).items()],
+                                         for n in args.dims for kernel, (call, calls)
+                                         in kernel_calls(n, args.repeats).items()],
                          args.repeats),
         "sampling": table("us_per_call", sampling_rows(args.dims), args.repeats,
                           with_memory=True),
@@ -351,7 +367,8 @@ def main():
         "provenance": prov,
         "params": {"dt": DT, "steps": args.steps, "repeats": args.repeats, "seed": SEED,
                    "counts": COUNTS, "measure_call": MEASURE_CALL, "draws": DRAWS,
-                   "frames": FRAMES, "csv_steps": CSV_STEPS, "kernel_calls": KERNEL_CALLS},
+                   "frames": FRAMES, "csv_steps": CSV_STEPS, "kernel_calls": KERNEL_CALLS,
+                   "runs_per_cost": RUNS_PER_COST},
         **tables,
     }
     out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -266,22 +266,37 @@ def flag_density_theta(n: int, theta) -> np.ndarray:
     return np.prod(np.sin(theta) * np.cos(theta / 2.0) ** powers, axis=-1) / volume
 
 
+FRAME_AXIS_COST = 0.6  # frame-axis loop where count >= FRAME_AXIS_COST n^4, fitted in BENCH_38.json
+GAUSS_BLOCK = 2**17  # Gaussians per block of a frame draw (1 MiB)
+
+
 def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
-    """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n
-    matrices as a (k, count, n) stack: batched classical Gram-Schmidt, run twice."""
+    """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n matrices
+    (standard_normal((2, count, n, n)), drawn GAUSS_BLOCK at a time) as a (k, count, n) stack:
+    classical Gram-Schmidt, run twice.  From FRAME_AXIS_COST n^4 frames on it is a view of
+    (k, n, count), frames on the fast axis, and each pair of columns a few vector operations."""
     check_count("seed", seed, 0)
     check_memory(count + 1, n)
-    G = np.random.default_rng(seed).standard_normal((2, count, n, n))  # real, imaginary
-    Q = np.empty((k, count, n), complex)
-    Q.real, Q.imag = G[..., :k].transpose(0, 3, 1, 2)
-    del G
-    for j, v in enumerate(Q):  # twice v -= (v P^dag) P, P the columns before v
-        if j:
-            w, P, Ph = v[:, None], Q[:j].transpose(1, 0, 2), Q[:j].conj().transpose(1, 2, 0)
-            w -= (w @ Ph) @ P
-            w -= (w @ Ph) @ P
-        v /= np.sqrt(np.einsum("bi,bi->b", v.view(float), v.view(float)))[:, None]
-    return Q
+    across, step = count >= FRAME_AXIS_COST * n**4, max(1, GAUSS_BLOCK // n**2)
+    Q = np.empty((k, n, count) if across else (k, count, n), complex)
+    Qv, rng = Q.swapaxes(1, 2) if across else Q, np.random.default_rng(seed)
+    for part in (Qv.real, Qv.imag):  # all real parts, then all imaginary parts
+        for s in range(0, count, step):
+            G = rng.standard_normal((min(step, count - s), n, n))
+            part[:, s:s + step] = G[..., :k].transpose(2, 0, 1)
+    for j, v in enumerate(Q):
+        if across:  # v (n, count): twice v -= sum_m <q_m, v> q_m, one column q_m at a time
+            for _ in range(2 if j else 0):
+                for c, q in zip([(q.conj() * v).sum(axis=0) for q in Q[:j]], Q[:j]):
+                    v -= c * q
+            v *= 1.0 / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+        elif j:  # v (count, n): twice v -= (v P^dag) P, P the columns before v, v P^dag as
+            w, P = v[:, None], Q[:j].transpose(1, 0, 2)  # conj(conj(v) P^T): P is not copied
+            w -= (w.conj() @ P.swapaxes(1, 2)).conj() @ P
+            w -= (w.conj() @ P.swapaxes(1, 2)).conj() @ P
+        if not across:
+            v /= np.sqrt(np.einsum("bi,bi->b", v.view(float), v.view(float)))[:, None]
+    return Qv
 
 
 def sample_flags(n: int, count: int, seed: int) -> np.ndarray:

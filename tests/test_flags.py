@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
@@ -47,7 +47,7 @@ from specang import (
 )
 from specang.dynamics import random_density
 from specang.errors import MEMORY_LIMIT
-from specang.flags import torus_element, pair_indices
+from specang.flags import FRAME_AXIS_COST, pair_indices, torus_element
 from conftest import interior_gaps, random_angles
 
 
@@ -467,10 +467,24 @@ def test_sample_flags_count_must_be_an_integer():
 
 
 def ginibre_reference(n, count, seed, k):
-    """Columns 1..k of the Gram-Schmidt QR of complex Gaussian matrices, from
-    the complex sum G[0] + 1j G[1] copied into a separate contiguous stack."""
+    """Columns 1..k of the Gram-Schmidt QR of complex Gaussian matrices as a
+    (k, count, n) stack, from the complex sum G[0] + 1j G[1] of one whole draw
+    copied into a separate contiguous stack: from FRAME_AXIS_COST n^4 frames on,
+    (k, n, count) with each pair of columns one vector update over all frames,
+    else (k, count, n) with each column two batched products over the frames,
+    v P^dag from a conjugated copy of the earlier columns P."""
     G = np.random.default_rng(seed).standard_normal((2, count, n, n))
-    Q = np.ascontiguousarray((G[0, ..., :k] + 1j * G[1, ..., :k]).transpose(2, 0, 1))
+    Z = G[0, ..., :k] + 1j * G[1, ..., :k]  # (count, n, k)
+    if count >= FRAME_AXIS_COST * n**4:
+        Q = np.ascontiguousarray(Z.transpose(2, 1, 0))
+        for j, v in enumerate(Q):
+            for _ in range(2 if j else 0):
+                coefficients = [(q.conj() * v).sum(axis=0) for q in Q[:j]]
+                for c, q in zip(coefficients, Q[:j]):
+                    v -= c * q
+            v *= 1.0 / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+        return Q.swapaxes(1, 2)
+    Q = np.ascontiguousarray(Z.transpose(2, 0, 1))
     for j, v in enumerate(Q):
         if j:
             w, P, Ph = v[:, None], Q[:j].transpose(1, 0, 2), Q[:j].conj().transpose(1, 2, 0)
@@ -494,8 +508,10 @@ def phase_section_reference(U):
 @pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("count", [1, 7, 4000])
 def test_flag_sampling_matches_the_complex_sum_assembly(n, count):
-    # the real and imaginary draws fill one complex stack in place; the
-    # frames and the column averages stay bit-identical to the complex sum
+    # the real and imaginary draws fill one complex stack in place, block by
+    # block; the frames and the column averages stay bit-identical to the
+    # complex sum of one whole draw, on either side of the loop choice
+    assert (count >= FRAME_AXIS_COST * n**4) == (count == 4000)
     for seed in range(3):
         frames = ginibre_reference(n, count, seed, n).transpose(1, 2, 0).copy()
         want = phase_section_reference(frames)
@@ -531,10 +547,14 @@ def _reference_flags(n, count, seed):
 
 
 @given(
-    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=2, max_value=8) | st.sampled_from([12, 16]),
     st.sampled_from([0, 1, 7, 200]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(3, 200, 0).via("frames on the fast axis")
+@example(16, 200, 0).via("batched products")
+@example(12, 1, 0).via("batched products")
+@example(16, 7, 0).via("batched products")
 @settings(max_examples=40, deadline=None)
 def test_sample_flags_match_the_lapack_qr_reference(n, count, seed):
     frames = sample_flags(n, count, seed)
@@ -575,6 +595,23 @@ def test_resolution_check_is_the_column_average_of_sample_flags(n, i):
 def test_resolution_check_bad_column():
     with pytest.raises(ValidationError):
         resolution_check(3, 4, 10, seed=0)
+
+
+@pytest.mark.parametrize("n, num_samples, bound", [(3, 10**6, 2.0), (8, 10**5, 1.5)])
+def test_a_large_resolution_check_holds_no_gaussian_array_beside_its_columns(
+        n, num_samples, bound):
+    # the Gaussians fill the column stack block by block, and Gram-Schmidt over
+    # the frame axis copies no earlier columns: the traced peak stays below
+    # `bound` times the N n^2 16 B that the memory check charges (a whole
+    # Gaussian array beside the stack peaked at 2.22x and 2.63x here)
+    assert num_samples >= FRAME_AXIS_COST * n**4
+    tracemalloc.start()
+    try:
+        resolution_check(n, n, num_samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * num_samples * n * n * 16
 
 
 @pytest.mark.parametrize("num_samples", [0, -1, 2.5])

@@ -59,7 +59,7 @@ def check_step_costs_schema(doc):
                     for k in ("split_rhs", "polar_special", "lindblad_rhs", "matrix_build",
                               "matrix_step", "horner_step")],
         "sampling": [{"call": "sample_flags", "n": n, "count": c} for n in dims
-                     for c in (1, 1000, 4000)]
+                     for c in (1, 7, 200, 1000, 4000)]
         + [{"call": "verify identity", "n": n, "N": 4000} for n in dims]
         + [{"call": "rejection_volume_estimate", "n": 4, "num_samples": 750000},
            {"call": "flag_density_theta", "n": 3, "stack": 2500},
