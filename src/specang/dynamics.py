@@ -239,31 +239,34 @@ def stage_constants(n: int):
     return _frozen(1.0 - off), _frozen(off), _frozen(-1j * off)
 
 
-def _split_stage(V, p, model, HD, checked=True):
+def _split_stage(V, p, model, checked=True):
     """The split flow (V Omega_tilde, p_dot) at frame V and spectrum p.
 
-    HD is a (2, n, n) buffer whose first slice is H.  The stage writes D(rho), the
-    model's dissipator in its form, into the second slice, at rho = V diag(p) V^dag,
-    and rotates both into the frame in one product, Ht, Lt = V^dag [H, D] V, with
-    the gap floor checked if `checked`.  V need not be unitary: RK4 stages sit at
-    U + O(dt).  p_dot is diag Lt less its mean, so sum(p) stays 1 to round-off and H
+    The stage takes the differences P = p_i - p_j once: their first superdiagonal is the
+    gaps p_a - p_{a+1}, whose floor it checks if `checked`, and P + 1 is the divisor
+    p_i - p_j + delta_ij.  It forms D(rho), the model's dissipator in its form, at
+    rho = V diag(p) V^dag, and rotates H and D into the frame, Ht = V^dag H V and
+    Lt = V^dag D V, every 2-D product a plain dot.  V need not be unitary: RK4 stages sit
+    at U + O(dt).  p_dot is diag Lt less its mean, so sum(p) stays 1 to round-off and H
     enters only through Ht, not p_dot; Omega_tilde = V^dag dV/dt, zero on the diagonal
-    (torus gauge), is Ht o (-i off) - Lt o (off / (p_i - p_j + delta_ij)).
+    (torus gauge), is Ht o (-i off) - Lt o (off / (P + 1)).
     """
     n = len(V)
     eye, off, neg_i_off = stage_constants(n)
+    P = p[:, None] - p
     if checked:
-        check_gap_floor(gaps_stack(p), BREAKDOWN_TOL, "angular chart")
+        check_gap_floor(P.diagonal(1), BREAKDOWN_TOL, "angular chart")
     Vh = V.conj().T  # one conjugate for rho = density_stack(p, V) and for the rotation
+    rho = (V * p).dot(Vh)
     if model.jump_form:
-        _jump(model._jump_pairs[0], (V * p) @ Vh, out=HD[1])
+        D = _jump(model._jump_pairs[0], rho)
     else:
-        np.matmul(model.dissipator_superoperator, ((V * p) @ Vh).ravel(), out=HD[1].reshape(n * n))
-    HLt = Vh @ HD @ V  # (Ht, Lt), read by index: cheaper than unpacking
-    Omega_t = HLt[0] * neg_i_off
-    Omega_t -= HLt[1] * (off / (p[:, None] - p + eye))
-    d = HLt[1].diagonal().real
-    return V @ Omega_t, d - np.add.reduce(d) / n
+        D = model.dissipator_superoperator.dot(rho.ravel()).reshape(n, n)
+    Omega_t = Vh.dot(model.H).dot(V) * neg_i_off
+    Lt = Vh.dot(D).dot(V)
+    Omega_t -= Lt * (off / (P + eye))
+    d = Lt.diagonal().real
+    return V.dot(Omega_t), d - np.add.reduce(d) / n
 
 
 def split_rhs(state: SplitState, model: LindbladModel):
@@ -276,8 +279,8 @@ def split_rhs(state: SplitState, model: LindbladModel):
     """
     if model.n != state.r.n:
         raise ValidationError("state and model dimensions disagree")
-    U, HD = state.U.U, np.array([model.H, model.H])  # the stage overwrites HD[1]
-    U_Omega, p_dot = _split_stage(U, probs_stack(state.r.r), model, HD)
+    U = state.U.U
+    U_Omega, p_dot = _split_stage(U, probs_stack(state.r.r), model)
     return gaps_stack(p_dot), U_Omega @ U.conj().T
 
 
@@ -298,15 +301,15 @@ def polar_special(U):
     NaN), far outside any step that keeps to the chart, raises
     DegenerateSpectrumError: U has left U(n)."""
     eye = stage_constants(len(U))[0]
-    F = U.conj().T @ U - eye
+    F = U.conj().T.dot(U) - eye
     defect = err = _frobenius(F)
     if not defect < FRAME_DEFECT:
         raise DegenerateSpectrumError(f"frame defect {defect:.3e} not below {FRAME_DEFECT}")
     while True:
-        U = U - 0.5 * (U @ F)
+        U = U - 0.5 * U.dot(F)
         if not err * err > POLAR_TOL:
             return U, defect
-        F = U.conj().T @ U - eye
+        F = U.conj().T.dot(U) - eye
         err = _frobenius(F)
 
 
@@ -330,15 +333,16 @@ def integrate_split(
     return _run(rho0, model, t_end, dt, record_every, split=True, fallback_direct=fallback_direct)
 
 
-def _split_step(state, t, model, dt, HD):
+def _split_step(state, t, model, dt, operand):
     """One RK4 step of the split state (p, U, frame defect) under _split_stage (the run has
     checked (p, U), so stage 1 does not), then polar_special, whose defect is the new one.
     The sums K1 + 2 K2 + 2 K3 + K4 and k1 + ... accumulate in place in K1, k1.  A step
-    leaving the chart (gap floor, FRAME_DEFECT, R_{n-1}) raises DegenerateSpectrumError."""
+    leaving the chart (gap floor, FRAME_DEFECT, R_{n-1}) raises DegenerateSpectrumError.
+    t and operand go unread: the run calls both routes' steps alike."""
     p, U, _ = state
-    K, k = S, s = _split_stage(U, p, model, HD, checked=False)
+    K, k = S, s = _split_stage(U, p, model, checked=False)
     for c in (0.5, 0.5, 1.0):
-        K, k = _split_stage(U + c * dt * K, p + c * dt * k, model, HD)
+        K, k = _split_stage(U + c * dt * K, p + c * dt * k, model)
         S += K + K if c < 1.0 else K  # weights 2, 2, 1; K + K is 2 K exactly
         s += k + k if c < 1.0 else k
     U, defect = polar_special(U + dt / 6.0 * S)
@@ -353,10 +357,10 @@ def _direct_step(state, t, model, dt, A, horner=(0.25, 1.0 / 3.0, 0.5, 1.0)):
     rho, jump = state[0], model.jump_form
     x = v = rho if jump else rho.ravel()
     for c in horner:
-        x = v + (c * dt) * _jump(A, x) if jump else v + c * (A @ x)
+        x = v + (c * dt) * _jump(A, x) if jump else v + c * A.dot(x)
     rho = x.reshape(rho.shape)
     rho = 0.5 * (rho + rho.conj().T)
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     drift = abs(tr - 1.0)
     if not drift <= BREAKDOWN_TOL:
         raise NumericalBreakdownError(
@@ -369,12 +373,12 @@ _matrix_step = partial(_direct_step, horner=(1.0,))  # rho + E rho, for the E of
 
 def _start(split, rho, model, dt, steps):
     """(step, operand, record reader, first state) of the split route, or else the direct one,
-    from rho for `steps` steps: an (H, D) buffer whose D the stages overwrite, L's jump pairs,
+    from rho for `steps` steps: no operand (None) on the split route, L's jump pairs,
     A = dt L or, if steps >= n^2 and L, A, E and two temporaries fit, E = sum_{k=1..4} A^k/k!."""
     if split:
         r_vec, frame = eigendecompose_ordered(rho)
         state = probs_stack(r_vec.r), frame.U, 0.0  # read-only U: no step writes it
-        return _split_step, np.array([model.H, model.H]), _split_records, state
+        return _split_step, None, _split_records, state
     A = model._jump_pairs[1] if model.jump_form else dt * model.liouvillian
     step, n, E = _direct_step, model.n, A
     if not model.jump_form and steps >= n * n and fits_memory(5 * n * n, n):

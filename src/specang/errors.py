@@ -125,9 +125,11 @@ def check_memory(count: int, n: int) -> None:
 
 
 def check_gap_floor(gaps, floor: float, chart: str) -> None:
-    """Raise DegenerateSpectrumError unless every gap is at least `floor`,
-    below which the named chart breaks down."""
-    if not np.minimum.reduce(gaps) >= floor:  # the ufunc, without .min()'s Python wrapper
+    """Raise DegenerateSpectrumError unless every gap, of a 1-D array or a sequence of
+    numbers, is at least `floor`, below which the named chart breaks down.  The test is
+    one comparison per gap on Python floats, cheaper than a ufunc reduce at these sizes;
+    a NaN gap fails it wherever it sits."""
+    if not all(g >= floor for g in np.asarray(gaps).tolist()):
         raise DegenerateSpectrumError(f"spectral gap below {floor}; {chart} breaks down")
 
 

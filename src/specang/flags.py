@@ -272,18 +272,20 @@ GAUSS_BLOCK = 2**17  # Gaussians per block of a frame draw (1 MiB)
 
 def _ginibre_columns(n: int, count: int, seed: int, k: int) -> np.ndarray:
     """Columns 1..k of the positive-R QR factor of `count` complex Gaussian n x n matrices
-    (standard_normal((2, count, n, n)), drawn GAUSS_BLOCK at a time) as a (k, count, n) stack:
-    classical Gram-Schmidt, run twice.  From FRAME_AXIS_COST n^4 frames on it is a view of
-    (k, n, count), frames on the fast axis, and each pair of columns a few vector operations."""
+    (standard_normal((2, count, n, n)), drawn GAUSS_BLOCK at a time into one buffer) as a
+    (k, count, n) stack: classical Gram-Schmidt, run twice.  From FRAME_AXIS_COST n^4 frames
+    on it is a view of (k, n, count), frames on the fast axis, and each pair of columns a few
+    vector operations."""
     check_count("seed", seed, 0)
     check_memory(count + 1, n)
     across, step = count >= FRAME_AXIS_COST * n**4, max(1, GAUSS_BLOCK // n**2)
     Q = np.empty((k, n, count) if across else (k, count, n), complex)
     Qv, rng = Q.swapaxes(1, 2) if across else Q, np.random.default_rng(seed)
+    G = np.empty((min(step, count), n, n))  # one block, reused: its pages are touched once
     for part in (Qv.real, Qv.imag):  # all real parts, then all imaginary parts
         for s in range(0, count, step):
-            G = rng.standard_normal((min(step, count - s), n, n))
-            part[:, s:s + step] = G[..., :k].transpose(2, 0, 1)
+            g = rng.standard_normal(out=G[:count - s])
+            part[:, s:s + step] = g[..., :k].transpose(2, 0, 1)
     for j, v in enumerate(Q):
         if across:  # v (n, count): twice v -= sum_m <q_m, v> q_m, one column q_m at a time
             for _ in range(2 if j else 0):

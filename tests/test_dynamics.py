@@ -56,8 +56,9 @@ from specang.dynamics import (
     stage_constants,
 )
 from specang.errors import FRAME_DEFECT, MEMORY_LIMIT
+from specang.flags import density_stack
 from specang.geometry import purity_spectrum
-from specang.spectral import jacobian_matrix, probs_stack
+from specang.spectral import gaps_stack, jacobian_matrix, probs_stack
 from conftest import qubit_split_rates
 
 
@@ -538,6 +539,96 @@ def test_split_matches_reference_rk4(n):
         assert np.max(np.abs(traj.rho - np.array(expect_rho))) < 1e-13
 
 
+def batched_split_stage(V, p, model, HD, checked=True):
+    """The split stage with every product an @: (Ht, Lt) = V^dag [H, D] V as one batched
+    product on the (2, n, n) buffer HD = [H, H], whose D it overwrites, and the gap floor
+    by a ufunc reduce over gaps_stack(p)."""
+    n, off = len(V), 1.0 - np.eye(len(V))
+    if checked and not np.minimum.reduce(gaps_stack(p)) >= errors.BREAKDOWN_TOL:
+        raise DegenerateSpectrumError(
+            f"spectral gap below {errors.BREAKDOWN_TOL}; angular chart breaks down")
+    Vh = V.conj().T
+    if model.jump_form:
+        HD[1] = dissipator((V * p) @ Vh, model)
+    else:
+        np.matmul(model.dissipator_superoperator, ((V * p) @ Vh).ravel(),
+                  out=HD[1].reshape(n * n))
+    HLt = Vh @ HD @ V
+    Omega_t = HLt[0] * (-1j * off)
+    Omega_t -= HLt[1] * (off / (p[:, None] - p + np.eye(n)))
+    d = HLt[1].diagonal().real
+    return V @ Omega_t, d - np.add.reduce(d) / n
+
+
+def matmul_polar_special(U):
+    """polar_special with @ products: (Q, defect) or its DegenerateSpectrumError."""
+    def frobenius(F):
+        f = F.ravel()
+        return math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag))
+
+    eye = np.eye(len(U))
+    F = U.conj().T @ U - eye
+    defect = err = frobenius(F)
+    if not defect < FRAME_DEFECT:
+        raise DegenerateSpectrumError(f"frame defect {defect:.3e} not below {FRAME_DEFECT}")
+    while True:
+        U = U - 0.5 * (U @ F)
+        if not err * err > errors.POLAR_TOL:
+            return U, defect
+        F = U.conj().T @ U - eye
+        err = frobenius(F)
+
+
+def batched_split_run(rho0, model, dt, steps):
+    """The split states (p, U, defect) of up to `steps` RK4 steps by batched_split_stage and
+    matmul_polar_special, with the breakdown message of the first stage below the gap floor."""
+    r, frame = eigendecompose_ordered(rho0)
+    p, U, HD = probs_stack(r.r), frame.U, np.array([model.H, model.H])
+    states = [(p, U, 0.0)]
+    for step in range(1, steps + 1):
+        try:
+            K, k = S, s = batched_split_stage(U, p, model, HD, checked=False)
+            for c in (0.5, 0.5, 1.0):
+                K, k = batched_split_stage(U + c * dt * K, p + c * dt * k, model, HD)
+                S += K + K if c < 1.0 else K
+                s += k + k if c < 1.0 else k
+        except DegenerateSpectrumError as exc:
+            return states, f"split integration broke down at t={(step - 1) * dt:.6g}: {exc}"
+        U, defect = matmul_polar_special(U + dt / 6.0 * S)
+        p = p + dt / 6.0 * s
+        assert p[-1] >= -errors.TOL / len(p) and np.min(gaps_stack(p)) >= errors.BREAKDOWN_TOL
+        states.append((p, U, defect))
+    return states, None
+
+
+def recorded_split_states(rho0, model, t_end, dt, monkeypatch):
+    """(p, U) of every record of integrate_split, read where the records assemble rho."""
+    seen = []
+
+    def spy(P, Us):
+        seen.append((P, Us))
+        return density_stack(P, Us)
+
+    monkeypatch.setattr(dynamics, "density_stack", spy)
+    traj = integrate_split(rho0, model, t_end, dt)
+    return traj, np.concatenate([P for P, _ in seen]), np.concatenate([Us for _, Us in seen])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_split_steps_match_the_batched_stage_bit_for_bit(n, monkeypatch):
+    # 20 steps of the run against the stage on one batched (2, n, n) product and @ products
+    # everywhere: each plain product is the same BLAS call, so every p, U and frame defect
+    # is equal, in the superoperator form at n <= 8 and in the jump form at n = 16
+    model, rho0 = random_model(n, seed=n), random_density(n, seed=70 + n)
+    assert model.jump_form == (n == 16)
+    states, broke = batched_split_run(rho0, model, 1e-3, 20)
+    traj, P, Us = recorded_split_states(rho0, model, 0.02, 1e-3, monkeypatch)
+    assert broke is None and len(traj.times) == len(states) == 21
+    assert np.array_equal(P, np.array([p for p, _, _ in states]))
+    assert np.array_equal(Us, np.array([U for _, U, _ in states]))
+    assert np.array_equal(traj.diagnostics["frame_defect"], [e for _, _, e in states])
+
+
 @given(n=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
        exponent=st.floats(-16.0, math.log10(0.3)))
 @example(n=16, seed=0, exponent=-7.0)
@@ -735,6 +826,21 @@ def test_fallback_resumes_from_live_state():
         assert after.any()
         delta = diag["min_eig"][after] - direct.diagnostics["min_eig"][after]
         assert np.max(np.abs(delta)) < 1e-12
+
+
+@pytest.mark.parametrize("case", [_amplitude_damped_qubit, _amplitude_damped_16])
+def test_a_stage_below_the_gap_floor_breaks_down_as_the_batched_stage_does(case, monkeypatch):
+    # the qubit's crossing in the superoperator form and among 16 levels in the jump form:
+    # a stage of the step to t = 0.337 falls below the gap floor, with the same message
+    model, rho0 = case()
+    states, broke = batched_split_run(rho0, model, 1e-3, 400)
+    assert broke == ("split integration broke down at t=0.336: spectral gap below 1e-08; "
+                     "angular chart breaks down")
+    with pytest.raises(DegenerateSpectrumError, match=f"^{re.escape(broke)}$"):
+        integrate_split(rho0, model, 0.4, 1e-3)
+    traj, P, Us = recorded_split_states(rho0, model, 0.336, 1e-3, monkeypatch)
+    assert np.array_equal(P, np.array([p for p, _, _ in states]))
+    assert np.array_equal(Us, np.array([U for _, U, _ in states]))
 
 
 @given(record_every=st.integers(1, 120), steps=st.integers(400, 1000))

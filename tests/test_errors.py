@@ -288,6 +288,33 @@ def test_every_check_rejects_nan(check, error):
 
 
 @pytest.mark.parametrize(
+    "gaps",
+    [
+        np.array([NAN, 0.2, 0.1]),
+        np.array([0.2, 0.1, NAN]),
+        np.array([0.2, -INF]),
+        (0.3, 0.2),
+        (0.3, 1e-9),
+        np.array([0.25]),
+        np.array([1e-8, 0.5]),
+        np.array([0.5, 1e-8 * (1.0 - 2.0**-52)]),
+        np.array([0.2, 0.1, 0.05]),
+    ],
+    ids=["nan-first", "nan-last", "minus-inf", "tuple", "tuple-below", "one-gap",
+         "at-the-floor", "just-below", "above"],
+)
+def test_gap_floor_raises_exactly_where_the_ufunc_minimum_fails(gaps):
+    # one comparison per gap, against the ufunc reduce it replaced: a NaN anywhere fails,
+    # where a min() over the gaps would pass a NaN after the first gap
+    msg = "spectral gap below 1e-08; chart breaks down"
+    if np.minimum.reduce(gaps) >= 1e-8:
+        check_gap_floor(gaps, 1e-8, "chart")
+    else:
+        with pytest.raises(DegenerateSpectrumError, match=f"^{re.escape(msg)}$"):
+            check_gap_floor(gaps, 1e-8, "chart")
+
+
+@pytest.mark.parametrize(
     "check, value, message",
     [
         (check_gaps, np.array([0.2, 0.1]), None),
